@@ -59,9 +59,9 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
     """Run the full multi-solution demonstration and write its audit trail."""
     out = Path(config.output_dir)
     params, grid, margins = config.phase, config.grid, config.margins
-    back = solve_unstable_backward(config.final_series(), params, grid)
     family = construct_family(config.final_series(), config.source_series(),
                               params, grid, delta=margins.delta, tol=margins.tol)
+    u0 = family[0].u.values[:, 0]     # the datum every triple shares
 
     lines = ["multi-solution demonstration", verifier._grid_summary(grid), ""]
     reports = []
@@ -69,7 +69,7 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
         tag = _triple_tag(i, triple.provenance)
         restricted = triple.restricted()
         report = verifier.run_triple_battery(
-            restricted, back.u0, params,
+            restricted, u0, params,
             weak_tol=margins.weak_tol, entropy_tol=margins.entropy_tol,
             certificate_tol=margins.certificate_tol,
             identity_tol=margins.identity_tol)
@@ -101,6 +101,10 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             t_min = min(family[i].t_bar, family[j].t_bar)
+            if t_min <= 0.0:
+                # such a triple fails its identity check: the verdict is unchanged
+                lines.append(f"  ({i},{j}): no common certified time after t=0 -> skipped")
+                continue
             probe = grid.t[max(1, int(round(0.5 * t_min / grid.dt)))]
             du, dv, dl = verifier.distinctness(family[i], family[j], probe)
             distinct = max(du, dv, dl) > DISTINCT_THRESHOLD

@@ -26,8 +26,8 @@ from .errors import (ConfigurationError, DomainViolationError,
 from .phase_model import (PhaseParams, beta0_extended, beta2_extended,
                           branch_gap_extended)
 from .solvers import SourcedSolution, solve_sourced, solve_unstable_backward
-from .spectral import (CosineSeries, Field2D, Grid, analyze_columns,
-                       constant_field, synthesize_columns)
+from .spectral import (CosineSeries, Field2D, Grid, constant_field,
+                       x_second_derivative)
 
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
@@ -52,6 +52,12 @@ class SolutionTriple:
     @property
     def grid(self) -> Grid:
         return self.u.grid
+
+    def weight_rate(self) -> np.ndarray:
+        """lambda_t: the analytic field when carried, else centered differences."""
+        if self.lam_t is not None:
+            return self.lam_t.values
+        return np.gradient(self.lam.values, self.grid.t, axis=1, edge_order=2)
 
     def restricted(self) -> "SolutionTriple":
         """The triple truncated to its certified horizon."""
@@ -122,21 +128,6 @@ def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
     return Field2D(v.grid, u, "assembled state")
 
 
-def _m_from_fields(v: Field2D, sigma_abs: float,
-                   vt_values: np.ndarray | None = None) -> np.ndarray:
-    """Excess rate m = v_xx + |sigma| v_t from sampled fields only.
-
-    v_xx comes from the exact cosine projection; v_t from centered differences
-    unless an analytic rate field is supplied.
-    """
-    grid = v.grid
-    modes = analyze_columns(v.values, grid.L, grid.n_modes)
-    vxx_vals = synthesize_columns(-(grid.mu()[:, None] * modes), grid.L, grid.x)
-    if vt_values is None:
-        vt_values = np.gradient(v.values, grid.t, axis=1, edge_order=2)
-    return vxx_vals + sigma_abs * vt_values
-
-
 def certify_horizon(triple: SolutionTriple, params: PhaseParams,
                     delta: float, tol: float,
                     require_source_margin: bool = True) -> float:
@@ -164,11 +155,10 @@ def certify_horizon_report(triple: SolutionTriple, params: PhaseParams,
     v = triple.v.values
     lam = triple.lam.values
     gap = branch_gap_extended(params, v)
-    if triple.lam_t is not None:
-        lam_t = triple.lam_t.values
-    else:
-        lam_t = np.gradient(lam, grid.t, axis=1, edge_order=2)
-    m = _m_from_fields(triple.v, params.sigma_abs)
+    lam_t = triple.weight_rate()
+    # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
+    v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
+    m = x_second_derivative(triple.v) + params.sigma_abs * v_t
 
     conds = {
         "branch gap >= delta": gap >= delta,
@@ -246,8 +236,8 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         sol = solve_sourced(f, v0, params.sigma_abs, grid)
         n_build = _build_window(sol, params)
         if n_build < grid.n_t:
-            sub = grid.with_time(n_build)
-            sol = solve_sourced(f, v0, params.sigma_abs, sub)
+            sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
+                          vt_modes=sol.vt_modes[:, :n_build])
         lam = build_lambda(sol, params)
         lam_t = lambda_time_derivative(sol, lam, params)
         u = assemble_state(sol.v, lam, params)

@@ -134,10 +134,14 @@ def beta2_extended(params: PhaseParams, v):
     return _scalar_like(v, (arr - params.gamma2) / params.alpha2)
 
 
-def beta1_extended(params: PhaseParams, v):
-    """Affine inverse of the lower stable branch, no domain check."""
-    arr = np.asarray(v, dtype=float)
-    return _scalar_like(v, (arr - params.gamma1) / params.alpha1)
+def _guard_domain(params: PhaseParams, v, what: str,
+                  lower: bool = True, upper: bool = True) -> np.ndarray:
+    """Finite ``v`` with A <= v (if ``lower``) and v <= B (if ``upper``), else raise."""
+    arr = _check_finite(v, f"{what} argument")
+    if (lower and np.any(arr < params.A)) or (upper and np.any(arr > params.B)):
+        rule = " <= ".join(["A"] * lower + ["v"] + ["B"] * upper)
+        raise DomainViolationError(f"{what} requires {rule}")
+    return arr
 
 
 def eval_beta(params: PhaseParams, branch: int, v):
@@ -147,20 +151,13 @@ def eval_beta(params: PhaseParams, branch: int, v):
     branch 2 on v >= A; closed endpoints are admitted by continuity.
     Values outside the branch domain raise ``DomainViolationError``.
     """
-    arr = _check_finite(v, "branch-inverse argument")
-    if branch == 0:
-        if np.any(arr < params.A) or np.any(arr > params.B):
-            raise DomainViolationError("branch 0 inverse requires A <= v <= B")
-        return _scalar_like(v, params.b + params.sigma * (np.asarray(arr) - params.B))
+    if branch not in (0, 1, 2):
+        raise DomainViolationError(f"branch must be 0, 1 or 2, got {branch!r}")
+    arr = _guard_domain(params, v, f"branch {branch} inverse",
+                        lower=branch != 1, upper=branch != 2)
     if branch == 1:
-        if np.any(arr > params.B):
-            raise DomainViolationError("branch 1 inverse requires v <= B")
         return _scalar_like(v, (arr - params.gamma1) / params.alpha1)
-    if branch == 2:
-        if np.any(arr < params.A):
-            raise DomainViolationError("branch 2 inverse requires v >= A")
-        return _scalar_like(v, (arr - params.gamma2) / params.alpha2)
-    raise DomainViolationError(f"branch must be 0, 1 or 2, got {branch!r}")
+    return (beta0_extended if branch == 0 else beta2_extended)(params, arr)
 
 
 def branch_gap(params: PhaseParams, v):
@@ -169,10 +166,7 @@ def branch_gap(params: PhaseParams, v):
     Zero exactly at v = A (where the branches meet at u = c) and strictly
     increasing in v.
     """
-    arr = _check_finite(v, "branch-gap argument")
-    if np.any(arr < params.A) or np.any(arr > params.B):
-        raise DomainViolationError("branch gap requires A <= v <= B")
-    return _scalar_like(v, branch_gap_extended(params, arr))
+    return branch_gap_extended(params, _guard_domain(params, v, "branch gap"))
 
 
 def branch_gap_extended(params: PhaseParams, v):
@@ -313,18 +307,19 @@ def certificate_integrand(params: PhaseParams, flux: EntropyFlux, v):
     Equals int_{beta0(v)}^{beta2(v)} [g(v) - g(phi(s))] ds, hence >= 0 for every
     nondecreasing g, with equality at v = A.
     """
-    arr = _check_finite(v, "certificate argument")
-    if np.any(arr < params.A) or np.any(arr > params.B):
-        raise DomainViolationError("certificate integrand requires A <= v <= B")
-    return _scalar_like(v, certificate_integrand_extended(params, flux, arr))
+    return certificate_integrand_extended(params, flux,
+                                          _guard_domain(params, v, "certificate integrand"))
 
 
 def certificate_integrand_extended(params: PhaseParams, flux: EntropyFlux, v):
     """Certificate integrand through the affine continuations, no domain check."""
     arr = np.asarray(v, dtype=float)
-    b0 = params.b + params.sigma * (arr - params.B)
-    b2 = (arr - params.gamma2) / params.alpha2
-    out = (entropy_primitive(params, flux, b0)
-           - entropy_primitive(params, flux, b2)
-           + (b2 - b0) * flux.value(arr))
+    g0 = entropy_primitive(params, flux, beta0_extended(params, arr))
+    g2 = entropy_primitive(params, flux, beta2_extended(params, arr))
+    out = certificate_from_primitives(params, arr, g0, g2, flux.value(arr))
     return _scalar_like(v, np.asarray(out))
+
+
+def certificate_from_primitives(params: PhaseParams, v, g0, g2, gv):
+    """The certificate integrand from g0 = G(beta0(v)), g2 = G(beta2(v)) and gv = g(v)."""
+    return g0 - g2 + branch_gap_extended(params, v) * gv

@@ -30,7 +30,8 @@ from .errors import (BoundaryConditionError, ConfigurationError,
                      DomainViolationError, InstabilityError)
 from .phase_model import PhaseParams, eval_phi
 from .spectral import (OVERFLOW_EXPONENT, CosineSeries, Field2D, Grid,
-                       cosine_analyze, field_from_modes)
+                       analysis_matrix, cosine_analyze, cosine_basis,
+                       cosine_eigenvalues, field_from_modes)
 
 #: growth exponent above which the float64 fast path is abandoned for mpmath
 _MP_EXPONENT_THRESHOLD = 16.0
@@ -135,7 +136,6 @@ class SourcedSolution:
 
     v: Field2D
     f: CosineSeries
-    v0: np.ndarray
     sigma_abs: float
     v_modes: np.ndarray
     vt_modes: np.ndarray
@@ -202,6 +202,7 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     use_mp = (max_exp > _MP_EXPONENT_THRESHOLD
               or a_coeffs.dtype == object or f_coeffs.dtype == object)
     K, n_t = grid.n_modes, grid.n_t
+    ff = fs.as_float()
     v_modes = np.zeros((K + 1, n_t))
     if use_mp:
         with mp.workprec(_mp_precision(max_exp)):
@@ -220,7 +221,6 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
                 v_modes[k] = [float(r) for r in row]
     else:
         af = a.as_float()
-        ff = fs.as_float()
         v_modes[0] = af[0] + ff[0] * grid.t / sigma_abs
         for k in range(1, K + 1):
             if not active[k]:
@@ -230,11 +230,9 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
 
     # |sigma| v_t = f + mu v element-wise: computing vt from the rounded modes
     # keeps the identity v_xx + |sigma| v_t = f exact at the sample level
-    ffloat = fs.as_float()
-    vt_modes = (ffloat[:, None] + mu[:, None] * v_modes) / sigma_abs
+    vt_modes = (ff[:, None] + mu[:, None] * v_modes) / sigma_abs
     v_field = field_from_modes(grid, v_modes, "sourced flux")
-    return SourcedSolution(v_field, fs, a.synthesize(grid.x), float(sigma_abs),
-                           v_modes, vt_modes)
+    return SourcedSolution(v_field, fs, float(sigma_abs), v_modes, vt_modes)
 
 
 def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
@@ -256,16 +254,15 @@ def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
         raise ConfigurationError("endpoint profiles live on different intervals")
     if len(a.coeffs) != len(b_series.coeffs):
         raise ConfigurationError("endpoint profiles must carry the same mode count")
-    k = np.arange(len(a.coeffs))
-    mu = (k * np.pi / a.L) ** 2
+    mu = cosine_eigenvalues(len(a.coeffs) - 1, a.L)
     active = np.asarray([(ak != 0) or (bk != 0)
                          for ak, bk in zip(a.coeffs, b_series.coeffs)])
     max_exp = _guard_exponents(mu, active, T_end, sigma_abs, "inverse source")
 
-    out = np.empty(len(k), dtype=object)
+    out = np.empty(len(mu), dtype=object)
     with mp.workprec(_mp_precision(max_exp)):
         out[0] = (_to_mpf(b_series.coeffs[0]) - _to_mpf(a.coeffs[0])) * sigma_abs / T_end
-        for kk in range(1, len(k)):
+        for kk in range(1, len(mu)):
             ak = _to_mpf(a.coeffs[kk])
             bk = _to_mpf(b_series.coeffs[kk])
             muk = mp.mpf(mu[kk])
@@ -342,28 +339,23 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid,
             raise ConfigurationError(
                 f"dt={dt:g} violates the stiffness bound; use dt <= eps/4 = {dt_cap:g}")
         dt_cap = dt
+    mu = grid.mu()
     slope_max = max(params.alpha1, params.alpha2, abs(params.phi0_slope))
     n_sub = max(1, ceil(grid.dt / dt_cap))
     h = grid.dt / n_sub
     # RK4 real-axis stability reaches |z| ~ 2.78; refuse configurations where a
     # steep branch pushes the fastest mode past it
-    mu_max = grid.mu()[-1]
-    if h * slope_max * mu_max / (1.0 + eps * mu_max) > 2.5:
+    if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
         raise ConfigurationError("branch slopes too steep for this step; use a smaller dt")
     total = n_sub * (grid.n_t - 1)
     if total > max_steps:
         raise ConfigurationError(
             f"{total} RK4 steps needed; increase eps, shorten T_end, or coarsen n_t")
 
-    mu = grid.mu()
     resolvent = 1.0 / (1.0 + eps * mu)
-    k_idx = np.arange(grid.n_modes + 1)
-    basis = np.cos(np.outer(grid.x, k_idx) * (np.pi / grid.L))       # (n_x, K+1)
-    w = np.full(grid.n_x, grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    scale = np.where(k_idx == 0, 1.0, 2.0) / grid.L
-    analysis = scale[:, None] * (basis.T * w)                        # (K+1, n_x)
+    # a row-major (n_x, K+1) copy: synthesis is one dot product per sample
+    basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
+    analysis = analysis_matrix(grid.n_modes, grid.L, grid.n_x)
 
     def rhs(state: np.ndarray) -> np.ndarray:
         return -mu * resolvent * _flux_modes(state, params, basis, analysis)

@@ -1,9 +1,10 @@
 """Cosine eigenbasis machinery on (0, L) with zero-flux endpoints.
 
-Expansions use the basis cos(k*pi*x/L), k = 0..N, whose members all have zero
-slope at x = 0 and x = L.  Collocation is uniform including both endpoints;
-analysis uses the trapezoid inner product, which is an exact projection for
-inputs band-limited to N <= (n_x - 1)/2 modes (discrete cosine orthogonality).
+This module owns the cosine operator; no other module builds a basis, an
+eigenvalue or an analysis matrix.  Expansions use cos(k*pi*x/L), k = 0..N,
+whose members all have zero slope at x = 0 and x = L.  Collocation is uniform
+including both endpoints; analysis uses the trapezoid inner product, which is
+an exact projection for inputs band-limited to N <= (n_x - 1)/2 modes.
 Propagation of the heat kernel is exact per mode, which is the only way the
 backward (negative-diffusivity) flows in this package are ever advanced.
 """
@@ -67,8 +68,7 @@ class Grid:
 
     def mu(self) -> np.ndarray:
         """Eigenvalues (k*pi/L)^2 of -d^2/dx^2 for k = 0..n_modes."""
-        k = np.arange(self.n_modes + 1)
-        return (k * np.pi / self.L) ** 2
+        return cosine_eigenvalues(self.n_modes, self.L)
 
     def time_index(self, t_probe: float) -> int:
         j = int(round(t_probe / self.dt))
@@ -81,6 +81,26 @@ class Grid:
         if n_keep < 2 or n_keep > self.n_t:
             raise ConfigurationError("truncated grid needs 2 <= n_keep <= n_t")
         return Grid(self.L, float(self.t[n_keep - 1]), self.n_x, n_keep, self.n_modes)
+
+
+def cosine_eigenvalues(n_modes: int, L: float) -> np.ndarray:
+    """Eigenvalues (k*pi/L)^2 of -d^2/dx^2 with zero-flux sides, k = 0..n_modes."""
+    k = np.arange(n_modes + 1)
+    return (k * np.pi / L) ** 2
+
+
+def cosine_basis(n_modes: int, L: float, x) -> np.ndarray:
+    """The (n_modes + 1, len(x)) matrix of cos(k*pi*x/L), k = 0..n_modes."""
+    k = np.arange(n_modes + 1)
+    return np.cos(np.outer(k, x) * (np.pi / L))
+
+
+def analysis_matrix(n_modes: int, L: float, n_x: int) -> np.ndarray:
+    """(n_modes + 1, n_x) trapezoid projection of endpoint-inclusive samples."""
+    w = np.full(n_x, L / (n_x - 1))
+    w[[0, -1]] *= 0.5
+    scale = np.where(np.arange(n_modes + 1) == 0, 1.0, 2.0) / L
+    return scale[:, None] * (cosine_basis(n_modes, L, np.linspace(0.0, L, n_x)) * w)
 
 
 def _coerce_coeffs(coeffs) -> np.ndarray:
@@ -123,9 +143,7 @@ class CosineSeries:
     def synthesize(self, x) -> np.ndarray:
         """Evaluate the expansion at the points ``x`` (float64)."""
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        k = np.arange(len(self.coeffs))
-        basis = np.cos(np.outer(k, xa) * (np.pi / self.L))
-        vals = self.as_float() @ basis
+        vals = self.as_float() @ cosine_basis(self.n_modes, self.L, xa)
         return vals if np.ndim(x) else float(vals[0])
 
     def padded(self, n_modes: int) -> "CosineSeries":
@@ -134,13 +152,6 @@ class CosineSeries:
         out = np.zeros(n_modes + 1, dtype=self.coeffs.dtype)
         out[: len(self.coeffs)] = self.coeffs
         return CosineSeries(self.L, out)
-
-
-def _trapezoid_weights(n: int, length: float) -> np.ndarray:
-    w = np.full(n, length / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def cosine_analyze(samples, L: float, n_modes: int) -> CosineSeries:
@@ -155,26 +166,17 @@ def cosine_analyze(samples, L: float, n_modes: int) -> CosineSeries:
     if vals.size < 2 * n_modes:
         raise ConfigurationError(
             f"too few samples ({vals.size}) to resolve {n_modes} modes")
-    coeffs = analyze_columns(vals[:, None], L, n_modes)[:, 0]
-    return CosineSeries(L, coeffs)
+    return CosineSeries(L, analyze_columns(vals[:, None], L, n_modes)[:, 0])
 
 
 def analyze_columns(values: np.ndarray, L: float, n_modes: int) -> np.ndarray:
     """Column-wise cosine analysis of an (n_x, n_cols) array."""
-    n_x = values.shape[0]
-    x = np.linspace(0.0, L, n_x)
-    k = np.arange(n_modes + 1)
-    basis = np.cos(np.outer(k, x) * (np.pi / L))          # (K+1, n_x)
-    w = _trapezoid_weights(n_x, L)
-    scale = np.where(k == 0, 1.0, 2.0) / L
-    return scale[:, None] * (basis * w) @ values          # (K+1, n_cols)
+    return analysis_matrix(n_modes, L, values.shape[0]) @ values   # (K+1, n_cols)
 
 
 def synthesize_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarray:
     """Evaluate column-wise mode data (K+1, n_cols) on the nodes ``x``."""
-    k = np.arange(modes.shape[0])
-    basis = np.cos(np.outer(k, x) * (np.pi / L))          # (K+1, n_x)
-    return basis.T @ modes                                # (n_x, n_cols)
+    return cosine_basis(modes.shape[0] - 1, L, x).T @ modes   # (n_x, n_cols)
 
 
 def x_derivative_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarray:
@@ -187,9 +189,7 @@ def x_derivative_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarr
 
 def second_derivative(s: CosineSeries) -> CosineSeries:
     """Mode-wise second derivative: a_k -> -(k*pi/L)^2 a_k."""
-    k = np.arange(len(s.coeffs))
-    mu = (k * np.pi / s.L) ** 2
-    return CosineSeries(s.L, s.coeffs * mu * (-1.0))
+    return CosineSeries(s.L, s.coeffs * cosine_eigenvalues(s.n_modes, s.L) * (-1.0))
 
 
 def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
@@ -201,9 +201,7 @@ def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
     """
     if dt < 0:
         raise ConfigurationError("propagation step must be nonnegative")
-    k = np.arange(len(s.coeffs))
-    mu = (k * np.pi / s.L) ** 2
-    expo = -kappa * mu * dt
+    expo = -kappa * cosine_eigenvalues(s.n_modes, s.L) * dt
     active = np.asarray([c != 0 for c in s.coeffs])
     bad = active & (np.abs(expo) > OVERFLOW_EXPONENT)
     if np.any(bad):
@@ -237,15 +235,18 @@ class Field2D:
     def restrict(self, n_keep: int) -> "Field2D":
         return Field2D(self.grid.with_time(n_keep), self.values[:, :n_keep], self.label)
 
-    def to_csv(self, path) -> None:
-        """Tab-separated dump: header row of x nodes, then one row per time sample."""
-        write_field_csv(self, path)
-
 
 def field_from_modes(grid: Grid, modes: np.ndarray, label: str = "") -> Field2D:
     if modes.shape != (grid.n_modes + 1, grid.n_t):
         raise ConfigurationError("mode array shape does not match grid")
     return Field2D(grid, synthesize_columns(modes, grid.L, grid.x), label)
+
+
+def x_second_derivative(f: Field2D) -> np.ndarray:
+    """v_xx of a sampled field: cosine projection, then a_k -> -(k*pi/L)^2 a_k."""
+    g = f.grid
+    modes = analyze_columns(f.values, g.L, g.n_modes)
+    return synthesize_columns(-(g.mu()[:, None] * modes), g.L, g.x)
 
 
 def constant_field(grid: Grid, value: float, label: str = "") -> Field2D:
@@ -259,6 +260,7 @@ def integrate_qt(f: Field2D) -> float:
 
 
 def write_field_csv(f: Field2D, path) -> None:
+    """Tab-separated dump: header row of x nodes, then one row per time sample."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:

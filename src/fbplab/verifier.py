@@ -7,6 +7,9 @@ The battery covers the superposition/weak-form structure, the monotone-flux
 entropy inequality against a finite family of fluxes and test functions, the
 pointwise sign certificate and its defining identity, weight monotonicity with
 bounded variation, and pairwise distinctness of solutions.
+
+The battery makes one entropy pass per flux: G(beta0(v)) and G(beta2(v)) are
+evaluated once and feed the entropy, certificate and identity checks.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from .counterexample import SolutionTriple
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended,
-                          certificate_integrand_extended, entropy_primitive,
+                          certificate_from_primitives, entropy_primitive,
                           eval_phi)
 from .solvers import (EpsSolution, solve_pseudoparabolic,
                       solve_unstable_backward)
 from .spectral import (CosineSeries, Field2D, Grid, analyze_columns,
-                       constant_field, synthesize_columns,
-                       x_derivative_columns)
+                       constant_field, x_derivative_columns,
+                       x_second_derivative)
 
 # tolerances at the default resolution; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
@@ -270,21 +273,12 @@ def _argworst(values: np.ndarray, grid: Grid, take_min: bool):
 
 
 # ---------------------------------------------------------------------------
-# spectral helpers (fields only)
-
-
-def _v_modes(field: Field2D) -> np.ndarray:
-    return analyze_columns(field.values, field.grid.L, field.grid.n_modes)
+# helpers: spectral derivatives, quadrature and the per-flux entropy pass
 
 
 def _v_x(field: Field2D) -> np.ndarray:
     g = field.grid
-    return x_derivative_columns(_v_modes(field), g.L, g.x)
-
-
-def _v_xx(field: Field2D) -> np.ndarray:
-    g = field.grid
-    return synthesize_columns(-(g.mu()[:, None] * _v_modes(field)), g.L, g.x)
+    return x_derivative_columns(analyze_columns(field.values, g.L, g.n_modes), g.L, g.x)
 
 
 def _quad_xt(vals: np.ndarray, grid: Grid, simpson_t: bool = False) -> float:
@@ -294,20 +288,41 @@ def _quad_xt(vals: np.ndarray, grid: Grid, simpson_t: bool = False) -> float:
     return float(np.trapezoid(inner, grid.t))
 
 
-def _weight_rate(triple: SolutionTriple) -> np.ndarray:
-    if triple.lam_t is not None:
-        return triple.lam_t.values
-    return np.gradient(triple.lam.values, triple.grid.t, axis=1, edge_order=2)
+def _required_weight_rate(triple: SolutionTriple) -> np.ndarray:
+    if triple.lam_t is None:
+        raise ConfigurationError("pointwise certificate needs the weight-rate field")
+    return triple.lam_t.values
 
 
-def _superposed_primitive(triple: SolutionTriple, params: PhaseParams,
-                          flux: EntropyFlux) -> np.ndarray:
-    """Weight-averaged primitive (1-lam) G(beta0(v)) + lam G(beta2(v))."""
+def _flux_pass(triple: SolutionTriple, params: PhaseParams, flux: EntropyFlux):
+    """g(v), G* = (1-lam) G(beta0(v)) + lam G(beta2(v)) and the sign certificate."""
     v = triple.v.values
     lam = triple.lam.values
     g0 = entropy_primitive(params, flux, beta0_extended(params, v))
     g2 = entropy_primitive(params, flux, beta2_extended(params, v))
-    return (1.0 - lam) * g0 + lam * g2
+    gv = flux.value(v)
+    return gv, (1.0 - lam) * g0 + lam * g2, certificate_from_primitives(params, v, g0, g2, gv)
+
+
+def _test_fields(test, grid: Grid):
+    return test.psi(grid), test.psi_t(grid), test.psi_x(grid)
+
+
+def _entropy_integrals(grid: Grid, flux: EntropyFlux, v: np.ndarray, vx: np.ndarray,
+                       gv: np.ndarray, big_g: np.ndarray, test_fields) -> list[float]:
+    """Quadratures of G psi_t - g(v) v_x psi_x - g'(v) v_x^2 psi, one per test."""
+    gvx = gv * vx
+    dgvx2 = flux.derivative(v) * vx * vx
+    return [_quad_xt(big_g * psi_t - gvx * psi_x - dgvx2 * psi, grid)
+            for psi, psi_t, psi_x in test_fields]
+
+
+def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndarray,
+                     lam_t: np.ndarray, certificate: np.ndarray) -> float:
+    """max |g(v) v_xx - (G*)_t - lambda_t * certificate| over interior time samples."""
+    gstar_t = (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
+    lhs = gv[:, 1:-1] * vxx[:, 1:-1] - gstar_t
+    return float(np.max(np.abs(lhs - lam_t[:, 1:-1] * certificate[:, 1:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +360,7 @@ def weak_residual_printed_form(triple: SolutionTriple, u0: np.ndarray, tests=Non
     worst = 0.0
     for test in tests:
         psi = test.psi(grid)
-        psi_modes = analyze_columns(psi, grid.L, grid.n_modes)
-        psi_xx = synthesize_columns(-(grid.mu()[:, None] * psi_modes), grid.L, grid.x)
+        psi_xx = x_second_derivative(Field2D(grid, psi))
         bulk = _quad_xt(triple.u.values * test.psi_t(grid) + triple.v.values * psi_xx,
                         grid, simpson_t=True)
         initial = float(np.trapezoid(np.asarray(u0) * psi[:, 0], grid.x))
@@ -355,18 +369,12 @@ def weak_residual_printed_form(triple: SolutionTriple, u0: np.ndarray, tests=Non
 
 
 def entropy_inequality_residual(triple: SolutionTriple, flux: EntropyFlux,
-                                test, params: PhaseParams,
-                                vx: np.ndarray | None = None) -> float:
+                                test, params: PhaseParams) -> float:
     """Quadrature value of the admissibility integral; >= -tol when admissible."""
     grid = triple.grid
-    v = triple.v.values
-    if vx is None:
-        vx = _v_x(triple.v)
-    gstar = _superposed_primitive(triple, params, flux)
-    integrand = (gstar * test.psi_t(grid)
-                 - flux.value(v) * vx * test.psi_x(grid)
-                 - flux.derivative(v) * vx * vx * test.psi(grid))
-    return _quad_xt(integrand, grid)
+    gv, gstar, _ = _flux_pass(triple, params, flux)
+    return _entropy_integrals(grid, flux, triple.v.values, _v_x(triple.v), gv, gstar,
+                              [_test_fields(test, grid)])[0]
 
 
 def pointwise_certificate(triple: SolutionTriple, flux: EntropyFlux,
@@ -377,15 +385,12 @@ def pointwise_certificate(triple: SolutionTriple, flux: EntropyFlux,
     nondecreasing fluxes on the constructed class, so the quadrature checks
     only guard the implementation.
     """
-    if triple.lam_t is None:
-        raise ConfigurationError("pointwise certificate needs the weight-rate field")
-    ci = certificate_integrand_extended(params, flux, triple.v.values)
-    return float(np.min(triple.lam_t.values * ci))
+    lam_t = _required_weight_rate(triple)
+    return float(np.min(lam_t * _flux_pass(triple, params, flux)[2]))
 
 
 def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
-                               params: PhaseParams,
-                               vxx: np.ndarray | None = None) -> float:
+                               params: PhaseParams) -> float:
     """Pointwise defect of g(v) v_xx - (G*)_t = lambda_t * certificate(v).
 
     (G*)_t is centered-differenced, so the defect decays at second order under
@@ -395,15 +400,9 @@ def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
     grid = triple.grid
     if grid.n_t < 3:
         raise ConfigurationError("identity check needs at least three time samples")
-    v = triple.v.values
-    if vxx is None:
-        vxx = _v_xx(triple.v)
-    gstar = _superposed_primitive(triple, params, flux)
-    gstar_t = (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
-    lam_t = _weight_rate(triple)[:, 1:-1]
-    ci = certificate_integrand_extended(params, flux, v[:, 1:-1])
-    lhs = flux.value(v[:, 1:-1]) * vxx[:, 1:-1] - gstar_t
-    return float(np.max(np.abs(lhs - lam_t * ci)))
+    gv, gstar, certificate = _flux_pass(triple, params, flux)
+    return _identity_defect(grid, x_second_derivative(triple.v), gv, gstar,
+                            triple.weight_rate(), certificate)
 
 
 def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
@@ -499,7 +498,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
                               bool(np.max(np.abs(sup)) <= ALGEBRAIC_TOL),
                               float(np.max(np.abs(sup))), xw, tw))
 
-    vxx = _v_xx(triple.v)
+    vxx = x_second_derivative(triple.v)
     cums = cumulative_simpson(vxx, x=grid.t, axis=1, initial=0.0)
     evo = u - u[:, [0]] - cums
     val, xw, tw = _argworst(evo, grid, take_min=False)
@@ -513,7 +512,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     checks.append(CheckResult("weight-bounds", bool(np.max(lam_bad) <= 1e-9),
                               float(np.max(lam_bad)), xw, tw))
 
-    lam_t = _weight_rate(triple)
+    lam_t = triple.weight_rate()
     val, xw, tw = _argworst(lam_t, grid, take_min=True)
     checks.append(CheckResult("weight-rate-sign", bool(val >= -tol), val, xw, tw))
 
@@ -525,14 +524,10 @@ def viscous_entropy_residual(eps_sol: EpsSolution, flux: EntropyFlux,
                              test, params: PhaseParams) -> float:
     """Admissibility integral of the relaxed dynamics; >= -tol for true solutions."""
     grid = eps_sol.grid
-    u = eps_sol.u_eps.values
     v = eps_sol.v_eps.values
-    vx = _v_x(eps_sol.v_eps)
-    big_g = entropy_primitive(params, flux, u)
-    integrand = (big_g * test.psi_t(grid)
-                 - flux.value(v) * vx * test.psi_x(grid)
-                 - flux.derivative(v) * vx * vx * test.psi(grid))
-    return _quad_xt(integrand, grid)
+    big_g = entropy_primitive(params, flux, eps_sol.u_eps.values)
+    return _entropy_integrals(grid, flux, v, _v_x(eps_sol.v_eps), flux.value(v), big_g,
+                              [_test_fields(test, grid)])[0]
 
 
 def distinctness(triple_a: SolutionTriple, triple_b: SolutionTriple,
@@ -595,35 +590,34 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray, params: PhasePara
     checks.append(CheckResult("weak-form", wr <= weak_tol, wr, np.nan, np.nan,
                               note=f"max over {len(weak_tests)} final-zero tests"))
 
-    vx = _v_x(triple.v)
     v = triple.v.values
-    psis = [(test.psi(grid), test.psi_t(grid), test.psi_x(grid))
-            for test in entropy_tests]
-    worst_entropy = np.inf
+    vx = _v_x(triple.v)
+    vxx = x_second_derivative(triple.v)
+    lam_t = _required_weight_rate(triple)
+    test_fields = [_test_fields(test, grid) for test in entropy_tests]
+    # the centered difference of G* needs an interior time sample; a shorter
+    # window keeps the NaN, which fails the identity check
+    has_identity = grid.n_t >= 3
+    worst_entropy, worst_cert = np.inf, np.inf
+    worst_ident = 0.0 if has_identity else np.nan
     for flux in fluxes:
-        gstar = _superposed_primitive(triple, params, flux)
-        gv = flux.value(v)
-        dgv = flux.derivative(v)
-        for psi, psi_t, psi_x in psis:
-            val = _quad_xt(gstar * psi_t - gv * vx * psi_x - dgv * vx * vx * psi, grid)
-            worst_entropy = min(worst_entropy, val)
+        gv, gstar, certificate = _flux_pass(triple, params, flux)
+        worst_entropy = min(worst_entropy,
+                            *_entropy_integrals(grid, flux, v, vx, gv, gstar, test_fields))
+        worst_cert = min(worst_cert, float(np.min(lam_t * certificate)))
+        if has_identity:
+            worst_ident = max(worst_ident,
+                              _identity_defect(grid, vxx, gv, gstar, lam_t, certificate))
     checks.append(CheckResult("entropy-inequality", worst_entropy >= -entropy_tol,
                               float(worst_entropy), np.nan, np.nan,
                               note=f"min over {len(fluxes)} fluxes x "
                                    f"{len(entropy_tests)} tests"))
-
-    worst_cert = np.inf
-    worst_ident = 0.0
-    vxx = _v_xx(triple.v)
-    for flux in fluxes:
-        worst_cert = min(worst_cert, pointwise_certificate(triple, flux, params))
-        worst_ident = max(worst_ident,
-                          certificate_identity_error(triple, flux, params, vxx=vxx))
     checks.append(CheckResult("pointwise-certificate", worst_cert >= -certificate_tol,
                               float(worst_cert), np.nan, np.nan))
     checks.append(CheckResult("certificate-identity", worst_ident <= identity_tol,
                               float(worst_ident), np.nan, np.nan,
-                              note="centered-difference identity defect"))
+                              note="centered-difference identity defect" if has_identity
+                              else f"needs three time samples, window has {grid.n_t}"))
 
     tols = {"weak": weak_tol, "entropy": entropy_tol,
             "certificate": certificate_tol, "identity": identity_tol,

@@ -107,6 +107,22 @@ class TestCounterexampleCommand:
         assert main(["counterexample", "--config", str(path)]) == 1
         assert "FAILURE" in (tmp_path / "strict" / "summary.txt").read_text()
 
+    def test_zero_horizon_triple_fails_closed(self, small_config, tmp_path):
+        # a source of 300 drives the weight to one within two time samples:
+        # that triple has no certified time after t = 0, the others still count
+        cfg, _ = small_config
+        cfg = dataclasses.replace(cfg, sources=cfg.sources + ((300.0,),),
+                                  output_dir=tmp_path / "steep")
+        path = tmp_path / "steep.ini"
+        cfg.to_file(path)
+        assert main(["counterexample", "--config", str(path)]) == 0
+        summary = (tmp_path / "steep" / "summary.txt").read_text()
+        assert "certified horizon T_bar = 0\n" in summary
+        assert "certificate-identity: FAIL nan" in summary
+        assert "(0,3): no common certified time after t=0 -> skipped" in summary
+        assert "3/4 triples pass the battery; pairwise distinct: True" in summary
+        assert summary.endswith("SUCCESS\n")
+
     def test_deterministic_outputs(self, small_config, tmp_path):
         _, path = small_config
         assert main(["counterexample", "--config", str(path),

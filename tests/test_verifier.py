@@ -109,6 +109,40 @@ class TestPointwiseCertificate:
                 assert certificate_identity_error(triple, flux, params) < 1e-3
 
 
+class TestOneEntropyPass:
+    """The battery's entropy residuals come from the standalone checks' formulas."""
+
+    def test_battery_equals_standalone_checks(self, restricted_family, backward, params):
+        fluxes = default_flux_battery()
+        for triple in restricted_family:
+            rep = run_triple_battery(triple, backward.u0, params)
+            tests = default_entropy_tests(triple.grid.L, triple.grid.T_end)
+            entropy = min(entropy_inequality_residual(triple, flux, test, params)
+                          for flux in fluxes for test in tests)
+            cert = min(pointwise_certificate(triple, flux, params) for flux in fluxes)
+            ident = max(certificate_identity_error(triple, flux, params) for flux in fluxes)
+            assert rep.entry("entropy-inequality").residual == entropy
+            assert rep.entry("pointwise-certificate").residual == cert
+            assert rep.entry("certificate-identity").residual == ident
+
+    def test_battery_requires_weight_rate(self, restricted_family, backward, params):
+        bare = SolutionTriple(restricted_family[1].u, restricted_family[1].v,
+                              restricted_family[1].lam, 0.5, "x")
+        with pytest.raises(ConfigurationError):
+            run_triple_battery(bare, backward.u0, params)
+
+    def test_two_sample_window_fails_identity_closed(self, restricted_family, backward,
+                                                     params):
+        short = restricted_family[1]
+        short = SolutionTriple(short.u.restrict(2), short.v.restrict(2),
+                               short.lam.restrict(2), 0.0, "short",
+                               lam_t=short.lam_t.restrict(2))
+        entry = run_triple_battery(short, backward.u0, params).entry("certificate-identity")
+        assert not entry.passed
+        assert np.isnan(entry.residual)
+        assert "three" in entry.note
+
+
 class TestMonotonicity:
     def test_baseline_passes(self, restricted_family, params):
         assert monotonicity_report(restricted_family[0], params).passed
