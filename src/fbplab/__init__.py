@@ -26,7 +26,7 @@ from .spectral import (CosineSeries, Field2D, Grid, cosine_analyze,
 from .verifier import (VerificationReport, distinctness,
                        entropy_inequality_residual, monotonicity_report,
                        pointwise_certificate, run_triple_battery,
-                       structural_check, viscous_entropy_residual,
-                       weak_residual)
+                       structural_check, viscous_entropy_audit,
+                       viscous_entropy_residual, weak_residual)
 
 __version__ = "0.1.0"

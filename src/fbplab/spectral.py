@@ -95,12 +95,18 @@ def cosine_basis(n_modes: int, L: float, x) -> np.ndarray:
     return np.cos(np.outer(k, x) * (np.pi / L))
 
 
+def _trapezoid_weights(n: int, length: float) -> np.ndarray:
+    """Trapezoid weights of ``n`` uniform endpoint-inclusive nodes over ``length``."""
+    w = np.full(n, length / (n - 1))
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def analysis_matrix(n_modes: int, L: float, n_x: int) -> np.ndarray:
     """(n_modes + 1, n_x) trapezoid projection of endpoint-inclusive samples."""
-    w = np.full(n_x, L / (n_x - 1))
-    w[[0, -1]] *= 0.5
     scale = np.where(np.arange(n_modes + 1) == 0, 1.0, 2.0) / L
-    return scale[:, None] * (cosine_basis(n_modes, L, np.linspace(0.0, L, n_x)) * w)
+    return scale[:, None] * (cosine_basis(n_modes, L, np.linspace(0.0, L, n_x))
+                             * _trapezoid_weights(n_x, L))
 
 
 def _coerce_coeffs(coeffs) -> np.ndarray:
@@ -263,12 +269,13 @@ def write_field_csv(f: Field2D, path) -> None:
     """Tab-separated dump: header row of x nodes, then one row per time sample."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # one '%.17g' template per row writes the same bytes as format(v, '.17g')
+    cells = "\t".join(["%.17g"] * f.grid.n_x) + "\n"
+    row = "%.17g\t" + cells
     with path.open("w") as fh:
-        fh.write("x\t" + "\t".join(format(v, ".17g") for v in f.grid.x) + "\n")
-        for j, tj in enumerate(f.grid.t):
-            row = f.values[:, j]
-            fh.write(format(tj, ".17g") + "\t"
-                     + "\t".join(format(v, ".17g") for v in row) + "\n")
+        fh.write("x\t" + cells % tuple(f.grid.x.tolist()))
+        for tj, vals in zip(f.grid.t.tolist(), f.values.T):
+            fh.write(row % (tj, *vals.tolist()))
 
 
 def write_series_csv(s: CosineSeries, path) -> None:

@@ -9,7 +9,8 @@ pointwise sign certificate and its defining identity, weight monotonicity with
 bounded variation, and pairwise distinctness of solutions.
 
 The battery makes one entropy pass per flux: G(beta0(v)) and G(beta2(v)) are
-evaluated once and feed the entropy, certificate and identity checks.
+evaluated once and feed the entropy, certificate and identity checks; each
+entropy integral contracts the fields with separable test factors X(x) T(t).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .counterexample import SolutionTriple
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
@@ -28,8 +28,8 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           eval_phi)
 from .solvers import (EpsSolution, solve_pseudoparabolic,
                       solve_unstable_backward)
-from .spectral import (CosineSeries, Field2D, Grid, analyze_columns,
-                       constant_field, x_derivative_columns,
+from .spectral import (CosineSeries, Field2D, Grid, _trapezoid_weights,
+                       analyze_columns, constant_field, x_derivative_columns,
                        x_second_derivative)
 
 # tolerances at the default resolution; quadrature-based residuals halve
@@ -65,8 +65,24 @@ def _bump_prime(s: np.ndarray) -> np.ndarray:
     return out
 
 
+class _SeparableTest:
+    """A test function X(x) T(t); subclasses define ``factors(grid) -> (X, X', T, T')``."""
+
+    def psi(self, grid: Grid) -> np.ndarray:
+        xpart, _, tpart, _ = self.factors(grid)
+        return np.outer(xpart, tpart)
+
+    def psi_t(self, grid: Grid) -> np.ndarray:
+        xpart, _, _, tslope = self.factors(grid)
+        return np.outer(xpart, tslope)
+
+    def psi_x(self, grid: Grid) -> np.ndarray:
+        _, xslope, tpart, _ = self.factors(grid)
+        return np.outer(xslope, tpart)
+
+
 @dataclass(frozen=True)
-class BumpTest:
+class BumpTest(_SeparableTest):
     """Nonnegative C-infinity bump compactly supported inside the rectangle."""
 
     x0: float
@@ -83,24 +99,15 @@ class BumpTest:
     def label(self) -> str:
         return f"bump(x0={self.x0:.3g},t0={self.t0:.3g})"
 
-    def _sx(self, grid: Grid) -> np.ndarray:
-        return (grid.x - self.x0) / self.rx
-
-    def _st(self, grid: Grid) -> np.ndarray:
-        return (grid.t - self.t0) / self.rt
-
-    def psi(self, grid: Grid) -> np.ndarray:
-        return np.outer(_bump(self._sx(grid)), _bump(self._st(grid)))
-
-    def psi_t(self, grid: Grid) -> np.ndarray:
-        return np.outer(_bump(self._sx(grid)), _bump_prime(self._st(grid)) / self.rt)
-
-    def psi_x(self, grid: Grid) -> np.ndarray:
-        return np.outer(_bump_prime(self._sx(grid)) / self.rx, _bump(self._st(grid)))
+    def factors(self, grid: Grid):
+        sx = (grid.x - self.x0) / self.rx
+        st = (grid.t - self.t0) / self.rt
+        return (_bump(sx), _bump_prime(sx) / self.rx,
+                _bump(st), _bump_prime(st) / self.rt)
 
 
 @dataclass(frozen=True)
-class ModeProductTest:
+class ModeProductTest(_SeparableTest):
     """(1 + cos(j pi x / L)) times a compactly supported smooth time window.
 
     Nonnegative; spans the full interval in x, which is admissible here because
@@ -120,25 +127,15 @@ class ModeProductTest:
     def label(self) -> str:
         return f"mode-product(j={self.j},[{self.t0:.3g},{self.t1:.3g}])"
 
-    def _tau(self, grid: Grid) -> np.ndarray:
-        return (2.0 * grid.t - self.t0 - self.t1) / (self.t1 - self.t0)
-
-    def psi(self, grid: Grid) -> np.ndarray:
-        xpart = 1.0 + np.cos(self.j * np.pi * grid.x / grid.L)
-        return np.outer(xpart, _bump(self._tau(grid)))
-
-    def psi_t(self, grid: Grid) -> np.ndarray:
-        xpart = 1.0 + np.cos(self.j * np.pi * grid.x / grid.L)
-        return np.outer(xpart, _bump_prime(self._tau(grid)) * 2.0 / (self.t1 - self.t0))
-
-    def psi_x(self, grid: Grid) -> np.ndarray:
-        freq = self.j * np.pi / grid.L
-        xpart = -freq * np.sin(self.j * np.pi * grid.x / grid.L)
-        return np.outer(xpart, _bump(self._tau(grid)))
+    def factors(self, grid: Grid):
+        arg = self.j * np.pi * grid.x / grid.L
+        tau = (2.0 * grid.t - self.t0 - self.t1) / (self.t1 - self.t0)
+        return (1.0 + np.cos(arg), -(self.j * np.pi / grid.L) * np.sin(arg),
+                _bump(tau), _bump_prime(tau) * 2.0 / (self.t1 - self.t0))
 
 
 @dataclass(frozen=True)
-class FinalZeroTest:
+class FinalZeroTest(_SeparableTest):
     """cos(j pi x/L) (1 - t/T)^deg: smooth on the closed rectangle, zero at t = T.
 
     Used for the weak form of the evolution (not sign-constrained).  The j = 0,
@@ -155,19 +152,11 @@ class FinalZeroTest:
     def label(self) -> str:
         return f"final-zero(j={self.j},deg={self.deg})"
 
-    def psi(self, grid: Grid) -> np.ndarray:
-        xpart = np.cos(self.j * np.pi * grid.x / grid.L)
-        return np.outer(xpart, (1.0 - grid.t / grid.T_end) ** self.deg)
-
-    def psi_t(self, grid: Grid) -> np.ndarray:
-        xpart = np.cos(self.j * np.pi * grid.x / grid.L)
-        tpart = -self.deg / grid.T_end * (1.0 - grid.t / grid.T_end) ** (self.deg - 1)
-        return np.outer(xpart, tpart)
-
-    def psi_x(self, grid: Grid) -> np.ndarray:
-        freq = self.j * np.pi / grid.L
-        xpart = -freq * np.sin(self.j * np.pi * grid.x / grid.L)
-        return np.outer(xpart, (1.0 - grid.t / grid.T_end) ** self.deg)
+    def factors(self, grid: Grid):
+        arg = self.j * np.pi * grid.x / grid.L
+        return (np.cos(arg), -(self.j * np.pi / grid.L) * np.sin(arg),
+                (1.0 - grid.t / grid.T_end) ** self.deg,
+                -self.deg / grid.T_end * (1.0 - grid.t / grid.T_end) ** (self.deg - 1))
 
 
 def default_flux_battery() -> list[EntropyFlux]:
@@ -281,13 +270,6 @@ def _v_x(field: Field2D) -> np.ndarray:
     return x_derivative_columns(analyze_columns(field.values, g.L, g.n_modes), g.L, g.x)
 
 
-def _quad_xt(vals: np.ndarray, grid: Grid, simpson_t: bool = False) -> float:
-    inner = np.trapezoid(vals, grid.x, axis=0)
-    if simpson_t:
-        return float(simpson(inner, x=grid.t))
-    return float(np.trapezoid(inner, grid.t))
-
-
 def _required_weight_rate(triple: SolutionTriple) -> np.ndarray:
     if triple.lam_t is None:
         raise ConfigurationError("pointwise certificate needs the weight-rate field")
@@ -304,17 +286,25 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, flux: EntropyFlux):
     return gv, (1.0 - lam) * g0 + lam * g2, certificate_from_primitives(params, v, g0, g2, gv)
 
 
-def _test_fields(test, grid: Grid):
-    return test.psi(grid), test.psi_t(grid), test.psi_x(grid)
+def _weighted_factors(tests, grid: Grid) -> list[tuple]:
+    """Each test's factors (X, X', T, T') with the trapezoid weights folded in."""
+    wx = _trapezoid_weights(grid.n_x, grid.L)
+    wt = _trapezoid_weights(grid.n_t, grid.T_end)
+    return [(wx * xp, wx * xs, wt * tp, wt * ts)
+            for xp, xs, tp, ts in (test.factors(grid) for test in tests)]
 
 
-def _entropy_integrals(grid: Grid, flux: EntropyFlux, v: np.ndarray, vx: np.ndarray,
-                       gv: np.ndarray, big_g: np.ndarray, test_fields) -> list[float]:
-    """Quadratures of G psi_t - g(v) v_x psi_x - g'(v) v_x^2 psi, one per test."""
+def _entropy_integrals(flux: EntropyFlux, v: np.ndarray, vx: np.ndarray, gv: np.ndarray,
+                       big_g: np.ndarray, weighted) -> list[float]:
+    """Double-trapezoid values of G psi_t - g(v) v_x psi_x - g'(v) v_x^2 psi, one per test.
+
+    psi = X(x) T(t), so each is a contraction with the weighted factors; one
+    matrix-vector product per test keeps its value bitwise the same in any batch.
+    """
     gvx = gv * vx
     dgvx2 = flux.derivative(v) * vx * vx
-    return [_quad_xt(big_g * psi_t - gvx * psi_x - dgvx2 * psi, grid)
-            for psi, psi_t, psi_x in test_fields]
+    return [float(xp @ (big_g @ ts) - xs @ (gvx @ tp) - xp @ (dgvx2 @ tp))
+            for xp, xs, tp, ts in weighted]
 
 
 def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndarray,
@@ -340,30 +330,17 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray, tests=None) -> float:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n_x,):
         raise GridMismatchError("initial datum does not match the triple's grid")
+    # imported here: scipy.integrate dominates the package's import time
+    from scipy.integrate import simpson
     if tests is None:
         tests = default_weak_tests()
     vx = _v_x(triple.v)
     worst = 0.0
     for test in tests:
-        bulk = _quad_xt(triple.u.values * test.psi_t(grid) - vx * test.psi_x(grid),
-                        grid, simpson_t=True)
+        inner = np.trapezoid(triple.u.values * test.psi_t(grid) - vx * test.psi_x(grid),
+                             grid.x, axis=0)
+        bulk = float(simpson(inner, x=grid.t))
         initial = float(np.trapezoid(u0 * test.psi(grid)[:, 0], grid.x))
-        worst = max(worst, abs(bulk + initial))
-    return worst
-
-
-def weak_residual_printed_form(triple: SolutionTriple, u0: np.ndarray, tests=None) -> float:
-    """Variant pairing u psi_t + v psi_xx (equal by parts when psi_x dies at the sides)."""
-    grid = triple.grid
-    if tests is None:
-        tests = default_weak_tests()
-    worst = 0.0
-    for test in tests:
-        psi = test.psi(grid)
-        psi_xx = x_second_derivative(Field2D(grid, psi))
-        bulk = _quad_xt(triple.u.values * test.psi_t(grid) + triple.v.values * psi_xx,
-                        grid, simpson_t=True)
-        initial = float(np.trapezoid(np.asarray(u0) * psi[:, 0], grid.x))
         worst = max(worst, abs(bulk + initial))
     return worst
 
@@ -371,10 +348,9 @@ def weak_residual_printed_form(triple: SolutionTriple, u0: np.ndarray, tests=Non
 def entropy_inequality_residual(triple: SolutionTriple, flux: EntropyFlux,
                                 test, params: PhaseParams) -> float:
     """Quadrature value of the admissibility integral; >= -tol when admissible."""
-    grid = triple.grid
     gv, gstar, _ = _flux_pass(triple, params, flux)
-    return _entropy_integrals(grid, flux, triple.v.values, _v_x(triple.v), gv, gstar,
-                              [_test_fields(test, grid)])[0]
+    return _entropy_integrals(flux, triple.v.values, _v_x(triple.v), gv, gstar,
+                              _weighted_factors([test], triple.grid))[0]
 
 
 def pointwise_certificate(triple: SolutionTriple, flux: EntropyFlux,
@@ -447,6 +423,7 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
 def structural_check(triple: SolutionTriple, u0: np.ndarray,
                      params: PhaseParams, tol: float = MONOTONE_TOL) -> VerificationReport:
     """Defining clauses of the superposed-solution class, checked on the grid."""
+    from scipy.integrate import cumulative_simpson   # see weak_residual
     grid = triple.grid
     u, v, lam = triple.u.values, triple.v.values, triple.lam.values
     u0 = np.asarray(u0, dtype=float)
@@ -520,14 +497,30 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     return VerificationReport(checks, tols, _grid_summary(grid))
 
 
+def viscous_entropy_audit(eps_sol: EpsSolution, params: PhaseParams,
+                          fluxes: list[EntropyFlux] | None = None, tests=None) -> float:
+    """Worst admissibility integral of the relaxed dynamics over fluxes x tests.
+
+    >= -tol for true solutions.  One pass per flux: G(u), g(v) and g'(v) are
+    evaluated once, and v_x once for the solution.
+    """
+    grid = eps_sol.grid
+    if fluxes is None:
+        fluxes = default_flux_battery()
+    if tests is None:
+        tests = default_entropy_tests(grid.L, grid.T_end)
+    u, v = eps_sol.u_eps.values, eps_sol.v_eps.values
+    vx = _v_x(eps_sol.v_eps)
+    weighted = _weighted_factors(tests, grid)
+    return min(min(_entropy_integrals(flux, v, vx, flux.value(v),
+                                      entropy_primitive(params, flux, u), weighted))
+               for flux in fluxes)
+
+
 def viscous_entropy_residual(eps_sol: EpsSolution, flux: EntropyFlux,
                              test, params: PhaseParams) -> float:
-    """Admissibility integral of the relaxed dynamics; >= -tol for true solutions."""
-    grid = eps_sol.grid
-    v = eps_sol.v_eps.values
-    big_g = entropy_primitive(params, flux, eps_sol.u_eps.values)
-    return _entropy_integrals(grid, flux, v, _v_x(eps_sol.v_eps), flux.value(v), big_g,
-                              [_test_fields(test, grid)])[0]
+    """Admissibility integral of the relaxed dynamics for one flux and test."""
+    return viscous_entropy_audit(eps_sol, params, [flux], [test])
 
 
 def distinctness(triple_a: SolutionTriple, triple_b: SolutionTriple,
@@ -594,7 +587,7 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray, params: PhasePara
     vx = _v_x(triple.v)
     vxx = x_second_derivative(triple.v)
     lam_t = _required_weight_rate(triple)
-    test_fields = [_test_fields(test, grid) for test in entropy_tests]
+    weighted = _weighted_factors(entropy_tests, grid)
     # the centered difference of G* needs an interior time sample; a shorter
     # window keeps the NaN, which fails the identity check
     has_identity = grid.n_t >= 3
@@ -603,7 +596,7 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray, params: PhasePara
     for flux in fluxes:
         gv, gstar, certificate = _flux_pass(triple, params, flux)
         worst_entropy = min(worst_entropy,
-                            *_entropy_integrals(grid, flux, v, vx, gv, gstar, test_fields))
+                            *_entropy_integrals(flux, v, vx, gv, gstar, weighted))
         worst_cert = min(worst_cert, float(np.min(lam_t * certificate)))
         if has_identity:
             worst_ident = max(worst_ident,
@@ -709,8 +702,7 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
         Field2D(grid, eps_sol.u_eps.values[:, ::-1], "control state"),
         Field2D(grid, eps_sol.v_eps.values[:, ::-1], "control flux"),
         eps_sol.u_modes[:, ::-1], eps_sol.v_modes[:, ::-1])
-    worst = min(viscous_entropy_residual(reversed_sol, EntropyFlux.identity(), test, params)
-                for test in default_entropy_tests(grid.L, grid.T_end))
+    worst = viscous_entropy_audit(reversed_sol, params, [EntropyFlux.identity()])
     results.append(("reversed-relaxation-flow", worst < -ENTROPY_TOL,
                     f"viscous residual {worst:.2e}"))
 

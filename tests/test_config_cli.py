@@ -1,11 +1,15 @@
 """Scenario file round trips, CLI exit codes, and output reproducibility."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbplab
 from fbplab.cli import main
 from fbplab.config import FinalDatum, Margins, ScenarioConfig
 from fbplab.errors import ConfigurationError
@@ -174,6 +178,15 @@ class TestInverseCommand:
         assert main(["inverse", "--a", "0,1", "--b", "1",
                      "--out", str(tmp_path)]) == 2
 
+    def test_leading_minus_needs_equals_form(self, tmp_path):
+        # argparse reads "-0.1,0.2" after a space as an option
+        with pytest.raises(SystemExit) as exc:
+            main(["inverse", "--a", "-0.1,0.2", "--b", "0.1,0.1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert main(["inverse", "--a=-0.1,0.2", "--b=-0.05,0.1", "--T", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "inverse_source.csv").exists()
+
 
 class TestTopLevel:
     def test_seed_check(self, capsys):
@@ -189,3 +202,17 @@ class TestTopLevel:
                      "regularize"])
         assert code == 0
         assert (tmp_path / "pre" / "regularize_summary.txt").exists()
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # scipy.integrate costs most of the CLI's start-up; only the weak form
+        # and the evolution identity load it, on first use
+        src = str(Path(fbplab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fbplab.cli; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"

@@ -196,6 +196,18 @@ class TestField2D:
         assert float(row[0]) == 0.0
         assert float(row[5]) == 1.5
 
+    def test_csv_bytes_match_per_value_format(self, small_grid, tmp_path):
+        # the row template must write exactly what format(v, '.17g') writes
+        vals = np.random.default_rng(3).normal(size=(small_grid.n_x, small_grid.n_t))
+        vals[0, 0], vals[1, 0] = 1e-300, -123456789.125
+        path = tmp_path / "rand.csv"
+        write_field_csv(Field2D(small_grid, vals), path)
+        cells = lambda arr: "\t".join(format(v, ".17g") for v in arr)
+        expected = "x\t" + cells(small_grid.x) + "\n" + "".join(
+            format(tj, ".17g") + "\t" + cells(vals[:, j]) + "\n"
+            for j, tj in enumerate(small_grid.t))
+        assert path.read_text() == expected
+
     def test_restrict_keeps_spacing(self, small_grid):
         f = constant_field(small_grid, 2.0)
         r = f.restrict(33)

@@ -6,9 +6,11 @@ import pytest
 
 from fbplab.counterexample import SolutionTriple
 from fbplab.errors import ConfigurationError, DomainViolationError
-from fbplab.phase_model import EntropyFlux, beta0_extended, beta2_extended
+from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
+                                entropy_primitive)
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
-from fbplab.spectral import CosineSeries, Field2D, Grid, constant_field
+from fbplab.spectral import (CosineSeries, Field2D, Grid, analyze_columns,
+                             constant_field, x_derivative_columns)
 from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              VerificationReport, CheckResult,
                              certificate_identity_error, default_entropy_tests,
@@ -16,8 +18,8 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              distinctness, entropy_inequality_residual,
                              monotonicity_report, negative_controls,
                              pointwise_certificate, run_triple_battery,
-                             structural_check, viscous_entropy_residual,
-                             weak_residual, weak_residual_printed_form)
+                             structural_check, viscous_entropy_audit,
+                             viscous_entropy_residual, weak_residual)
 
 L = np.pi
 
@@ -47,14 +49,6 @@ class TestWeakResidual:
             errs.append(weak_residual(triple, back.u0))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 4 + 1e-12
-
-    def test_printed_form_agrees_for_cosine_tests(self, restricted_family, backward):
-        # by-parts-in-x variant matches because the test functions have zero
-        # x-slope at the ends and the flux has zero trace derivative
-        triple = restricted_family[1]
-        a = weak_residual(triple, backward.u0)
-        b = weak_residual_printed_form(triple, backward.u0)
-        assert a <= 1e-6 and b <= 1e-6
 
     def test_grid_mismatch(self, restricted_family):
         with pytest.raises(ConfigurationError):
@@ -301,3 +295,45 @@ class TestTestFunctions:
             BumpTest(0.1, 0.5, 0.2, 0.2)
         with pytest.raises(ConfigurationError):
             ModeProductTest(0, 0.1, 0.9)
+
+
+class TestSeparableContraction:
+    """Entropy integrals contract the separable factors instead of dense fields."""
+
+    @pytest.mark.parametrize("test, core", [
+        (BumpTest(0.5 * L, 0.5, 0.3 * L, 0.3), 0.18 * L),
+        (ModeProductTest(2, 0.1, 0.9), L),
+        (FinalZeroTest(3, 2), L),
+    ], ids=["bump", "mode-product", "final-zero"])
+    def test_psi_x_matches_fd(self, test, core):
+        # as for psi_t, the bump's centered differences are compared on its core
+        grid = Grid(L, 1.0, 1025, 33, 16)
+        fd = np.gradient(test.psi(grid), grid.x, axis=0, edge_order=2)
+        inside = np.abs(grid.x - 0.5 * L) <= core
+        assert np.abs(fd - test.psi_x(grid))[inside].max() < 1e-4
+
+    def test_contraction_matches_dense_quadrature(self, restricted_family, params):
+        for triple in restricted_family:
+            grid = triple.grid
+            v, lam = triple.v.values, triple.lam.values
+            vx = x_derivative_columns(analyze_columns(v, grid.L, grid.n_modes),
+                                      grid.L, grid.x)
+            tests = default_entropy_tests(grid.L, grid.T_end)
+            for flux in default_flux_battery():
+                big_g = ((1.0 - lam) * entropy_primitive(params, flux, beta0_extended(params, v))
+                         + lam * entropy_primitive(params, flux, beta2_extended(params, v)))
+                for test in tests:
+                    integrand = (big_g * test.psi_t(grid)
+                                 - flux.value(v) * vx * test.psi_x(grid)
+                                 - flux.derivative(v) * vx * vx * test.psi(grid))
+                    dense = np.trapezoid(np.trapezoid(integrand, grid.x, axis=0), grid.t)
+                    got = entropy_inequality_residual(triple, flux, test, params)
+                    assert abs(got - dense) <= 1e-14, (flux.label(), test.label())
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    def test_audit_equals_min_of_single_residuals(self, backward, params, grid, eps):
+        sol = solve_pseudoparabolic(backward.u0, eps, params, grid)
+        tests = default_entropy_tests(grid.L, grid.T_end)
+        single = min(viscous_entropy_residual(sol, flux, test, params)
+                     for flux in default_flux_battery() for test in tests)
+        assert viscous_entropy_audit(sol, params) == single
