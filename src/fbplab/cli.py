@@ -113,13 +113,12 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
             lines.append(f"  ({i},{j}) at t={probe:.4g}: du={du:.3e} dv={dv:.3e} "
                          f"dl={dl:.3e} -> {'distinct' if distinct else 'COINCIDENT'}")
 
+    lines.append("")
     if len(family) < 2:
-        lines.append("")
         lines.append("no non-uniqueness demonstrated (family size 1)")
         success = len(passing) == len(family)
     else:
         success = len(passing) >= 2 and all_distinct
-        lines.append("")
         lines.append(f"{len(passing)}/{len(family)} triples pass the battery; "
                      f"pairwise distinct: {all_distinct}")
     lines.append("SUCCESS" if success else "FAILURE")
@@ -137,16 +136,14 @@ def cmd_regularize(config: ScenarioConfig) -> int:
     back = solve_unstable_backward(config.final_series(), params, grid)
 
     rows = []
-    solutions = []
     ok = True
     for eps in config.eps_list:
         sol = solve_pseudoparabolic(back.u0, eps, params, grid)
-        solutions.append(sol)
         mass = np.trapezoid(sol.u_eps.values, grid.x, axis=0)
         drift = float(np.max(np.abs(mass - mass[0])))
         worst = verifier.viscous_entropy_audit(sol, params)
         ok = ok and drift <= 1e-8 and worst >= -margins.entropy_tol
-        rows.append((eps, drift, worst))
+        rows.append((eps, drift, worst, sol))
         tag = f"eps{eps:g}".replace(".", "p")
         write_field_csv(sol.u_eps, out / "fields" / f"{tag}_u.csv")
         write_field_csv(sol.v_eps, out / "fields" / f"{tag}_v.csv")
@@ -156,13 +153,12 @@ def cmd_regularize(config: ScenarioConfig) -> int:
 
     lines = ["relaxation sweep", verifier._grid_summary(grid), "",
              "eps\tconservation drift\tworst viscous residual"]
-    for eps, drift, worst in rows:
+    for eps, drift, worst, _ in rows:
         lines.append(f"{eps:g}\t{drift:.3e}\t{worst:.3e}")
-    if len(solutions) > 1:
+    if len(rows) > 1:
         lines.append("")
         lines.append("max-norm distance between successive eps levels:")
-        for (e1, s1), (e2, s2) in zip(
-                zip(config.eps_list, solutions), list(zip(config.eps_list, solutions))[1:]):
+        for (e1, *_, s1), (e2, *_, s2) in zip(rows, rows[1:]):
             d = float(np.max(np.abs(s1.u_eps.values - s2.u_eps.values)))
             lines.append(f"  u[eps={e1:g}] vs u[eps={e2:g}]: {d:.3e}")
     lines.append("")
@@ -182,8 +178,7 @@ def cmd_inverse(config: ScenarioConfig, a_coeffs, b_coeffs, t_end: float) -> int
         raise ConfigurationError("final time must be positive")
     out = Path(config.output_dir)
     params, grid = config.phase, config.grid
-    a = CosineSeries(grid.L, a_coeffs)
-    b = CosineSeries(grid.L, b_coeffs)
+    a, b = CosineSeries(grid.L, a_coeffs), CosineSeries(grid.L, b_coeffs)
     f = inverse_source_from_endpoints(a, b, t_end, params.sigma_abs)
 
     n_modes = max(len(a_coeffs) - 1, 1)

@@ -26,6 +26,7 @@ from .phase_model import PhaseParams
 from .spectral import CosineSeries, Grid
 
 PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2", "gamma1", "gamma2")
+MARGIN_KEYS = ("delta", "tol", "weak_tol", "entropy_tol", "certificate_tol", "identity_tol")
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,7 @@ class ScenarioConfig:
                             for raw in parser["sources"].values())
             eps_list = tuple(float(v) for v in _split(parser["regularization"]["eps"]))
             msec = parser["margins"] if parser.has_section("margins") else {}
-            margins = Margins(**{k: float(msec[k]) for k in
-                                 ("delta", "tol", "weak_tol", "entropy_tol",
-                                  "certificate_tol", "identity_tol") if k in msec})
+            margins = Margins(**{k: float(msec[k]) for k in MARGIN_KEYS if k in msec})
             out = Path(parser.get("output", "dir", fallback="out"))
         except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigurationError(f"bad scenario file {path}: {exc}") from exc
@@ -132,9 +131,7 @@ class ScenarioConfig:
                                  "modes": ", ".join(map(str, self.final_datum.modes))}
         parser["sources"] = {f"f{i + 1}": ", ".join(format(v, ".17g") for v in src)
                              for i, src in enumerate(self.sources)}
-        parser["margins"] = {k: format(getattr(self.margins, k), ".17g")
-                             for k in ("delta", "tol", "weak_tol", "entropy_tol",
-                                       "certificate_tol", "identity_tol")}
+        parser["margins"] = {k: format(getattr(self.margins, k), ".17g") for k in MARGIN_KEYS}
         parser["regularization"] = {"eps": ", ".join(format(e, ".17g")
                                                      for e in self.eps_list)}
         parser["output"] = {"dir": str(self.output_dir)}

@@ -102,8 +102,7 @@ def lambda_time_derivative(sol: SourcedSolution, lam: Field2D,
     if np.min(gap) < GAP_FLOOR:
         raise NearSingularError("branch gap below floor; weight derivative degenerates")
     fx = sol.source_values()
-    v_t = sol.vt_field().values
-    gap_t = (1.0 / params.alpha2 - params.sigma) * v_t
+    gap_t = params.gap_slope * sol.vt_field().values
     numer = sol.grid.t[None, :] * fx[:, None]
     out = fx[:, None] / gap - gap_t * numer / gap**2
     return Field2D(sol.grid, out, "stable-phase weight rate")

@@ -13,12 +13,16 @@ nondecreasing ``g`` with its primitive ``G(u) = int_0^u g(phi(s)) ds``; the
 pointwise admissibility certificate is the nonnegative quantity
 ``G(beta0(v)) - G(beta2(v)) + (beta2(v) - beta0(v)) * g(v)``.
 
+Every three-branch dispatch reads one affine table, ``PhaseParams.branches``, and
+one index rule, ``PhaseParams.branch_index``; phi and G evaluate only each sample's branch.
+
 All functions are pure and accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +40,21 @@ def _check_finite(values, what: str):
 
 def _scalar_like(template, arr: np.ndarray):
     return float(arr) if np.ndim(template) == 0 else arr
+
+
+@dataclass(frozen=True)
+class BranchTable:
+    """phi(u) = slope[i]*u + intercept[i] on the closed interval ``closed[i]``.
+
+    The entropy primitives' gluing constants are ``glue[i]`` times a primitive
+    of g at ``knot[i]``, where branch i meets the middle one (c1, c2, and 0).
+    """
+
+    slope: np.ndarray
+    intercept: np.ndarray
+    closed: tuple[tuple[float, float], ...]
+    knot: np.ndarray
+    glue: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,23 +118,42 @@ class PhaseParams:
         return (self.A - self.B) / (self.c - self.b)
 
     @property
-    def phi0_intercept(self) -> float:
-        return self.B - self.phi0_slope * self.b
+    def gap_slope(self) -> float:
+        """d(beta2 - beta0)/dv = 1/alpha2 - sigma > 0."""
+        return 1.0 / self.alpha2 - self.sigma
+
+    @cached_property
+    def branches(self) -> BranchTable:
+        """The affine table of phi, built once per diagram."""
+        m0 = self.phi0_slope
+        table = BranchTable(
+            slope=np.array([m0, self.alpha1, self.alpha2]),
+            intercept=np.array([self.B - m0 * self.b, self.gamma1, self.gamma2]),
+            closed=((self.b, self.c), (-np.inf, self.b), (self.c, np.inf)),
+            knot=np.array([0.0, self.B, self.A]),
+            glue=np.array([0.0, 1.0 / m0 - 1.0 / self.alpha1, 1.0 / m0 - 1.0 / self.alpha2]))
+        for arr in (table.slope, table.intercept, table.knot, table.glue):
+            arr.flags.writeable = False
+        return table
+
+    def branch_index(self, u):
+        """Branch of each sample: 1 where u <= b, 2 where u >= c, else 0."""
+        return (u <= self.b) + 2 * (u >= self.c)
+
+    def branch_holding(self, lo: float, hi: float) -> int | None:
+        """A branch whose closed interval holds [lo, hi], outer branches first."""
+        for i in (1, 2, 0):
+            left, right = self.branches.closed[i]
+            if left <= lo and hi <= right:
+                return i
+        return None
 
 
 def eval_phi(params: PhaseParams, u):
     """Evaluate the piecewise-linear flux at ``u`` (scalar or array)."""
     arr = _check_finite(u, "flux argument")
-    out = np.where(
-        arr <= params.b,
-        params.alpha1 * arr + params.gamma1,
-        np.where(
-            arr >= params.c,
-            params.alpha2 * arr + params.gamma2,
-            params.phi0_slope * arr + params.phi0_intercept,
-        ),
-    )
-    return _scalar_like(u, out)
+    table, i = params.branches, params.branch_index(arr)
+    return _scalar_like(u, table.slope[i] * arr + table.intercept[i])
 
 
 def beta0_extended(params: PhaseParams, v):
@@ -171,9 +209,7 @@ def branch_gap(params: PhaseParams, v):
 
 def branch_gap_extended(params: PhaseParams, v):
     """beta2 - beta0 via the affine continuations, no domain check."""
-    arr = np.asarray(v, dtype=float)
-    out = (arr - params.gamma2) / params.alpha2 - (params.b + params.sigma * (arr - params.B))
-    return _scalar_like(v, out)
+    return beta2_extended(params, v) - beta0_extended(params, v)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +282,8 @@ class EntropyFlux:
         if self.kind == "identity":
             out = np.ones_like(arr)
         elif self.kind == "clamp":
-            out = ((arr >= self.p) & (arr <= self.q)).astype(float)
+            # a constant flux (p = q) has zero slope even at v = p
+            out = ((arr >= self.p) & (arr <= self.q) & (self.p < self.q)).astype(float)
         else:
             t = np.tanh(arr / self.s)
             out = (1.0 - t * t) / self.s
@@ -273,31 +310,21 @@ class EntropyFlux:
 def _branch_primitive(params: PhaseParams, flux: EntropyFlux, u: np.ndarray) -> np.ndarray:
     """Antiderivative W of g(phi(.)), continuous across the breakpoints.
 
-    On each affine piece phi(s) = m*s + q0 an antiderivative of g(phi(s)) is
-    Gamma(phi(s))/m with Gamma a primitive of g; the constants glue the
-    pieces together at b and c.
+    On each affine piece phi(s) = m*s + q an antiderivative of g(phi(s)) is
+    Gamma(phi(s))/m plus the piece's gluing constant, with Gamma a primitive
+    of g; only the branch of each sample is evaluated.
     """
-    m0 = params.phi0_slope
-    gam = flux.antiderivative
-    c1 = gam(params.B) * (1.0 / m0 - 1.0 / params.alpha1)
-    c2 = gam(params.A) * (1.0 / m0 - 1.0 / params.alpha2)
-    return np.where(
-        u <= params.b,
-        gam(params.alpha1 * u + params.gamma1) / params.alpha1 + c1,
-        np.where(
-            u >= params.c,
-            gam(params.alpha2 * u + params.gamma2) / params.alpha2 + c2,
-            gam(m0 * u + params.phi0_intercept) / m0,
-        ),
-    )
+    table, i = params.branches, params.branch_index(u)
+    m = table.slope[i]
+    glue = flux.antiderivative(table.knot) * table.glue
+    return flux.antiderivative(m * u + table.intercept[i]) / m + glue[i]
 
 
 def entropy_primitive(params: PhaseParams, flux: EntropyFlux, u):
     """G(u) = int_0^u g(phi(s)) ds, in closed form (additive constant fixed to 0)."""
     arr = _check_finite(u, "entropy-primitive argument")
-    w = _branch_primitive(params, flux, np.atleast_1d(arr))
-    w0 = _branch_primitive(params, flux, np.asarray([0.0]))[0]
-    out = np.reshape(w - w0, np.shape(arr))
+    w = _branch_primitive(params, flux, np.append(arr, 0.0))   # W(u) and W(0)
+    out = np.reshape(w[:-1] - w[-1], np.shape(arr))
     return _scalar_like(u, out)
 
 

@@ -35,10 +35,12 @@ from .spectral import (OVERFLOW_EXPONENT, CosineSeries, Field2D, Grid,
 
 #: growth exponent above which the float64 fast path is abandoned for mpmath
 _MP_EXPONENT_THRESHOLD = 16.0
+#: sample residual of a band-limited profile and endpoint slope of a zero-flux
+#: datum, both relative to the profile, and the RK4 budget of one relaxation
+_BAND_LIMIT_TOL, _BOUNDARY_SLOPE_TOL, _MAX_RK4_STEPS = 1e-8, 1e-3, 2_000_000
 
 
-def _profile_to_series(profile, grid: Grid, what: str,
-                       band_limit_tol: float = 1e-8) -> CosineSeries:
+def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
     """Coerce a spatial profile (samples or series) to grid-sized coefficients."""
     if isinstance(profile, CosineSeries):
         if abs(profile.L - grid.L) > 1e-12 * grid.L:
@@ -56,7 +58,7 @@ def _profile_to_series(profile, grid: Grid, what: str,
     coeffs[np.abs(coeffs) <= 1e-13 * max(1.0, np.max(np.abs(vals)))] = 0.0
     series = CosineSeries(grid.L, coeffs)
     resid = np.max(np.abs(series.synthesize(grid.x) - vals))
-    if resid > band_limit_tol * max(1.0, np.max(np.abs(vals))):
+    if resid > _BAND_LIMIT_TOL * max(1.0, np.max(np.abs(vals))):
         raise ConfigurationError(
             f"{what}: samples are not band-limited on this grid (residual {resid:.2e})")
     return series
@@ -88,8 +90,7 @@ class BackwardBranchSolution:
         return self.u_bar.grid
 
 
-def solve_unstable_backward(g, params: PhaseParams, grid: Grid,
-                            boundary_slope_tol: float = 1e-3) -> BackwardBranchSolution:
+def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranchSolution:
     """Solve u_t = phi0' u_xx with zero-flux sides and final data g.
 
     With data in the decreasing branch this is well posed: after time reversal
@@ -106,19 +107,16 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid,
                 f"final datum: expected {grid.n_x} samples, got {g_vals.shape}")
         sl = max(abs(_endpoint_slope(g_vals, grid.dx, True)),
                  abs(_endpoint_slope(g_vals, grid.dx, False)))
-        if sl > boundary_slope_tol * max(1.0, np.max(np.abs(g_vals))):
+        if sl > _BOUNDARY_SLOPE_TOL * max(1.0, np.max(np.abs(g_vals))):
             raise BoundaryConditionError(
                 f"final datum has slope {sl:.2e} at an endpoint; zero-flux data required")
-    if np.min(g_vals) <= params.b or np.max(g_vals) >= params.c:
+    if np.any(params.branch_index(g_vals)):
         raise DomainViolationError(
             "final datum must take values strictly inside the decreasing branch (b, c)")
-    series = _profile_to_series(g if isinstance(g, CosineSeries) else g_vals,
-                                grid, "final datum")
+    series = _profile_to_series(g, grid, "final datum")
 
-    diff = abs(params.phi0_slope)
-    mu = grid.mu()
     # u_k(t) = g_k exp(-|phi0'| mu_k (T - t)): exact, decaying toward t = 0
-    decay = np.exp(-diff * np.outer(mu, grid.T_end - grid.t))
+    decay = np.exp(-abs(params.phi0_slope) * np.outer(grid.mu(), grid.T_end - grid.t))
     u_modes = series.as_float()[:, None] * decay
     u_field = field_from_modes(grid, u_modes, "backward-branch state")
     v_field = Field2D(grid, eval_phi(params, u_field.values), "backward-branch flux")
@@ -302,23 +300,16 @@ def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
     vals = basis @ u_hat
     if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e100:
         raise InstabilityError("relaxation state overflowed")
-    lo, hi = vals.min(), vals.max()
-    if hi <= params.b:
-        slope, intercept = params.alpha1, params.gamma1
-    elif lo >= params.c:
-        slope, intercept = params.alpha2, params.gamma2
-    elif lo >= params.b and hi <= params.c:
-        slope, intercept = params.phi0_slope, params.phi0_intercept
-    else:
+    k = params.branch_holding(vals.min(), vals.max())
+    if k is None:
         return analysis @ eval_phi(params, vals)
-    out = slope * u_hat
-    out[0] += intercept
+    out = params.branches.slope[k] * u_hat
+    out[0] += params.branches.intercept[k]
     return out
 
 
 def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid,
-                          dt: float | None = None,
-                          max_steps: int = 2_000_000) -> EpsSolution:
+                          dt: float | None = None) -> EpsSolution:
     """Integrate u_t = v_xx with (I - eps d_xx) v = phi(u), zero-flux sides.
 
     The elliptic solve is diagonal in mode space (v_k = [phi(u)]_k/(1 + eps mu_k)),
@@ -340,7 +331,7 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid,
                 f"dt={dt:g} violates the stiffness bound; use dt <= eps/4 = {dt_cap:g}")
         dt_cap = dt
     mu = grid.mu()
-    slope_max = max(params.alpha1, params.alpha2, abs(params.phi0_slope))
+    slope_max = np.max(np.abs(params.branches.slope))
     n_sub = max(1, ceil(grid.dt / dt_cap))
     h = grid.dt / n_sub
     # RK4 real-axis stability reaches |z| ~ 2.78; refuse configurations where a
@@ -348,7 +339,7 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid,
     if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
         raise ConfigurationError("branch slopes too steep for this step; use a smaller dt")
     total = n_sub * (grid.n_t - 1)
-    if total > max_steps:
+    if total > _MAX_RK4_STEPS:
         raise ConfigurationError(
             f"{total} RK4 steps needed; increase eps, shorten T_end, or coarsen n_t")
 

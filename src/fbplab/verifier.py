@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .counterexample import SolutionTriple
+from .counterexample import SolutionTriple, assemble_state
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended,
@@ -400,17 +400,14 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
     worst2, x2, t2 = _argworst(np.pad(viol2, ((0, 0), (1, 0))), grid, take_min=True)
     lam2_ok = worst2 >= -tol
 
-    # lambda1 is hard-wired to zero: its monotonicity clause is asserted as the
-    # statement that the embedded lower weight never moves
-    lam1_tv = 0.0
-    lam1_ok = True
-
     tv = np.abs(dlam).sum(axis=1)
     i_tv = int(np.argmax(tv))
     checks = [
         CheckResult("lambda2-monotone", bool(lam2_ok), worst2, x2, t2,
                     note="min increment on v > A intervals"),
-        CheckResult("lambda1-monotone", lam1_ok, lam1_tv, 0.0, 0.0,
+        # lambda1 is hard-wired to zero: its monotonicity clause is the
+        # statement that the embedded lower weight never moves
+        CheckResult("lambda1-monotone", True, 0.0, 0.0, 0.0,
                     note="lower weight identically zero"),
         CheckResult("lambda2-total-variation", True, float(tv[i_tv]),
                     float(grid.x[i_tv]), float(grid.T_end),
@@ -448,19 +445,16 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     checks.append(CheckResult("flux-above-lower-critical", bool(-val <= tol),
                               float(np.max(low)), xw, tw))
 
-    over_b = v > params.B + 1e-12
-    bad_upper = over_b & (lam < 1.0 - 1e-6)
+    bad_upper = (v > params.B + 1e-12) & (lam < 1.0 - 1e-6)
     if np.any(bad_upper):
-        masked = np.where(bad_upper, 1.0 - lam, 0.0)
-        val, xw, tw = _argworst(masked, grid, take_min=False)
+        val, xw, tw = _argworst(np.where(bad_upper, 1.0 - lam, 0.0), grid, take_min=False)
         checks.append(CheckResult("upper-jump-clause", False, val, xw, tw,
                                   note="v > B with upper weight below one"))
     else:
         checks.append(CheckResult("upper-jump-clause", True, 0.0, 0.0, 0.0,
                                   note="vacuous or satisfied"))
 
-    under_a = v < params.A - 1e-12
-    bad_lower = under_a  # the embedded lower weight is identically zero
+    bad_lower = v < params.A - 1e-12  # the embedded lower weight is identically zero
     if np.any(bad_lower):
         val, xw, tw = _argworst(np.where(bad_lower, params.A - v, 0.0), grid, False)
         checks.append(CheckResult("lower-jump-clause", False, val, xw, tw,
@@ -638,11 +632,9 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
     # 1. a weight that decreases while the flux stays above the lower critical value
     lam_vals = np.maximum(0.0, 0.2 - grid.t)[None, :] * np.ones((grid.n_x, 1))
     lam_t_vals = np.where(grid.t < 0.2, -1.0, 0.0)[None, :] * np.ones((grid.n_x, 1))
-    u_vals = ((1.0 - lam_vals) * beta0_extended(params, v_base.values)
-              + lam_vals * beta2_extended(params, v_base.values))
+    lam_dec = Field2D(grid, lam_vals, "control weight")
     decreasing = SolutionTriple(
-        Field2D(grid, u_vals, "control state"), v_base,
-        Field2D(grid, lam_vals, "control weight"), grid.T_end, "control",
+        assemble_state(v_base, lam_dec, params), v_base, lam_dec, grid.T_end, "control",
         lam_t=Field2D(grid, lam_t_vals, "control weight rate"))
     mono = monotonicity_report(decreasing, params)
     cert = pointwise_certificate(decreasing, EntropyFlux.identity(), params)
@@ -685,11 +677,9 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
     # 5. flux above the upper critical value with upper weight below one
     v_hi = constant_field(grid, params.B + 0.1, "control flux")
     lam_mid = constant_field(grid, 0.3, "control weight")
-    u_hi = ((1.0 - 0.3) * beta0_extended(params, v_hi.values)
-            + 0.3 * beta2_extended(params, v_hi.values))
-    jump = SolutionTriple(Field2D(grid, u_hi, "control state"), v_hi, lam_mid,
-                          grid.T_end, "control", lam_t=zero)
-    rep = structural_check(jump, u_hi[:, 0], params)
+    u_hi = assemble_state(v_hi, lam_mid, params)
+    jump = SolutionTriple(u_hi, v_hi, lam_mid, grid.T_end, "control", lam_t=zero)
+    rep = structural_check(jump, u_hi.values[:, 0], params)
     results.append(("upper-jump-violation",
                     not rep.entry("upper-jump-clause").passed,
                     f"weight deficit {rep.entry('upper-jump-clause').residual:.2e}"))

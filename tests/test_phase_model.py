@@ -171,6 +171,71 @@ class TestEntropyPrimitive:
                     quad_primitive(params, flux, u), rel=1e-10, abs=1e-12)
 
 
+class TestBranchTable:
+    """One affine table and one index rule behind every three-branch dispatch."""
+
+    NONUNIT = PhaseParams.from_critical_values(-0.5, 2.0, -2.0, 1.0, 0.7, 1.8)
+
+    def test_index_rule_sends_breakpoints_to_outer_branches(self):
+        p = self.NONUNIT
+        u = np.array([-3.0, p.b, 0.3, p.c, 4.0])
+        assert p.branch_index(u).tolist() == [1, 1, 0, 2, 2]
+
+    def test_phi_is_the_written_affine_pieces(self):
+        # the table reproduces each piece's own expression bit for bit
+        p = self.NONUNIT
+        u = np.linspace(-3.0, 4.0, 1001)
+        m0 = p.phi0_slope
+        expect = np.where(u <= p.b, p.alpha1 * u + p.gamma1,
+                          np.where(u >= p.c, p.alpha2 * u + p.gamma2,
+                                   m0 * u + (p.B - m0 * p.b)))
+        assert np.array_equal(eval_phi(p, u), expect)
+        assert not p.branches.slope.flags.writeable
+
+    def test_single_branch_test_uses_closed_intervals(self):
+        p = self.NONUNIT
+        assert p.branch_holding(p.b, p.c) == 0
+        assert p.branch_holding(p.b, p.b) == 1
+        assert p.branch_holding(-5.0, p.b) == 1
+        assert p.branch_holding(p.c, 9.0) == 2
+        assert p.branch_holding(p.b - 0.1, p.b + 0.1) is None
+        assert p.branch_holding(p.b, p.c + 1e-12) is None
+
+    def test_gap_slope_is_the_rate_of_the_branch_gap(self):
+        p = self.NONUNIT
+        v = np.linspace(p.A, p.B, 7)
+        assert np.allclose(branch_gap_extended(p, v + 1.0) - branch_gap_extended(p, v),
+                           p.gap_slope, rtol=0, atol=1e-13)
+        assert p.gap_slope > 0
+
+    def test_primitive_continuous_at_breakpoints(self):
+        # |G(u +- h) - G(u)| <= h max|g(phi)|, and max|g| <= 2 here; a wrong
+        # gluing constant or breakpoint convention opens an O(1) jump
+        from fbplab.verifier import default_flux_battery
+        p, h = self.NONUNIT, 1e-9
+        for flux in default_flux_battery():
+            for u in (p.b, p.c):
+                at, left, right = entropy_primitive(p, flux, np.array([u, u - h, u + h]))
+                assert abs(left - at) <= 2.5 * h, flux.label()
+                assert abs(right - at) <= 2.5 * h, flux.label()
+
+    def test_primitive_evaluates_one_branch_per_sample(self, params, monkeypatch):
+        seen = []
+        original = EntropyFlux.antiderivative
+
+        def counting(self, v):
+            seen.append(np.size(v))
+            return original(self, v)
+
+        monkeypatch.setattr(EntropyFlux, "antiderivative", counting)
+        u = np.linspace(-3.0, 3.0, 1000)
+        for flux in FLUXES:
+            seen.clear()
+            entropy_primitive(params, flux, u)
+            # the samples, W(0) and the three gluing knots
+            assert u.size < sum(seen) <= u.size + 4, flux.label()
+
+
 class TestCertificate:
     def test_zero_at_lower_critical(self, params):
         from fbplab.verifier import default_flux_battery
@@ -229,6 +294,12 @@ class TestFluxFamily:
             v = np.linspace(-4, 4, 2001)
             fd = np.gradient(flux.antiderivative(v), v)
             assert np.max(np.abs(fd[2:-2] - flux.value(v[2:-2]))) < 5e-3
+
+    def test_constant_flux_has_zero_derivative(self):
+        flux = EntropyFlux.constant(0.3)
+        assert flux.derivative(0.3) == 0.0
+        assert np.all(flux.derivative(np.array([-1.0, 0.3, 2.0])) == 0.0)
+        assert EntropyFlux.clamp(-0.4, 0.7).derivative(0.7) == 1.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(DomainViolationError):

@@ -7,7 +7,7 @@ import mpmath as mp
 
 from fbplab.errors import (BoundaryConditionError, ConfigurationError,
                            DomainViolationError, InstabilityError)
-from fbplab.phase_model import PhaseParams, eval_phi
+from fbplab.phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
 from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic,
                             solve_sourced, solve_unstable_backward)
 from fbplab.spectral import CosineSeries, Grid, propagate_heat
@@ -249,6 +249,29 @@ class TestPseudoparabolic:
             dists.append(np.max(np.abs(sol.u_eps.values - exact)))
         assert dists[0] > dists[1] > dists[2]
         assert dists[1] < 0.2 * dists[0]
+
+    def test_mixed_branch_relaxation(self, params, monkeypatch):
+        # 0.9 cos x starts in the unstable branch and spreads into both stable
+        # ones, so the flux modes come from pointwise evaluation; the energy
+        # int Phi(u) dx, Phi' = phi, decays by -int v_x^2 + eps v_xx^2 <= 0
+        import fbplab.solvers as solvers
+        pointwise = []
+
+        def counting(p, u):
+            pointwise.append(u.size)
+            return eval_phi(p, u)
+
+        monkeypatch.setattr(solvers, "eval_phi", counting)
+        small = Grid(L, 0.5, 64, 65, 16)
+        sol = solve_pseudoparabolic(0.9 * np.cos(small.x), 1e-2, params, small)
+        u = sol.u_eps.values
+        assert pointwise
+        assert u.min() < params.b and u.max() > params.c
+        mass = np.trapezoid(u, small.x, axis=0)
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12
+        energy = np.trapezoid(entropy_primitive(params, EntropyFlux.identity(), u),
+                              small.x, axis=0)
+        assert np.all(np.diff(energy) <= 0.0)
 
     def test_oversized_step_rejected(self, params, grid):
         with pytest.raises(ConfigurationError, match="eps/4"):

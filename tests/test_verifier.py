@@ -137,6 +137,34 @@ class TestOneEntropyPass:
         assert "three" in entry.note
 
 
+class TestQuadratureResolution:
+    """The exactly admissible classical baseline on diagram (b, c, A, B) =
+    (0, 1, 0, 3) with slopes 4 and final datum 0.5 + 0.1 cos x: the entropy
+    integral is >= 0 in the continuum, and its x-quadrature error decides the
+    verdict against the absolute ENTROPY_TOL."""
+
+    @staticmethod
+    def baseline_residual(n_x):
+        from fbplab.counterexample import construct_family
+        from fbplab.phase_model import PhaseParams
+        params = PhaseParams.from_critical_values(0.0, 1.0, 0.0, 3.0, 4.0, 4.0)
+        grid = Grid(L, 1.0, n_x, 256, 32)
+        base = construct_family(CosineSeries(L, [0.5, 0.1]), [], params, grid)[0]
+        return run_triple_battery(base.restricted(), base.u.values[:, 0],
+                                  params).entry("entropy-inequality")
+
+    @pytest.mark.xfail(strict=True, reason="x-quadrature error (-1.18e-6) exceeds the "
+                       "absolute ENTROPY_TOL at n_x = 128; tolerances that scale with "
+                       "the resolution are ROADMAP item 4")
+    def test_baseline_passes_at_reference_resolution(self):
+        assert self.baseline_residual(128).passed
+
+    def test_baseline_passes_at_doubled_resolution(self):
+        entry = self.baseline_residual(256)
+        assert entry.passed
+        assert abs(entry.residual) < 1e-7
+
+
 class TestMonotonicity:
     def test_baseline_passes(self, restricted_family, params):
         assert monotonicity_report(restricted_family[0], params).passed
