@@ -10,8 +10,7 @@ the conditions with independent grid checks.
 
 from .config import FinalDatum, Margins, ScenarioConfig
 from .counterexample import (SolutionTriple, assemble_state, build_lambda,
-                             certify_horizon, construct_family,
-                             lambda_time_derivative)
+                             certify_horizon, construct_family)
 from .errors import (BoundaryConditionError, ConfigurationError,
                      DomainViolationError, FbpError, GridMismatchError,
                      InstabilityError, NearSingularError)
@@ -21,8 +20,7 @@ from .phase_model import (EntropyFlux, PhaseParams, branch_gap,
 from .solvers import (BackwardBranchSolution, EpsSolution, SourcedSolution,
                       inverse_source_from_endpoints, solve_pseudoparabolic,
                       solve_sourced, solve_unstable_backward)
-from .spectral import (CosineSeries, Field2D, Grid, cosine_analyze,
-                       integrate_qt, propagate_heat, second_derivative)
+from .spectral import CosineSeries, Field2D, Grid, cosine_analyze, propagate_heat
 from .verifier import (VerificationReport, distinctness,
                        entropy_inequality_residual, monotonicity_report,
                        pointwise_certificate, run_triple_battery,

@@ -69,13 +69,15 @@ class SolutionTriple:
             self.lam_t.restrict(n_keep) if self.lam_t is not None else None)
 
 
-def build_lambda(sol: SourcedSolution, params: PhaseParams) -> Field2D:
-    """Stable-phase weight of a sourced flux field.
+def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Field2D]:
+    """Stable-phase weight of a sourced flux field and its analytic time rate.
 
     Requires v > A strictly; values above B use the affine continuation of the
     decreasing branch (the structural checks flag any region where that
     matters).  The time integral of m = f is t*f(x) exactly for the
-    time-independent sources handled here, and lambda(.,0) = 0 exactly.
+    time-independent sources handled here, and lambda(.,0) = 0 exactly.  The
+    rate comes from the mode representation of v:
+    lambda_t = m/gap - gap_t * (t f) / gap^2 with gap_t = (1/alpha2 - sigma) v_t.
     """
     v = sol.v.values
     if np.min(v) <= params.A:
@@ -85,27 +87,11 @@ def build_lambda(sol: SourcedSolution, params: PhaseParams) -> Field2D:
         raise NearSingularError(
             f"branch gap {np.min(gap):.2e} below {GAP_FLOOR:g}; weight formula degenerates")
     fx = sol.source_values()
-    lam = sol.grid.t[None, :] * fx[:, None] / gap
-    return Field2D(sol.grid, lam, "stable-phase weight")
-
-
-def lambda_time_derivative(sol: SourcedSolution, lam: Field2D,
-                           params: PhaseParams) -> Field2D:
-    """Analytic d(lambda)/dt from the mode representation of v.
-
-    lambda_t = m/gap - gap_t * (t f) / gap^2 with gap_t = (1/alpha2 - sigma) v_t.
-    """
-    v = sol.v.values
-    if np.min(v) <= params.A:
-        raise DomainViolationError("flux field touches or crosses the lower critical value")
-    gap = branch_gap_extended(params, v)
-    if np.min(gap) < GAP_FLOOR:
-        raise NearSingularError("branch gap below floor; weight derivative degenerates")
-    fx = sol.source_values()
-    gap_t = params.gap_slope * sol.vt_field().values
     numer = sol.grid.t[None, :] * fx[:, None]
-    out = fx[:, None] / gap - gap_t * numer / gap**2
-    return Field2D(sol.grid, out, "stable-phase weight rate")
+    gap_t = params.gap_slope * sol.vt_field().values
+    return (Field2D(sol.grid, numer / gap, "stable-phase weight"),
+            Field2D(sol.grid, fx[:, None] / gap - gap_t * numer / gap**2,
+                    "stable-phase weight rate"))
 
 
 def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
@@ -155,14 +141,15 @@ def certify_horizon_report(triple: SolutionTriple, params: PhaseParams,
     lam = triple.lam.values
     gap = branch_gap_extended(params, v)
     lam_t = triple.weight_rate()
-    # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
-    v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
-    m = x_second_derivative(triple.v) + params.sigma_abs * v_t
+    rate_ok = np.ones_like(gap, dtype=bool)
+    if require_source_margin:
+        # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
+        v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
+        rate_ok = x_second_derivative(triple.v) + params.sigma_abs * v_t >= delta
 
     conds = {
         "branch gap >= delta": gap >= delta,
-        "excess rate m >= delta": (m >= delta) if require_source_margin
-        else np.ones_like(gap, dtype=bool),
+        "excess rate m >= delta": rate_ok,
         "weight in [0, 1-delta]": (lam >= 0.0) & (lam <= 1.0 - delta),
         "weight nondecreasing": lam_t >= -tol,
         "flux in (A+delta, B]": (v > params.A + delta) & (v <= params.B),
@@ -237,8 +224,7 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         if n_build < grid.n_t:
             sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
                           vt_modes=sol.vt_modes[:, :n_build])
-        lam = build_lambda(sol, params)
-        lam_t = lambda_time_derivative(sol, lam, params)
+        lam, lam_t = build_lambda(sol, params)
         u = assemble_state(sol.v, lam, params)
         coeffs = ", ".join(format(c, "g") for c in f.as_float())
         triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t)

@@ -193,11 +193,6 @@ def x_derivative_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarr
     return basis.T @ modes
 
 
-def second_derivative(s: CosineSeries) -> CosineSeries:
-    """Mode-wise second derivative: a_k -> -(k*pi/L)^2 a_k."""
-    return CosineSeries(s.L, s.coeffs * cosine_eigenvalues(s.n_modes, s.L) * (-1.0))
-
-
 def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
     """Exact per-mode solution of w_t = kappa * w_xx over a step dt >= 0.
 
@@ -257,12 +252,6 @@ def x_second_derivative(f: Field2D) -> np.ndarray:
 
 def constant_field(grid: Grid, value: float, label: str = "") -> Field2D:
     return Field2D(grid, np.full((grid.n_x, grid.n_t), float(value)), label)
-
-
-def integrate_qt(f: Field2D) -> float:
-    """Trapezoid quadrature of the field over the full space-time rectangle."""
-    inner = np.trapezoid(f.values, f.grid.x, axis=0)
-    return float(np.trapezoid(inner, f.grid.t))
 
 
 def write_field_csv(f: Field2D, path) -> None:

@@ -270,6 +270,25 @@ def _v_x(field: Field2D) -> np.ndarray:
     return x_derivative_columns(analyze_columns(field.values, g.L, g.n_modes), g.L, g.x)
 
 
+def running_simpson(y: np.ndarray, dt: float) -> np.ndarray:
+    """Running composite Simpson integral of y along its last axis, step dt.
+
+    Even interval i: dt/12 (5 y_i + 8 y_(i+1) - y_(i+2)); odd ones and always
+    the last: dt/12 (-y_(i-1) + 8 y_i + 5 y_(i+1)); two samples: the trapezoid.
+    So entry j is scipy's cumulative_simpson(initial=0), the last its simpson.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] < 3:
+        parts = 0.5 * dt * (y[..., :-1] + y[..., 1:])
+    else:
+        ahead = 5.0 * y[..., :-2] + 8.0 * y[..., 1:-1] - y[..., 2:]
+        behind = -y[..., :-2] + 8.0 * y[..., 1:-1] + 5.0 * y[..., 2:]
+        parts = np.concatenate([ahead[..., :1], behind], axis=-1)  # odd and last
+        parts[..., :-1:2] = ahead[..., ::2]                         # other even ones
+        parts *= dt / 12.0
+    return np.concatenate([np.zeros_like(y[..., :1]), np.cumsum(parts, axis=-1)], axis=-1)
+
+
 def _required_weight_rate(triple: SolutionTriple) -> np.ndarray:
     if triple.lam_t is None:
         raise ConfigurationError("pointwise certificate needs the weight-rate field")
@@ -323,15 +342,13 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray, tests=None) -> float:
     """Worst |weak-form defect| of u_t = v_xx over the final-zero test family.
 
     Uses the standard pairing of flux gradient with test gradient; the time
-    quadrature is fourth order because the final-zero tests do not vanish at
-    t = 0.
+    quadrature is composite Simpson (``running_simpson``), fourth order because
+    the final-zero tests do not vanish at t = 0.
     """
     grid = triple.grid
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n_x,):
         raise GridMismatchError("initial datum does not match the triple's grid")
-    # imported here: scipy.integrate dominates the package's import time
-    from scipy.integrate import simpson
     if tests is None:
         tests = default_weak_tests()
     vx = _v_x(triple.v)
@@ -339,7 +356,7 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray, tests=None) -> float:
     for test in tests:
         inner = np.trapezoid(triple.u.values * test.psi_t(grid) - vx * test.psi_x(grid),
                              grid.x, axis=0)
-        bulk = float(simpson(inner, x=grid.t))
+        bulk = float(running_simpson(inner, grid.dt)[-1])
         initial = float(np.trapezoid(u0 * test.psi(grid)[:, 0], grid.x))
         worst = max(worst, abs(bulk + initial))
     return worst
@@ -419,8 +436,8 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
 
 def structural_check(triple: SolutionTriple, u0: np.ndarray,
                      params: PhaseParams, tol: float = MONOTONE_TOL) -> VerificationReport:
-    """Defining clauses of the superposed-solution class, checked on the grid."""
-    from scipy.integrate import cumulative_simpson   # see weak_residual
+    """Defining clauses of the superposed-solution class, checked on the grid; the
+    state-evolution identity integrates v_xx in time with ``running_simpson``."""
     grid = triple.grid
     u, v, lam = triple.u.values, triple.v.values, triple.lam.values
     u0 = np.asarray(u0, dtype=float)
@@ -470,8 +487,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
                               float(np.max(np.abs(sup))), xw, tw))
 
     vxx = x_second_derivative(triple.v)
-    cums = cumulative_simpson(vxx, x=grid.t, axis=1, initial=0.0)
-    evo = u - u[:, [0]] - cums
+    evo = u - u[:, [0]] - running_simpson(vxx, grid.dt)
     val, xw, tw = _argworst(evo, grid, take_min=False)
     checks.append(CheckResult("state-evolution-identity",
                               bool(np.max(np.abs(evo)) <= WEAK_TOL),

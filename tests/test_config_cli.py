@@ -206,8 +206,8 @@ class TestTopLevel:
 
 class TestImportCost:
     def test_cli_import_leaves_out_scipy_integrate(self):
-        # scipy.integrate costs most of the CLI's start-up; only the weak form
-        # and the evolution identity load it, on first use
+        # scipy.integrate would cost most of the CLI's start-up; the runtime
+        # does its time quadrature in numpy and never loads it
         src = str(Path(fbplab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -216,3 +216,16 @@ class TestImportCost:
              "import sys, fbplab.cli; print('scipy.integrate' in sys.modules)"],
             capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        src = str(Path(fbplab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import sys\n"
+                "from fbplab.cli import main\n"
+                f"codes = main(['counterexample', '--out', {str(tmp_path)!r}]), "
+                "main(['--seed-check'])\n"
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.splitlines()[-1] == "(0, 0) []"

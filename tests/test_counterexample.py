@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
+from fbplab import counterexample
 from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
                                    certify_horizon, certify_horizon_report,
-                                   construct_family, lambda_time_derivative)
+                                   construct_family)
 from fbplab.errors import DomainViolationError, NearSingularError
 from fbplab.phase_model import branch_gap_extended, beta0_extended, beta2_extended
 from fbplab.solvers import solve_sourced, solve_unstable_backward
@@ -51,12 +52,12 @@ def lambda_oracle(sol, params):
 class TestBuildLambda:
     def test_zero_at_initial_time_exactly(self, midpoint_setup, params):
         _, sol = midpoint_setup
-        lam = build_lambda(sol, params)
+        lam, _ = build_lambda(sol, params)
         assert np.all(lam.values[:, 0] == 0.0)
 
     def test_midpoint_spot_value(self, midpoint_setup, params, midpoint_grid):
         _, sol = midpoint_setup
-        lam = build_lambda(sol, params)
+        lam, _ = build_lambda(sol, params)
         i, j = 64, 25  # x = pi/2 (vbar = 0), t = 0.1
         assert midpoint_grid.x[i] == pytest.approx(np.pi / 2)
         assert midpoint_grid.t[j] == pytest.approx(0.1)
@@ -64,14 +65,14 @@ class TestBuildLambda:
 
     def test_matches_time_integration_oracle(self, midpoint_setup, params):
         _, sol = midpoint_setup
-        lam = build_lambda(sol, params)
+        lam, _ = build_lambda(sol, params)
         assert np.max(np.abs(lam.values - lambda_oracle(sol, params))) < 1e-8
 
     def test_zero_source_gives_zero_weight(self, midpoint_setup, params, midpoint_grid):
         back, _ = midpoint_setup
         free = solve_sourced(CosineSeries(L, [0.0]), back.v_bar.values[:, 0], 1.0,
                              midpoint_grid)
-        lam = build_lambda(free, params)
+        lam, _ = build_lambda(free, params)
         assert np.max(np.abs(lam.values)) == 0.0
 
     def test_flux_crossing_lower_critical_rejected(self, backward, params, grid):
@@ -85,8 +86,7 @@ class TestBuildLambda:
 class TestLambdaRate:
     def test_initial_value_is_rate_over_gap(self, midpoint_setup, params):
         _, sol = midpoint_setup
-        lam = build_lambda(sol, params)
-        rate = lambda_time_derivative(sol, lam, params)
+        lam, rate = build_lambda(sol, params)
         expect = sol.source_values() / branch_gap_extended(params, sol.v.values[:, 0])
         assert rate.values[:, 0] == pytest.approx(expect, abs=1e-12)
         assert np.all(rate.values[:, 0] > 0)
@@ -95,8 +95,7 @@ class TestLambdaRate:
         # closed form with alpha2 = 1, sigma = -1, vbar = 0, vbar_t = 0, t = 0.1:
         # [2(v+1) - 2t(vbar_t+1)] / (4 (v+1)^2) with v = 0.1
         _, sol = midpoint_setup
-        lam = build_lambda(sol, params)
-        rate = lambda_time_derivative(sol, lam, params)
+        lam, rate = build_lambda(sol, params)
         assert rate.values[64, 25] == pytest.approx(
             (2 * 1.1 - 0.2 * 1.0) / (4 * 1.1 ** 2), abs=1e-12)
         assert rate.values[64, 25] == pytest.approx(0.4132231404958678, abs=1e-12)
@@ -107,8 +106,7 @@ class TestLambdaRate:
             g = Grid(L=L, T_end=1.0, n_x=129, n_t=n_t, n_modes=32)
             back = solve_unstable_backward(CosineSeries(L, [0.0, 0.1]), params, g)
             sol = solve_sourced(CosineSeries(L, [1.0]), back.v_bar.values[:, 0], 1.0, g)
-            lam = build_lambda(sol, params)
-            rate = lambda_time_derivative(sol, lam, params)
+            lam, rate = build_lambda(sol, params)
             fd = np.gradient(lam.values, g.t, axis=1, edge_order=2)
             errs.append(np.max(np.abs(fd[:, 1:-1] - rate.values[:, 1:-1])))
         rates = [np.log2(errs[i] / errs[i + 1]) / np.log2((251 - 1) / (126 - 1))
@@ -119,8 +117,7 @@ class TestLambdaRate:
         back, _ = midpoint_setup
         free = solve_sourced(CosineSeries(L, [0.0]), back.v_bar.values[:, 0], 1.0,
                              midpoint_grid)
-        lam = build_lambda(free, params)
-        rate = lambda_time_derivative(free, lam, params)
+        lam, rate = build_lambda(free, params)
         assert np.max(np.abs(rate.values)) == 0.0
 
 
@@ -137,13 +134,13 @@ class TestAssembleState:
     def test_unit_source_state_equals_backward_state(self, midpoint_setup, params):
         # the time shift moves (v, lambda) but not u
         back, sol = midpoint_setup
-        lam = build_lambda(sol, params)
+        lam, _ = build_lambda(sol, params)
         u = assemble_state(sol.v, lam, params)
         assert np.max(np.abs(u.values - back.u_bar.values)) < 1e-8
 
     def test_integrated_evolution_identity(self, midpoint_setup, params, midpoint_grid):
         back, sol = midpoint_setup
-        lam = build_lambda(sol, params)
+        lam, _ = build_lambda(sol, params)
         u = assemble_state(sol.v, lam, params)
         modes = analyze_columns(sol.v.values, midpoint_grid.L, midpoint_grid.n_modes)
         vxx = synthesize_columns(-(midpoint_grid.mu()[:, None] * modes),
@@ -173,8 +170,7 @@ class TestCertifyHorizon:
         back, _ = midpoint_setup
         free = solve_sourced(CosineSeries(L, [0.0]), back.v_bar.values[:, 0], 1.0,
                              midpoint_grid)
-        lam = build_lambda(free, params)
-        rate = lambda_time_derivative(free, lam, params)
+        lam, rate = build_lambda(free, params)
         u = assemble_state(free.v, lam, params)
         triple = SolutionTriple(u, free.v, lam, 0.0, "sourced(f=[0])", lam_t=rate)
         t_bar, diag = certify_horizon_report(triple, params, 0.05, 1e-8)
@@ -183,6 +179,17 @@ class TestCertifyHorizon:
 
     def test_margin_above_source_maximum_gives_zero(self, family, params):
         assert certify_horizon(family[1], params, delta=2.0, tol=1e-8) == 0.0
+
+    def test_waived_source_margin_skips_excess_rate(self, final_datum, params, grid,
+                                                    monkeypatch):
+        # the baseline waives condition (ii), so m = v_xx + |sigma| v_t is never formed
+        calls = []
+        original = counterexample.x_second_derivative
+        monkeypatch.setattr(counterexample, "x_second_derivative",
+                            lambda f: calls.append(f) or original(f))
+        family = construct_family(final_datum, [], params, grid)
+        assert len(family) == 1 and family[0].t_bar == pytest.approx(grid.T_end)
+        assert len(calls) == 0
 
     def test_certified_region_respects_margins(self, family, params):
         delta = 0.05

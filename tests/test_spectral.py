@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.spectral import (CosineSeries, Field2D, Grid, cosine_analyze,
-                             constant_field, integrate_qt, propagate_heat,
-                             second_derivative, write_field_csv)
+                             constant_field, propagate_heat, write_field_csv,
+                             x_second_derivative)
 
 L = np.pi
 
@@ -78,30 +78,17 @@ class TestAnalyze:
 
 
 class TestSecondDerivative:
-    def test_constant_maps_to_zero(self):
-        s = second_derivative(CosineSeries(L, [4.0, 0.0]))
-        assert np.all(s.coeffs == 0.0)
+    """``x_second_derivative``: v_xx of a sampled field, as every check uses it."""
 
-    def test_single_mode(self):
-        s = second_derivative(CosineSeries(L, [0.0, 1.0]))
-        assert s.coeffs[1] == pytest.approx(-1.0)
-
-    def test_against_finite_differences(self, small_grid):
+    def test_against_finite_differences(self):
         rng = np.random.default_rng(5)
         series = CosineSeries(L, rng.normal(size=6) * 0.3)
-        x = np.linspace(0, L, 4001)
-        vals = series.synthesize(x)
-        fd = np.gradient(np.gradient(vals, x), x)
-        spectral = second_derivative(series).synthesize(x)
+        g = Grid(L=L, T_end=1.0, n_x=4001, n_t=2, n_modes=16)
+        vals = series.synthesize(g.x)
+        fd = np.gradient(np.gradient(vals, g.x), g.x)
+        spectral = x_second_derivative(Field2D(g, np.repeat(vals[:, None], 2, axis=1)))
         interior = slice(40, -40)
-        assert np.max(np.abs(fd[interior] - spectral[interior])) < 5e-4
-
-    def test_commutes_with_propagation(self):
-        rng = np.random.default_rng(11)
-        series = CosineSeries(L, rng.normal(size=12))
-        a = propagate_heat(second_derivative(series), 0.7, 0.3)
-        b = second_derivative(propagate_heat(series, 0.7, 0.3))
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
+        assert np.max(np.abs(fd[interior, None] - spectral[interior])) < 5e-4
 
 
 class TestPropagate:
@@ -140,30 +127,6 @@ class TestPropagate:
     def test_negative_dt_rejected(self):
         with pytest.raises(ConfigurationError):
             propagate_heat(CosineSeries(L, [1.0]), 1.0, -0.1)
-
-
-class TestIntegrateQt:
-    def test_unit_field(self, small_grid):
-        assert integrate_qt(constant_field(small_grid, 1.0)) == pytest.approx(np.pi)
-
-    def test_mean_zero_mode(self, small_grid):
-        vals = np.repeat(np.cos(small_grid.x)[:, None], small_grid.n_t, axis=1)
-        assert integrate_qt(Field2D(small_grid, vals)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_separable_linear_in_time(self, small_grid):
-        vals = np.repeat(small_grid.t[None, :], small_grid.n_x, axis=0)
-        assert integrate_qt(Field2D(small_grid, vals)) == pytest.approx(np.pi / 2)
-
-    def test_quadrature_order_on_analytic_integrand(self):
-        # integral of sin(x) e^{-t} over (0,pi)x(0,1) = 2 (1 - e^{-1})
-        exact = 2.0 * (1.0 - np.exp(-1.0))
-        errs = []
-        for n in (17, 33, 65):
-            g = Grid(L=L, T_end=1.0, n_x=n, n_t=n, n_modes=4)
-            vals = np.outer(np.sin(g.x), np.exp(-g.t))
-            errs.append(abs(integrate_qt(Field2D(g, vals)) - exact))
-        rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        assert min(rates) > 1.9
 
 
 class TestField2D:

@@ -3,6 +3,7 @@ controls on manufactured violators, and the cross-form consistency checks."""
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from fbplab.counterexample import SolutionTriple
 from fbplab.errors import ConfigurationError, DomainViolationError
@@ -18,8 +19,9 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              distinctness, entropy_inequality_residual,
                              monotonicity_report, negative_controls,
                              pointwise_certificate, run_triple_battery,
-                             structural_check, viscous_entropy_audit,
-                             viscous_entropy_residual, weak_residual)
+                             running_simpson, structural_check,
+                             viscous_entropy_audit, viscous_entropy_residual,
+                             weak_residual)
 
 L = np.pi
 
@@ -365,3 +367,28 @@ class TestSeparableContraction:
         single = min(viscous_entropy_residual(sol, flux, test, params)
                      for flux in default_flux_battery() for test in tests)
         assert viscous_entropy_audit(sol, params) == single
+
+
+class TestRunningSimpson:
+    """The numpy time quadrature against scipy's rules, which it replaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 256])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=(4, n))
+        dt = 0.37
+        ours = running_simpson(y, dt)
+        cum = cumulative_simpson(y, dx=dt, axis=-1, initial=0.0)
+        total = simpson(y, dx=dt, axis=-1)
+        assert ours.shape == y.shape
+        assert np.all(ours[:, 0] == 0.0)
+        assert np.max(np.abs(ours - cum)) <= 1e-14 * np.max(np.abs(cum))
+        assert np.max(np.abs(ours[:, -1] - total)) <= 1e-14 * np.max(np.abs(total))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 33, 256])
+    def test_exact_on_quadratics(self, n):
+        t = np.linspace(0.0, 1.3, n)
+        dt = 1.3 / (n - 1)
+        y = np.stack([np.ones(n), t, 3.0 * t * t - 2.0 * t + 0.5])
+        exact = np.stack([t, t * t / 2.0, t ** 3 - t * t + 0.5 * t])
+        assert np.max(np.abs(running_simpson(y, dt) - exact)) <= 1e-14
