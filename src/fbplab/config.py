@@ -6,11 +6,13 @@ Sections and keys::
     [grid]       L, T_end, n_x, n_t, n_modes
     [final_datum] amplitude, modes          (g = amplitude * sum_k cos(k pi x/L))
     [sources]    one key per source, each a comma list of cosine coefficients
-    [margins]    delta, tol, weak_tol, entropy_tol, certificate_tol, identity_tol
+    [margins]    delta, tol                (construction margins, finite and positive)
     [regularization] eps
     [output]     dir
 
 Key case is significant (the phase section distinguishes A from alpha1's a).
+The tolerances that decide a verdict are fixed in ``verifier``: a file cannot
+set them, and any other ``[margins]`` key is a configuration error.
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import verifier
 from .errors import ConfigurationError
 from .phase_model import PhaseParams
 from .spectral import CosineSeries, Grid
 
 PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2", "gamma1", "gamma2")
-MARGIN_KEYS = ("delta", "tol", "weak_tol", "entropy_tol", "certificate_tol", "identity_tol")
+MARGIN_KEYS = ("delta", "tol")
 
 
 @dataclass(frozen=True)
@@ -47,16 +48,14 @@ class FinalDatum:
 
 @dataclass(frozen=True)
 class Margins:
+    """Certification margins: they shape what gets constructed, not what passes."""
+
     delta: float = 0.05
     tol: float = 1e-8
-    weak_tol: float = verifier.WEAK_TOL
-    entropy_tol: float = verifier.ENTROPY_TOL
-    certificate_tol: float = verifier.CERTIFICATE_TOL
-    identity_tol: float = verifier.IDENTITY_TOL
 
     def __post_init__(self):
-        if self.delta <= 0 or self.tol <= 0:
-            raise ConfigurationError("margins must be positive")
+        if not all(math.isfinite(m) and m > 0 for m in (self.delta, self.tol)):
+            raise ConfigurationError("margins must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,11 @@ class ScenarioConfig:
                             for raw in parser["sources"].values())
             eps_list = tuple(float(v) for v in _split(parser["regularization"]["eps"]))
             msec = parser["margins"] if parser.has_section("margins") else {}
+            unknown = [k for k in msec if k not in MARGIN_KEYS]
+            if unknown:
+                raise ConfigurationError(
+                    f"bad scenario file {path}: [margins] takes only delta and tol, not "
+                    f"{', '.join(unknown)} (the verdict tolerances are fixed in verifier)")
             margins = Margins(**{k: float(msec[k]) for k in MARGIN_KEYS if k in msec})
             out = Path(parser.get("output", "dir", fallback="out"))
         except (KeyError, ValueError, configparser.Error) as exc:

@@ -308,8 +308,7 @@ def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
     return out
 
 
-def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid,
-                          dt: float | None = None) -> EpsSolution:
+def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> EpsSolution:
     """Integrate u_t = v_xx with (I - eps d_xx) v = phi(u), zero-flux sides.
 
     The elliptic solve is diagonal in mode space (v_k = [phi(u)]_k/(1 + eps mu_k)),
@@ -322,22 +321,15 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid,
     series = _profile_to_series(u0, grid, "initial state")
     u_hat = series.as_float()
 
-    dt_cap = eps / 4.0
-    if dt is not None:
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        if dt > dt_cap:
-            raise ConfigurationError(
-                f"dt={dt:g} violates the stiffness bound; use dt <= eps/4 = {dt_cap:g}")
-        dt_cap = dt
     mu = grid.mu()
     slope_max = np.max(np.abs(params.branches.slope))
-    n_sub = max(1, ceil(grid.dt / dt_cap))
+    n_sub = max(1, ceil(grid.dt / (eps / 4.0)))
     h = grid.dt / n_sub
     # RK4 real-axis stability reaches |z| ~ 2.78; refuse configurations where a
     # steep branch pushes the fastest mode past it
     if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
-        raise ConfigurationError("branch slopes too steep for this step; use a smaller dt")
+        raise ConfigurationError(f"branch slope {slope_max:g} too steep for the RK4 "
+                                 f"step {h:g} <= eps/4: the fastest mode is unstable")
     total = n_sub * (grid.n_t - 1)
     if total > _MAX_RK4_STEPS:
         raise ConfigurationError(

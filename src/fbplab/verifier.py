@@ -32,7 +32,7 @@ from .spectral import (CosineSeries, Field2D, Grid, _trapezoid_weights,
                        analyze_columns, constant_field, x_derivative_columns,
                        x_second_derivative)
 
-# tolerances at the default resolution; quadrature-based residuals halve
+# the verdict tolerances, fixed for every run; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
 WEAK_TOL = 1e-6
 ENTROPY_TOL = 1e-6
@@ -213,7 +213,6 @@ class VerificationReport:
     """Per-condition outcomes with worst residuals and their grid locations."""
 
     checks: list[CheckResult]
-    tolerances: dict
     grid_summary: str
 
     def __post_init__(self):
@@ -338,7 +337,7 @@ def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndar
 # individual checks
 
 
-def weak_residual(triple: SolutionTriple, u0: np.ndarray, tests=None) -> float:
+def weak_residual(triple: SolutionTriple, u0: np.ndarray) -> float:
     """Worst |weak-form defect| of u_t = v_xx over the final-zero test family.
 
     Uses the standard pairing of flux gradient with test gradient; the time
@@ -349,11 +348,9 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray, tests=None) -> float:
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n_x,):
         raise GridMismatchError("initial datum does not match the triple's grid")
-    if tests is None:
-        tests = default_weak_tests()
     vx = _v_x(triple.v)
     worst = 0.0
-    for test in tests:
+    for test in default_weak_tests():
         inner = np.trapezoid(triple.u.values * test.psi_t(grid) - vx * test.psi_x(grid),
                              grid.x, axis=0)
         bulk = float(running_simpson(inner, grid.dt)[-1])
@@ -430,12 +427,11 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
                     float(grid.x[i_tv]), float(grid.T_end),
                     note="reported bound, not asserted"),
     ]
-    return VerificationReport(checks, {"monotone_tol": tol},
-                              _grid_summary(grid))
+    return VerificationReport(checks, _grid_summary(grid))
 
 
 def structural_check(triple: SolutionTriple, u0: np.ndarray,
-                     params: PhaseParams, tol: float = MONOTONE_TOL) -> VerificationReport:
+                     params: PhaseParams) -> VerificationReport:
     """Defining clauses of the superposed-solution class, checked on the grid; the
     state-evolution identity integrates v_xx in time with ``running_simpson``."""
     grid = triple.grid
@@ -459,7 +455,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
 
     low = params.A - v
     val, xw, tw = _argworst(-low, grid, take_min=True)  # min of (v - A)
-    checks.append(CheckResult("flux-above-lower-critical", bool(-val <= tol),
+    checks.append(CheckResult("flux-above-lower-critical", bool(-val <= MONOTONE_TOL),
                               float(np.max(low)), xw, tw))
 
     bad_upper = (v > params.B + 1e-12) & (lam < 1.0 - 1e-6)
@@ -501,10 +497,8 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
 
     lam_t = triple.weight_rate()
     val, xw, tw = _argworst(lam_t, grid, take_min=True)
-    checks.append(CheckResult("weight-rate-sign", bool(val >= -tol), val, xw, tw))
-
-    tols = {"algebraic": ALGEBRAIC_TOL, "quadrature": WEAK_TOL, "sign": tol}
-    return VerificationReport(checks, tols, _grid_summary(grid))
+    checks.append(CheckResult("weight-rate-sign", bool(val >= -MONOTONE_TOL), val, xw, tw))
+    return VerificationReport(checks, _grid_summary(grid))
 
 
 def viscous_entropy_audit(eps_sol: EpsSolution, params: PhaseParams,
@@ -565,33 +559,24 @@ def _grid_summary(grid: Grid) -> str:
 # the full battery
 
 
-def run_triple_battery(triple: SolutionTriple, u0: np.ndarray, params: PhaseParams,
-                       fluxes: list[EntropyFlux] | None = None,
-                       entropy_tests=None, weak_tests=None,
-                       weak_tol: float = WEAK_TOL,
-                       entropy_tol: float = ENTROPY_TOL,
-                       certificate_tol: float = CERTIFICATE_TOL,
-                       identity_tol: float = IDENTITY_TOL) -> VerificationReport:
-    """All admissibility checks for one triple, on the grid it carries.
+def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
+                       params: PhaseParams) -> VerificationReport:
+    """All admissibility checks for one triple, on the grid it carries, against
+    the default fluxes and test functions and the module's fixed tolerances.
 
     Callers verifying a certified construction should pass the restricted
     triple; sweeps past the horizon are expected to flag the range clauses.
     """
     grid = triple.grid
-    if fluxes is None:
-        fluxes = default_flux_battery()
-    if entropy_tests is None:
-        entropy_tests = default_entropy_tests(grid.L, grid.T_end)
-    if weak_tests is None:
-        weak_tests = default_weak_tests()
+    fluxes = default_flux_battery()
+    entropy_tests = default_entropy_tests(grid.L, grid.T_end)
 
-    report = structural_check(triple, u0, params)
-    checks = list(report.checks)
+    checks = list(structural_check(triple, u0, params).checks)
     checks.extend(monotonicity_report(triple, params).checks)
 
-    wr = weak_residual(triple, u0, weak_tests)
-    checks.append(CheckResult("weak-form", wr <= weak_tol, wr, np.nan, np.nan,
-                              note=f"max over {len(weak_tests)} final-zero tests"))
+    wr = weak_residual(triple, u0)
+    checks.append(CheckResult("weak-form", wr <= WEAK_TOL, wr, np.nan, np.nan,
+                              note=f"max over {len(default_weak_tests())} final-zero tests"))
 
     v = triple.v.values
     vx = _v_x(triple.v)
@@ -611,21 +596,17 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray, params: PhasePara
         if has_identity:
             worst_ident = max(worst_ident,
                               _identity_defect(grid, vxx, gv, gstar, lam_t, certificate))
-    checks.append(CheckResult("entropy-inequality", worst_entropy >= -entropy_tol,
+    checks.append(CheckResult("entropy-inequality", worst_entropy >= -ENTROPY_TOL,
                               float(worst_entropy), np.nan, np.nan,
                               note=f"min over {len(fluxes)} fluxes x "
                                    f"{len(entropy_tests)} tests"))
-    checks.append(CheckResult("pointwise-certificate", worst_cert >= -certificate_tol,
+    checks.append(CheckResult("pointwise-certificate", worst_cert >= -CERTIFICATE_TOL,
                               float(worst_cert), np.nan, np.nan))
-    checks.append(CheckResult("certificate-identity", worst_ident <= identity_tol,
+    checks.append(CheckResult("certificate-identity", worst_ident <= IDENTITY_TOL,
                               float(worst_ident), np.nan, np.nan,
                               note="centered-difference identity defect" if has_identity
                               else f"needs three time samples, window has {grid.n_t}"))
-
-    tols = {"weak": weak_tol, "entropy": entropy_tol,
-            "certificate": certificate_tol, "identity": identity_tol,
-            "algebraic": ALGEBRAIC_TOL, "sign": MONOTONE_TOL}
-    return VerificationReport(checks, tols, _grid_summary(grid))
+    return VerificationReport(checks, _grid_summary(grid))
 
 
 # ---------------------------------------------------------------------------

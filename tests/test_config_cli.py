@@ -62,6 +62,15 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             Margins(delta=0.0)
 
+    @pytest.mark.parametrize("bad", [{"delta": float("nan")}, {"delta": float("inf")},
+                                     {"tol": float("nan")}, {"tol": float("inf")}])
+    def test_nonfinite_margins(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            Margins(**bad)
+
+    def test_margins_hold_only_construction_values(self):
+        assert [f.name for f in dataclasses.fields(Margins)] == ["delta", "tol"]
+
     def test_final_datum_series(self):
         datum = FinalDatum(0.1, (1, 3))
         coeffs = datum.series(np.pi).coeffs
@@ -102,14 +111,50 @@ class TestCounterexampleCommand:
         assert main(["counterexample", "--config", str(path)]) == 2
 
     def test_failed_battery_exits_1(self, small_config, tmp_path):
-        # an unreachable weak tolerance flips every triple to FAIL
+        # a source of 300 leaves its triple no certified time after t = 0, so
+        # only the baseline passes: one passing triple is no demonstration
         cfg, _ = small_config
-        cfg = dataclasses.replace(cfg, margins=Margins(weak_tol=1e-20),
+        cfg = dataclasses.replace(cfg, sources=((300.0,),),
                                   output_dir=tmp_path / "strict")
         path = tmp_path / "strict.ini"
         cfg.to_file(path)
         assert main(["counterexample", "--config", str(path)]) == 1
         assert "FAILURE" in (tmp_path / "strict" / "summary.txt").read_text()
+
+    @pytest.fixture()
+    def coarse_reference(self, tmp_path):
+        cfg = dataclasses.replace(ScenarioConfig.default(),
+                                  grid=Grid(L=np.pi, T_end=1.0, n_x=32, n_t=16, n_modes=8),
+                                  output_dir=tmp_path / "coarse")
+        path = tmp_path / "coarse.ini"
+        cfg.to_file(path)
+        return path
+
+    def test_coarse_reference_fails(self, coarse_reference, tmp_path):
+        assert main(["counterexample", "--config", str(coarse_reference)]) == 1
+        assert (tmp_path / "coarse" / "summary.txt").read_text().endswith("FAILURE\n")
+
+    def test_verdict_tolerances_not_settable(self, coarse_reference, tmp_path, capsys):
+        # the same coarse run, with every retired tolerance set to inf: the
+        # file is refused instead of turning FAILURE into SUCCESS
+        retired = ("weak_tol", "entropy_tol", "certificate_tol", "identity_tol")
+        text = coarse_reference.read_text()
+        assert text.count("[margins]\n") == 1
+        coarse_reference.write_text(text.replace(
+            "[margins]\n", "[margins]\n" + "".join(f"{k} = inf\n" for k in retired)))
+        assert main(["counterexample", "--config", str(coarse_reference)]) == 2
+        err = capsys.readouterr().err
+        assert all(k in err for k in retired)
+        assert not (tmp_path / "coarse").exists()
+
+    @pytest.mark.parametrize("key, value", [("delta", "nan"), ("tol", "inf")])
+    def test_nonfinite_margin_exits_2(self, small_config, tmp_path, key, value):
+        cfg, path = small_config
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["counterexample", "--config", str(path)]) == 2
+        assert not Path(cfg.output_dir).exists()
 
     def test_zero_horizon_triple_fails_closed(self, small_config, tmp_path):
         # a source of 300 drives the weight to one within two time samples:

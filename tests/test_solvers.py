@@ -273,9 +273,19 @@ class TestPseudoparabolic:
                               small.x, axis=0)
         assert np.all(np.diff(energy) <= 0.0)
 
-    def test_oversized_step_rejected(self, params, grid):
-        with pytest.raises(ConfigurationError, match="eps/4"):
-            solve_pseudoparabolic(np.full(grid.n_x, 0.1), 0.01, params, grid, dt=0.01)
+    @pytest.mark.parametrize("slope, refused", [(40.0, True), (10.0, False)])
+    def test_steep_branch_guard(self, grid, slope, refused):
+        # at eps = 0.01 the step is eps/4-capped; slope 40 pushes the fastest
+        # mode past RK4's stability region, slope 10 stays inside it
+        steep = PhaseParams(b=-1.0, c=1.0, A=-1.0, B=1.0, alpha1=slope, alpha2=slope,
+                            gamma1=1.0 + slope, gamma2=-1.0 - slope)
+        u0 = 2.0 + 0.1 * np.cos(grid.x)
+        if refused:
+            with pytest.raises(ConfigurationError, match="branch slope 40 .*eps/4"):
+                solve_pseudoparabolic(u0, 0.01, steep, grid)
+        else:
+            sol = solve_pseudoparabolic(u0, 0.01, steep, grid)
+            assert np.all(np.isfinite(sol.u_eps.values))
 
     def test_step_budget_guard(self, params, grid):
         with pytest.raises(ConfigurationError):

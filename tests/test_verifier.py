@@ -272,7 +272,7 @@ class TestReports:
     def test_duplicate_names_rejected(self):
         c = CheckResult("x", True, 0.0, 0.0, 0.0)
         with pytest.raises(ConfigurationError):
-            VerificationReport([c, c], {}, "g")
+            VerificationReport([c, c], "g")
 
     def test_csv_serialization(self, restricted_family, backward, params, tmp_path):
         rep = structural_check(restricted_family[0], backward.u0, params)
