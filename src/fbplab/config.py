@@ -11,8 +11,10 @@ Sections and keys::
     [output]     dir
 
 Key case is significant (the phase section distinguishes A from alpha1's a).
-The tolerances that decide a verdict are fixed in ``verifier``: a file cannot
-set them, and any other ``[margins]`` key is a configuration error.
+A key a section does not list is a configuration error (``[sources]`` keys are
+free names), so a misspelt key cannot silently run a different scenario.  The
+tolerances that decide a verdict are fixed in ``verifier``: a file cannot set
+them in ``[margins]``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .spectral import CosineSeries, Grid
 
 PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2", "gamma1", "gamma2")
 MARGIN_KEYS = ("delta", "tol")
+#: the keys each section accepts; ``[sources]`` names its sources freely
+SECTION_KEYS = {"phase": PHASE_KEYS, "grid": ("L", "T_end", "n_x", "n_t", "n_modes"),
+                "final_datum": ("amplitude", "modes"), "margins": MARGIN_KEYS,
+                "regularization": ("eps",), "output": ("dir",)}
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,21 @@ class ScenarioConfig:
     def from_file(cls, path) -> "ScenarioConfig":
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keep key case: A vs alpha
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:  # a duplicate key, a line outside any section
+            raise ConfigurationError(f"bad scenario file {path}: {exc}") from exc
         if not read:
             raise ConfigurationError(f"cannot read config file {path}")
+        for section, keys in SECTION_KEYS.items():
+            present = parser[section] if parser.has_section(section) else {}
+            unknown = [k for k in present if k not in keys]
+            if unknown:
+                note = (" (the verdict tolerances are fixed in verifier)"
+                        if section == "margins" else "")
+                raise ConfigurationError(
+                    f"bad scenario file {path}: [{section}] takes only "
+                    f"{', '.join(keys)}, not {', '.join(unknown)}{note}")
         try:
             phase = PhaseParams(**{k: parser.getfloat("phase", k) for k in PHASE_KEYS})
             gsec = parser["grid"]
@@ -111,11 +129,6 @@ class ScenarioConfig:
                             for raw in parser["sources"].values())
             eps_list = tuple(float(v) for v in _split(parser["regularization"]["eps"]))
             msec = parser["margins"] if parser.has_section("margins") else {}
-            unknown = [k for k in msec if k not in MARGIN_KEYS]
-            if unknown:
-                raise ConfigurationError(
-                    f"bad scenario file {path}: [margins] takes only delta and tol, not "
-                    f"{', '.join(unknown)} (the verdict tolerances are fixed in verifier)")
             margins = Margins(**{k: float(msec[k]) for k in MARGIN_KEYS if k in msec})
             out = Path(parser.get("output", "dir", fallback="out"))
         except (KeyError, ValueError, configparser.Error) as exc:

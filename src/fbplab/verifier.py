@@ -342,19 +342,21 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray) -> float:
 
     Uses the standard pairing of flux gradient with test gradient; the time
     quadrature is composite Simpson (``running_simpson``), fourth order because
-    the final-zero tests do not vanish at t = 0.
+    the final-zero tests do not vanish at t = 0.  psi = X(x) T(t), so the x
+    integral is T'(t) (w X) @ u - T(t) (w X') @ v_x with trapezoid weights w.
     """
     grid = triple.grid
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n_x,):
         raise GridMismatchError("initial datum does not match the triple's grid")
     vx = _v_x(triple.v)
+    wx = _trapezoid_weights(grid.n_x, grid.L)
     worst = 0.0
     for test in default_weak_tests():
-        inner = np.trapezoid(triple.u.values * test.psi_t(grid) - vx * test.psi_x(grid),
-                             grid.x, axis=0)
+        xpart, xslope, tpart, tslope = test.factors(grid)
+        inner = tslope * ((wx * xpart) @ triple.u.values) - tpart * ((wx * xslope) @ vx)
         bulk = float(running_simpson(inner, grid.dt)[-1])
-        initial = float(np.trapezoid(u0 * test.psi(grid)[:, 0], grid.x))
+        initial = float(tpart[0] * ((wx * xpart) @ u0))
         worst = max(worst, abs(bulk + initial))
     return worst
 

@@ -58,6 +58,31 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig.from_file(path)
 
+    @pytest.mark.parametrize("section, key, value", [("grid", "n_mode", "64"),
+                                                     ("output", "directory", "elsewhere")])
+    def test_unknown_key_refused(self, small_config, capsys, section, key, value):
+        # a misspelt key would otherwise be ignored and a different scenario run
+        cfg, path = small_config
+        assert ScenarioConfig.from_file(path).grid == cfg.grid
+        text = path.read_text()
+        assert text.count(f"[{section}]\n") == 1
+        path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+        with pytest.raises(ConfigurationError, match=rf"\[{section}\].*\b{key}\b"):
+            ScenarioConfig.from_file(path)
+        assert main(["counterexample", "--config", str(path)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("text", ["[grid]\nn_x = 64\nn_x = 32\n", "n_x = 64\n[grid]\n"],
+                             ids=["duplicate-key", "no-section"])
+    def test_malformed_file_refused(self, tmp_path, text):
+        # a parse error is a configuration error (exit 2), not a traceback
+        path = tmp_path / "malformed.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="bad scenario file"):
+            ScenarioConfig.from_file(path)
+        assert main(["counterexample", "--config", str(path)]) == 2
+
     def test_invalid_margins(self):
         with pytest.raises(ConfigurationError):
             Margins(delta=0.0)

@@ -1,5 +1,7 @@
 """Solver contracts, each checked against an independent oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,57 @@ class TestPseudoparabolic:
         energy = np.trapezoid(entropy_primitive(params, EntropyFlux.identity(), u),
                               small.x, axis=0)
         assert np.all(np.diff(energy) <= 0.0)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    def test_exact_stepping_matches_closed_form(self, params, grid, backward, eps):
+        # the backward datum keeps the middle branch, where mode 1 grows as
+        # exp(|phi0'| t/(1 + eps)) and every other mode stays put
+        sol = solve_pseudoparabolic(backward.u0, eps, params, grid)
+        a0, a1 = sol.u_modes[:2, 0]
+        exact = a0 + (a1 * np.exp(abs(params.phi0_slope) * grid.t / (1.0 + eps))[None, :]
+                      * np.cos(grid.x)[:, None])
+        assert np.max(np.abs(sol.u_eps.values - exact)) <= 1e-14
+        assert np.all(sol.u_modes[0] == a0)
+        assert np.all(sol.u_modes[2:] == 0.0)
+
+    def test_exact_step_guards_the_overflow_exponent(self, params):
+        # mode 64 would grow by e^1453 over one interval, but its coefficient
+        # is zero: it stays zero and no floating-point warning is raised
+        eps, coarse = 1e-4, Grid(L, 1.0, 128, 3, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_pseudoparabolic(0.05 * np.cos(coarse.x), eps, params, coarse)
+        assert np.all(sol.u_modes[2:] == 0.0)
+        np.testing.assert_allclose(sol.u_modes[1], 0.05 * np.exp(coarse.t / (1.0 + eps)),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("amplitude, exact", [(0.9, False), (0.5, True)])
+    def test_exact_step_needs_the_drift_certificate(self, params, monkeypatch,
+                                                    amplitude, exact):
+        # one interval of length 0.5 from a cos x in the middle branch: the
+        # drift bound of 0.9 cos x reaches c = 1, so that interval runs the
+        # 200 RK4 sub-steps (4 flux evaluations each) and crosses into a stable
+        # branch; 0.5 cos x stays below c and takes the exact step
+        import fbplab.solvers as solvers
+        flux_modes = solvers._flux_modes
+        calls, pointwise = [], []
+
+        def counting_flux(*args):
+            calls.append(1)
+            return flux_modes(*args)
+
+        def counting_phi(p, u):
+            pointwise.append(u.size)
+            return eval_phi(p, u)
+
+        monkeypatch.setattr(solvers, "_flux_modes", counting_flux)
+        monkeypatch.setattr(solvers, "eval_phi", counting_phi)
+        one_step = Grid(L, 0.5, 64, 2, 16)
+        sol = solve_pseudoparabolic(amplitude * np.cos(one_step.x), 1e-2, params, one_step)
+        n_sub = 200  # ceil(dt / (eps / 4))
+        assert len(calls) == (0 if exact else 4 * n_sub) + one_step.n_t
+        assert bool(pointwise) is not exact
+        assert (sol.u_eps.values.max() > params.c) is not exact
 
     @pytest.mark.parametrize("slope, refused", [(40.0, True), (10.0, False)])
     def test_steep_branch_guard(self, grid, slope, refused):
