@@ -15,6 +15,9 @@ pointwise admissibility certificate is the nonnegative quantity
 
 Every three-branch dispatch reads one affine table, ``PhaseParams.branches``, and
 one index rule, ``PhaseParams.branch_index``; phi and G evaluate only each sample's branch.
+On A <= v <= B the branch images need no dispatch: phi maps beta0(v) and
+beta2(v) back to v, so ``branch_image_primitives`` forms both G values as
+affine images of one primitive Gamma(v) of g.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -307,25 +310,55 @@ class EntropyFlux:
         return _scalar_like(v, out)
 
 
+def _branch_piece(params: PhaseParams, flux: EntropyFlux, glue: np.ndarray, i, s):
+    """Branch i's antiderivative of g(phi(.)): Gamma(phi_i(s))/slope[i] + glue[i]."""
+    table = params.branches
+    m = table.slope[i]
+    return flux.antiderivative(m * s + table.intercept[i]) / m + glue[i]
+
+
+def _gluing(params: PhaseParams, flux: EntropyFlux):
+    """Each branch's gluing constant glue[i]*Gamma(knot[i]), and W(0), which G subtracts."""
+    table = params.branches
+    glue = flux.antiderivative(table.knot) * table.glue
+    return glue, _branch_piece(params, flux, glue, params.branch_index(0.0), 0.0)
+
+
 def _branch_primitive(params: PhaseParams, flux: EntropyFlux, u: np.ndarray) -> np.ndarray:
-    """Antiderivative W of g(phi(.)), continuous across the breakpoints.
+    """W(u) - W(0), with W an antiderivative of g(phi(.)) continuous across the breakpoints.
 
     On each affine piece phi(s) = m*s + q an antiderivative of g(phi(s)) is
     Gamma(phi(s))/m plus the piece's gluing constant, with Gamma a primitive
     of g; only the branch of each sample is evaluated.
     """
-    table, i = params.branches, params.branch_index(u)
-    m = table.slope[i]
-    glue = flux.antiderivative(table.knot) * table.glue
-    return flux.antiderivative(m * u + table.intercept[i]) / m + glue[i]
+    glue, w0 = _gluing(params, flux)
+    return _branch_piece(params, flux, glue, params.branch_index(u), u) - w0
 
 
 def entropy_primitive(params: PhaseParams, flux: EntropyFlux, u):
     """G(u) = int_0^u g(phi(s)) ds, in closed form (additive constant fixed to 0)."""
     arr = _check_finite(u, "entropy-primitive argument")
-    w = _branch_primitive(params, flux, np.append(arr, 0.0))   # W(u) and W(0)
-    out = np.reshape(w[:-1] - w[-1], np.shape(arr))
-    return _scalar_like(u, out)
+    return _scalar_like(u, _branch_primitive(params, flux, arr))
+
+
+def branch_image_primitives(params: PhaseParams, flux: EntropyFlux, v):
+    """(G(beta0(v)), G(beta2(v))) from one Gamma(v) when A <= v <= B.
+
+    phi maps both branch images back to v, so G(beta_i(v)) is
+    Gamma(v)/slope[i] + (glue[i] Gamma(knot[i]) - W(0)) for i = 0 and 2.  At
+    v = B, beta0 lands on b, which the index rule gives to branch 1; the
+    gluing constant makes the two forms agree there, as at v = A.  A field
+    with any sample outside [A, B] (or not finite) goes whole through
+    ``entropy_primitive`` on the affine continuations.
+    """
+    arr = np.asarray(v, dtype=float)
+    if arr.size and not (params.A <= np.min(arr) and np.max(arr) <= params.B):
+        return (entropy_primitive(params, flux, beta0_extended(params, arr)),
+                entropy_primitive(params, flux, beta2_extended(params, arr)))
+    glue, w0 = _gluing(params, flux)
+    gamma = flux.antiderivative(arr)
+    slope = params.branches.slope
+    return tuple(_scalar_like(v, gamma / slope[i] + (glue[i] - w0)) for i in (0, 2))
 
 
 def certificate_integrand(params: PhaseParams, flux: EntropyFlux, v):
@@ -341,8 +374,7 @@ def certificate_integrand(params: PhaseParams, flux: EntropyFlux, v):
 def certificate_integrand_extended(params: PhaseParams, flux: EntropyFlux, v):
     """Certificate integrand through the affine continuations, no domain check."""
     arr = np.asarray(v, dtype=float)
-    g0 = entropy_primitive(params, flux, beta0_extended(params, arr))
-    g2 = entropy_primitive(params, flux, beta2_extended(params, arr))
+    g0, g2 = branch_image_primitives(params, flux, arr)
     out = certificate_from_primitives(params, arr, g0, g2, flux.value(arr))
     return _scalar_like(v, np.asarray(out))
 

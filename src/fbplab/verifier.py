@@ -9,23 +9,25 @@ pointwise sign certificate and its defining identity, weight monotonicity with
 bounded variation, and pairwise distinctness of solutions.
 
 The battery makes one entropy pass per flux: G(beta0(v)) and G(beta2(v)) are
-evaluated once and feed the entropy, certificate and identity checks; each
-entropy integral contracts the fields with separable test factors X(x) T(t).
+affine images of one primitive Gamma(v) of g on a certified field (the closed
+form of ``branch_image_primitives``) and feed the entropy, certificate and
+identity checks, which share the product lambda_t * certificate; each entropy
+integral contracts the fields with separable test factors X(x) T(t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .counterexample import SolutionTriple, assemble_state
+from .counterexample import SolutionTriple, assemble_state, construct_family
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended,
-                          certificate_from_primitives, entropy_primitive,
-                          eval_phi)
+                          branch_image_primitives, certificate_from_primitives,
+                          entropy_primitive, eval_phi)
 from .solvers import (EpsSolution, solve_pseudoparabolic,
                       solve_unstable_backward)
 from .spectral import (CosineSeries, Field2D, Grid, _trapezoid_weights,
@@ -298,8 +300,7 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, flux: EntropyFlux):
     """g(v), G* = (1-lam) G(beta0(v)) + lam G(beta2(v)) and the sign certificate."""
     v = triple.v.values
     lam = triple.lam.values
-    g0 = entropy_primitive(params, flux, beta0_extended(params, v))
-    g2 = entropy_primitive(params, flux, beta2_extended(params, v))
+    g0, g2 = branch_image_primitives(params, flux, v)
     gv = flux.value(v)
     return gv, (1.0 - lam) * g0 + lam * g2, certificate_from_primitives(params, v, g0, g2, gv)
 
@@ -326,11 +327,12 @@ def _entropy_integrals(flux: EntropyFlux, v: np.ndarray, vx: np.ndarray, gv: np.
 
 
 def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndarray,
-                     lam_t: np.ndarray, certificate: np.ndarray) -> float:
-    """max |g(v) v_xx - (G*)_t - lambda_t * certificate| over interior time samples."""
+                     rate_cert: np.ndarray) -> float:
+    """max |g(v) v_xx - (G*)_t - rate_cert| over interior time samples, where
+    rate_cert is the product lambda_t * certificate."""
     gstar_t = (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
     lhs = gv[:, 1:-1] * vxx[:, 1:-1] - gstar_t
-    return float(np.max(np.abs(lhs - lam_t[:, 1:-1] * certificate[:, 1:-1])))
+    return float(np.max(np.abs(lhs - rate_cert[:, 1:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +396,7 @@ def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
         raise ConfigurationError("identity check needs at least three time samples")
     gv, gstar, certificate = _flux_pass(triple, params, flux)
     return _identity_defect(grid, x_second_derivative(triple.v), gv, gstar,
-                            triple.weight_rate(), certificate)
+                            triple.weight_rate() * certificate)
 
 
 def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
@@ -594,10 +596,10 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
         gv, gstar, certificate = _flux_pass(triple, params, flux)
         worst_entropy = min(worst_entropy,
                             *_entropy_integrals(flux, v, vx, gv, gstar, weighted))
-        worst_cert = min(worst_cert, float(np.min(lam_t * certificate)))
+        rate_cert = lam_t * certificate
+        worst_cert = min(worst_cert, float(np.min(rate_cert)))
         if has_identity:
-            worst_ident = max(worst_ident,
-                              _identity_defect(grid, vxx, gv, gstar, lam_t, certificate))
+            worst_ident = max(worst_ident, _identity_defect(grid, vxx, gv, gstar, rate_cert))
     checks.append(CheckResult("entropy-inequality", worst_entropy >= -ENTROPY_TOL,
                               float(worst_entropy), np.nan, np.nan,
                               note=f"min over {len(fluxes)} fluxes x "
@@ -623,7 +625,8 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
     """
     params = params or PhaseParams.default()
     grid = Grid(np.pi, 1.0, 64, 97, 16)
-    back = solve_unstable_backward(CosineSeries(np.pi, [0.0, 0.1]), params, grid)
+    final = CosineSeries(np.pi, [0.0, 0.1])
+    back = solve_unstable_backward(final, params, grid)
     v_base = back.v_bar
     u0 = back.u0
     results = []
@@ -694,5 +697,22 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
     worst = viscous_entropy_audit(reversed_sol, params, [EntropyFlux.identity()])
     results.append(("reversed-relaxation-flow", worst < -ENTROPY_TOL,
                     f"viscous residual {worst:.2e}"))
+
+    # 7. time-reversed baseline: forward diffusion in the unstable branch
+    reversed_base = SolutionTriple(
+        Field2D(grid, back.u_bar.values[:, ::-1], "control state"),
+        Field2D(grid, v_base.values[:, ::-1], "control flux"),
+        zero, grid.T_end, "control", lam_t=zero)
+    rep = run_triple_battery(reversed_base, reversed_base.u.values[:, 0], params)
+    results.append(("reversed-baseline", not rep.entry("entropy-inequality").passed,
+                    f"entropy residual {rep.entry('entropy-inequality').residual:.2e}"))
+
+    # 8. a certified sourced triple whose weight rate is doubled
+    sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)[1].restricted()
+    doubled = replace(sourced, lam_t=Field2D(sourced.grid, 2.0 * sourced.lam_t.values,
+                                             "control weight rate"))
+    rep = run_triple_battery(doubled, u0, params)
+    results.append(("doubled-weight-rate", not rep.entry("certificate-identity").passed,
+                    f"identity defect {rep.entry('certificate-identity').residual:.2e}"))
 
     return results

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fbplab.errors import DomainViolationError
-from fbplab.phase_model import (EntropyFlux, PhaseParams, branch_gap,
-                                branch_gap_extended, certificate_integrand,
+from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended,
+                                beta2_extended, branch_gap, branch_gap_extended,
+                                branch_image_primitives, certificate_integrand,
                                 entropy_primitive, eval_beta, eval_phi)
+from fbplab.verifier import default_flux_battery
 
 FLUXES = [EntropyFlux.identity(), EntropyFlux.clamp(-0.4, 0.7),
           EntropyFlux.saturating(0.5), EntropyFlux.constant(2.0)]
@@ -234,6 +236,71 @@ class TestBranchTable:
             entropy_primitive(params, flux, u)
             # the samples, W(0) and the three gluing knots
             assert u.size < sum(seen) <= u.size + 4, flux.label()
+            # both branch images of the critical interval from one Gamma(v)
+            seen.clear()
+            branch_image_primitives(params, flux, np.linspace(params.A, params.B, u.size))
+            assert sum(seen) == u.size + 4, flux.label()
+
+
+DIAGRAMS = [PhaseParams.default(),
+            PhaseParams.from_critical_values(-0.5, 2.0, -2.0, 1.0, 0.7, 1.8)]
+DIAGRAM_IDS = ["unit", "nonunit"]
+
+
+@pytest.mark.parametrize("p", DIAGRAMS, ids=DIAGRAM_IDS)
+class TestPrimitiveShapes:
+    """0-d inputs give floats and empty fields keep their shape."""
+
+    def test_zero_dimensional_and_empty_inputs(self, p):
+        for flux in FLUXES:
+            for u in (p.b - 1.0, 0.5 * (p.b + p.c), p.c + 1.0):
+                row = entropy_primitive(p, flux, np.array([u]))
+                for scalar in (u, np.float64(u), np.array(u)):
+                    got = entropy_primitive(p, flux, scalar)
+                    assert isinstance(got, float) and got == row[0]
+            assert entropy_primitive(p, flux, np.array([])).shape == (0,)
+            assert entropy_primitive(p, flux, np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("p", DIAGRAMS, ids=DIAGRAM_IDS)
+class TestBranchImagePrimitives:
+    """G(beta0(v)) and G(beta2(v)) from one Gamma(v) on the critical interval."""
+
+    def test_matches_the_general_path(self, p):
+        v = np.concatenate([[p.A, p.B], np.linspace(p.A, p.B, 1001)])
+        for flux in default_flux_battery():
+            g0, g2 = branch_image_primitives(p, flux, v)
+            # G(beta0(v)) passes through G(0) = 0, where a relative bound
+            # alone means nothing; 1e-14 is a few ulps of the O(1) values
+            np.testing.assert_allclose(g0, entropy_primitive(p, flux, beta0_extended(p, v)),
+                                       rtol=1e-13, atol=1e-14, err_msg=flux.label())
+            np.testing.assert_allclose(g2, entropy_primitive(p, flux, beta2_extended(p, v)),
+                                       rtol=1e-13, atol=1e-14, err_msg=flux.label())
+
+    def test_outside_the_interval_falls_back_bitwise(self, p):
+        inside = np.linspace(p.A, p.B, 64)
+        for stray in (p.A - 0.25, p.B + 0.25):
+            v = np.append(inside, stray)
+            for flux in default_flux_battery():
+                g0, g2 = branch_image_primitives(p, flux, v)
+                assert np.array_equal(g0, entropy_primitive(p, flux, beta0_extended(p, v)))
+                assert np.array_equal(g2, entropy_primitive(p, flux, beta2_extended(p, v)))
+
+    def test_nonfinite_field_rejected(self, p):
+        with pytest.raises(DomainViolationError):
+            branch_image_primitives(p, EntropyFlux.identity(),
+                                    np.array([p.A, np.nan, p.B]))
+
+    def test_zero_dimensional_and_empty_inputs(self, p):
+        flux = EntropyFlux.saturating(0.5)
+        for v in (p.A, 0.5 * (p.A + p.B), p.B, p.B + 1.0):
+            rows = branch_image_primitives(p, flux, np.array([v]))
+            for scalar in (v, np.array(v)):
+                got = branch_image_primitives(p, flux, scalar)
+                assert all(isinstance(g, float) for g in got)
+                assert got == (rows[0][0], rows[1][0])
+        for empty in (np.array([]), np.empty((3, 0))):
+            assert [g.shape for g in branch_image_primitives(p, flux, empty)] == [empty.shape] * 2
 
 
 class TestCertificate:

@@ -121,6 +121,22 @@ class TestOneEntropyPass:
             assert rep.entry("pointwise-certificate").residual == cert
             assert rep.entry("certificate-identity").residual == ident
 
+    def test_one_gamma_per_flux(self, restricted_family, backward, params, monkeypatch):
+        # G(beta0(v)) and G(beta2(v)) are affine images of one Gamma(v)
+        seen = []
+        original = EntropyFlux.antiderivative
+
+        def counting(self, v):
+            seen.append(np.size(v))
+            return original(self, v)
+
+        monkeypatch.setattr(EntropyFlux, "antiderivative", counting)
+        for triple in restricted_family:
+            seen.clear()
+            run_triple_battery(triple, backward.u0, params)
+            assert seen.count(triple.v.values.size) == len(default_flux_battery())
+            assert sum(seen) == len(default_flux_battery()) * (triple.v.values.size + 4)
+
     def test_battery_requires_weight_rate(self, restricted_family, backward, params):
         bare = SolutionTriple(restricted_family[1].u, restricted_family[1].v,
                               restricted_family[1].lam, 0.5, "x")
@@ -250,7 +266,7 @@ class TestDistinctness:
 class TestNegativeControls:
     def test_every_check_rejects_its_violator(self, params):
         results = negative_controls(params)
-        assert len(results) == 6
+        assert len(results) == 8
         for name, rejected, detail in results:
             assert rejected, f"{name} slipped through ({detail})"
 
