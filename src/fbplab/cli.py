@@ -61,7 +61,7 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
     out = Path(config.output_dir)
     params, grid, margins = config.phase, config.grid, config.margins
     family = construct_family(config.final_series(), config.source_series(),
-                              params, grid, delta=margins.delta, tol=margins.tol)
+                              params, grid, delta=margins.delta)
     u0 = family[0].u.values[:, 0]     # the datum every triple shares
 
     lines = ["multi-solution demonstration", verifier._grid_summary(grid), ""]

@@ -2,19 +2,20 @@
 
 Sections and keys::
 
-    [phase]      b, c, A, B, alpha1, alpha2, gamma1, gamma2
+    [phase]      b, c, A, B, alpha1, alpha2 (continuity fixes the intercepts)
     [grid]       L, T_end, n_x, n_t, n_modes
     [final_datum] amplitude, modes          (g = amplitude * sum_k cos(k pi x/L))
     [sources]    one key per source, each a comma list of cosine coefficients
-    [margins]    delta, tol                (construction margins, finite and positive)
+    [margins]    delta                     (construction margin, finite and positive)
     [regularization] eps
     [output]     dir
 
 Key case is significant (the phase section distinguishes A from alpha1's a).
 A key a section does not list is a configuration error (``[sources]`` keys are
 free names), so a misspelt key cannot silently run a different scenario.  The
-tolerances that decide a verdict are fixed in ``verifier``: a file cannot set
-them in ``[margins]``.
+tolerances that decide a verdict are fixed in ``verifier``, and the rate
+tolerance of certification in ``counterexample``; ``PhaseParams`` derives the
+outer-branch intercepts ``gamma1, gamma2`` from the six ``[phase]`` values.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ from .errors import ConfigurationError
 from .phase_model import PhaseParams
 from .spectral import CosineSeries, Grid
 
-PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2", "gamma1", "gamma2")
-MARGIN_KEYS = ("delta", "tol")
+PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2")
+MARGIN_KEYS = ("delta",)
 #: the keys each section accepts; ``[sources]`` names its sources freely
 SECTION_KEYS = {"phase": PHASE_KEYS, "grid": ("L", "T_end", "n_x", "n_t", "n_modes"),
                 "final_datum": ("amplitude", "modes"), "margins": MARGIN_KEYS,
                 "regularization": ("eps",), "output": ("dir",)}
+#: why a section refuses the keys that older scenario files carried
+RETIRED_NOTES = {"phase": " (continuity fixes the intercepts gamma1 and gamma2)",
+                 "margins": " (the verdict tolerances are fixed in verifier and the "
+                            "rate tolerance in counterexample)"}
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,12 @@ class FinalDatum:
 
 @dataclass(frozen=True)
 class Margins:
-    """Certification margins: they shape what gets constructed, not what passes."""
+    """The certification margin: it shapes what gets constructed, not what passes."""
 
     delta: float = 0.05
-    tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(math.isfinite(m) and m > 0 for m in (self.delta, self.tol)):
+        if not (math.isfinite(self.delta) and self.delta > 0):
             raise ConfigurationError("margins must be finite and positive")
 
 
@@ -111,8 +115,7 @@ class ScenarioConfig:
             present = parser[section] if parser.has_section(section) else {}
             unknown = [k for k in present if k not in keys]
             if unknown:
-                note = (" (the verdict tolerances are fixed in verifier)"
-                        if section == "margins" else "")
+                note = RETIRED_NOTES.get(section, "")
                 raise ConfigurationError(
                     f"bad scenario file {path}: [{section}] takes only "
                     f"{', '.join(keys)}, not {', '.join(unknown)}{note}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (ConfigurationError, DomainViolationError,
-                     NearSingularError)
+                     GridMismatchError, NearSingularError)
 from .phase_model import (PhaseParams, beta0_extended, beta2_extended,
                           branch_gap_extended)
 from .solvers import SourcedSolution, solve_sourced, solve_unstable_backward
@@ -31,6 +31,7 @@ from .spectral import (CosineSeries, Field2D, Grid, constant_field,
 
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
+RATE_TOL = 1e-8           # certification admits a weight rate down to -RATE_TOL
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class SolutionTriple:
     """State u, flux v and stable-phase weight lambda of one candidate solution.
 
     The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
-    certified horizon and ``lam_t`` the analytic time derivative of the weight
-    when the construction provides one.
+    certified horizon and ``lam_t`` the analytic time derivative of the weight.
+    All four fields live on one grid.
     """
 
     u: Field2D
@@ -47,17 +48,15 @@ class SolutionTriple:
     lam: Field2D
     t_bar: float
     provenance: str
-    lam_t: Field2D | None = None
+    lam_t: Field2D
+
+    def __post_init__(self):
+        if any(f.grid != self.u.grid for f in (self.v, self.lam, self.lam_t)):
+            raise GridMismatchError("u, v, lambda and lambda_t must share one grid")
 
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-    def weight_rate(self) -> np.ndarray:
-        """lambda_t: the analytic field when carried, else centered differences."""
-        if self.lam_t is not None:
-            return self.lam_t.values
-        return np.gradient(self.lam.values, self.grid.t, axis=1, edge_order=2)
 
     def restricted(self) -> "SolutionTriple":
         """The triple truncated to its certified horizon."""
@@ -65,8 +64,7 @@ class SolutionTriple:
         n_keep = max(2, min(n_keep, self.grid.n_t))
         return SolutionTriple(
             self.u.restrict(n_keep), self.v.restrict(n_keep), self.lam.restrict(n_keep),
-            self.t_bar, self.provenance,
-            self.lam_t.restrict(n_keep) if self.lam_t is not None else None)
+            self.t_bar, self.provenance, self.lam_t.restrict(n_keep))
 
 
 def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Field2D]:
@@ -113,25 +111,23 @@ def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
     return Field2D(v.grid, u, "assembled state")
 
 
-def certify_horizon(triple: SolutionTriple, params: PhaseParams,
-                    delta: float, tol: float,
+def certify_horizon(triple: SolutionTriple, params: PhaseParams, delta: float,
                     require_source_margin: bool = True) -> float:
     """Largest grid time through which all margin conditions hold.
 
     Conditions on the prefix rectangle: (i) gap(v) >= delta, (ii) m >= delta,
-    (iii) lambda in [0, 1-delta], (iv) lambda_t >= -tol, (v) A + delta < v <= B
+    (iii) lambda in [0, 1-delta], (iv) lambda_t >= -RATE_TOL, (v) A + delta < v <= B
     (a sample where v touches A + delta exactly is excluded).  Condition (ii)
     certifies growth of the weight and is waived for classical weight-zero
     solutions (``require_source_margin=False``), whose monotonicity clause
     holds identically.  Returns 0.0 when no positive time qualifies.
     """
-    t_bar, _ = certify_horizon_report(triple, params, delta, tol,
+    t_bar, _ = certify_horizon_report(triple, params, delta,
                                       require_source_margin=require_source_margin)
     return t_bar
 
 
-def certify_horizon_report(triple: SolutionTriple, params: PhaseParams,
-                           delta: float, tol: float,
+def certify_horizon_report(triple: SolutionTriple, params: PhaseParams, delta: float,
                            require_source_margin: bool = True):
     """As ``certify_horizon`` but also returns a per-condition diagnostic dict."""
     if delta <= 0:
@@ -140,7 +136,7 @@ def certify_horizon_report(triple: SolutionTriple, params: PhaseParams,
     v = triple.v.values
     lam = triple.lam.values
     gap = branch_gap_extended(params, v)
-    lam_t = triple.weight_rate()
+    lam_t = triple.lam_t.values
     rate_ok = np.ones_like(gap, dtype=bool)
     if require_source_margin:
         # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
@@ -151,7 +147,7 @@ def certify_horizon_report(triple: SolutionTriple, params: PhaseParams,
         "branch gap >= delta": gap >= delta,
         "excess rate m >= delta": rate_ok,
         "weight in [0, 1-delta]": (lam >= 0.0) & (lam <= 1.0 - delta),
-        "weight nondecreasing": lam_t >= -tol,
+        "weight nondecreasing": lam_t >= -RATE_TOL,
         "flux in (A+delta, B]": (v > params.A + delta) & (v <= params.B),
     }
     ok = np.ones(grid.n_t, dtype=bool)
@@ -196,8 +192,7 @@ def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
 
 
 def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
-                     grid: Grid, delta: float = 0.05,
-                     tol: float = 1e-8) -> list[SolutionTriple]:
+                     grid: Grid, delta: float = 0.05) -> list[SolutionTriple]:
     """Baseline plus one sourced triple per source, all sharing u(.,0).
 
     Sources must synthesize to values >= delta (the certification margin c2);
@@ -209,7 +204,7 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
     zero = constant_field(grid, 0.0, "stable-phase weight")
     baseline = SolutionTriple(back.u_bar, back.v_bar, zero, 0.0, "baseline",
                               lam_t=constant_field(grid, 0.0, "stable-phase weight rate"))
-    t_bar = certify_horizon(baseline, params, delta, tol, require_source_margin=False)
+    t_bar = certify_horizon(baseline, params, delta, require_source_margin=False)
     triples = [replace(baseline, t_bar=t_bar)]
 
     v0 = back.v_bar.values[:, 0]
@@ -228,6 +223,6 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         u = assemble_state(sol.v, lam, params)
         coeffs = ", ".join(format(c, "g") for c in f.as_float())
         triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t)
-        t_bar = certify_horizon(triple, params, delta, tol)
+        t_bar = certify_horizon(triple, params, delta)
         triples.append(replace(triple, t_bar=t_bar))
     return triples

@@ -4,8 +4,9 @@ The flux has three affine pieces: increasing outer branches
 ``phi1(u) = alpha1*u + gamma1`` on ``u <= b`` and ``phi2(u) = alpha2*u + gamma2``
 on ``u >= c``, joined by the decreasing middle branch
 ``phi0(u) = (A*(u - b) - B*(u - c)) / (c - b)`` on ``b < u < c``.
-The critical values ``A = phi2(c) < phi1(b) = B`` are where the branches meet,
-and ``sigma = (c - b)/(A - B) < 0`` is the inverse slope of the middle branch.
+The critical values ``A = phi2(c) < phi1(b) = B`` are where the branches meet
+(so they fix gamma1 and gamma2), and ``sigma = (c - b)/(A - B) < 0`` is the
+inverse slope of the middle branch.
 
 Each branch has an affine inverse: ``beta1`` on v <= B, ``beta2`` on v >= A,
 and the decreasing ``beta0`` on A <= v <= B.  The entropy machinery pairs a
@@ -30,8 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainViolationError
-
-_CONSISTENCY_TOL = 1e-9
 
 
 def _check_finite(values, what: str):
@@ -65,22 +64,20 @@ class PhaseParams:
     """Scalar constants of the phase diagram.
 
     ``b < c`` are the breakpoints in state (u) space, ``A < B`` the critical
-    values in flux (v) space, ``alpha1, alpha2 > 0`` the outer-branch slopes
-    and ``gamma1, gamma2`` their intercepts.  Continuity forces
-    ``alpha1*b + gamma1 = B`` and ``alpha2*c + gamma2 = A``.
+    values in flux (v) space and ``alpha1, alpha2 > 0`` the outer-branch
+    slopes.  These six numbers fix the flux: continuity at the breakpoints
+    forces the intercepts ``gamma1 = B - alpha1*b`` and ``gamma2 = A - alpha2*c``.
     """
 
     b: float
     c: float
     A: float
     B: float
-    alpha1: float
-    alpha2: float
-    gamma1: float
-    gamma2: float
+    alpha1: float = 1.0
+    alpha2: float = 1.0
 
     def __post_init__(self):
-        for name in ("b", "c", "A", "B", "alpha1", "alpha2", "gamma1", "gamma2"):
+        for name in ("b", "c", "A", "B", "alpha1", "alpha2"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainViolationError(f"PhaseParams.{name} must be finite")
         if not self.b < self.c:
@@ -89,23 +86,19 @@ class PhaseParams:
             raise DomainViolationError("require A < B")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise DomainViolationError("outer-branch slopes must be positive")
-        scale = max(abs(self.A), abs(self.B), 1.0)
-        if abs(self.alpha1 * self.b + self.gamma1 - self.B) > _CONSISTENCY_TOL * scale:
-            raise DomainViolationError("continuity violated at u = b (alpha1*b + gamma1 != B)")
-        if abs(self.alpha2 * self.c + self.gamma2 - self.A) > _CONSISTENCY_TOL * scale:
-            raise DomainViolationError("continuity violated at u = c (alpha2*c + gamma2 != A)")
-
-    @classmethod
-    def from_critical_values(cls, b: float, c: float, A: float, B: float,
-                             alpha1: float = 1.0, alpha2: float = 1.0) -> "PhaseParams":
-        """Build params with intercepts forced by continuity at the breakpoints."""
-        return cls(b=b, c=c, A=A, B=B, alpha1=alpha1, alpha2=alpha2,
-                   gamma1=B - alpha1 * b, gamma2=A - alpha2 * c)
 
     @classmethod
     def default(cls) -> "PhaseParams":
         """Unit-coefficient diagram: b=-1, c=1, A=-1, B=1, so phi0(u) = -u."""
-        return cls.from_critical_values(-1.0, 1.0, -1.0, 1.0)
+        return cls(-1.0, 1.0, -1.0, 1.0)
+
+    @property
+    def gamma1(self) -> float:  # continuity: phi1(b) = B
+        return self.B - self.alpha1 * self.b
+
+    @property
+    def gamma2(self) -> float:  # continuity: phi2(c) = A
+        return self.A - self.alpha2 * self.c
 
     @property
     def sigma(self) -> float:

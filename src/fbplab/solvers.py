@@ -348,7 +348,8 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     by the exact per-mode exponential (``_certified_branch``); any other
     interval by classic RK4 with steps of at most eps/4, which keeps every mode
     well inside the stability region for unit-slope branches.  The step budget
-    counts every interval as RK4.
+    counts RK4 steps only: the first interval that needs RK4 refuses the run
+    when RK4 on it and on every later interval would exceed the budget.
     """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
@@ -364,11 +365,6 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
         raise ConfigurationError(f"branch slope {slope_max:g} too steep for the RK4 "
                                  f"step {h:g} <= eps/4: the fastest mode is unstable")
-    total = n_sub * (grid.n_t - 1)
-    if total > _MAX_RK4_STEPS:
-        raise ConfigurationError(
-            f"{total} RK4 steps needed; increase eps, shorten T_end, or coarsen n_t")
-
     resolvent = 1.0 / (1.0 + eps * mu)
     # a row-major (n_x, K+1) copy: synthesis is one dot product per sample
     basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
@@ -393,7 +389,11 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
         if factors is not None:
             state = u_modes[:, start] * factors
         else:
-            run = None
+            run, total = None, n_sub * (grid.n_t - j)
+            if total > _MAX_RK4_STEPS:
+                raise ConfigurationError(
+                    f"{total} RK4 steps needed from t = {grid.t[j - 1]:.6g}; "
+                    "increase eps, shorten T_end, or coarsen n_t")
             for _ in range(n_sub):
                 k1 = rhs(state)
                 k2 = rhs(state + 0.5 * h * k1)

@@ -40,6 +40,8 @@ class Grid:
             raise ConfigurationError("grid horizon T_end must be positive and finite")
         if self.n_t < 2:
             raise ConfigurationError("need at least two time samples")
+        if self.n_x < 3:  # the one-sided endpoint slope is a three-point stencil
+            raise ConfigurationError("need at least three space samples")
         if self.n_modes < 1:
             raise ConfigurationError("need at least one cosine mode")
         if self.n_x < 2 * self.n_modes:

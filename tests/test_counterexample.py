@@ -14,7 +14,7 @@ from fbplab import counterexample
 from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
                                    certify_horizon, certify_horizon_report,
                                    construct_family)
-from fbplab.errors import DomainViolationError, NearSingularError
+from fbplab.errors import DomainViolationError, GridMismatchError, NearSingularError
 from fbplab.phase_model import branch_gap_extended, beta0_extended, beta2_extended
 from fbplab.solvers import solve_sourced, solve_unstable_backward
 from fbplab.spectral import CosineSeries, Field2D, Grid, analyze_columns, synthesize_columns
@@ -173,12 +173,12 @@ class TestCertifyHorizon:
         lam, rate = build_lambda(free, params)
         u = assemble_state(free.v, lam, params)
         triple = SolutionTriple(u, free.v, lam, 0.0, "sourced(f=[0])", lam_t=rate)
-        t_bar, diag = certify_horizon_report(triple, params, 0.05, 1e-8)
+        t_bar, diag = certify_horizon_report(triple, params, 0.05)
         assert t_bar == 0.0
         assert any("excess rate" in key for key in diag)
 
     def test_margin_above_source_maximum_gives_zero(self, family, params):
-        assert certify_horizon(family[1], params, delta=2.0, tol=1e-8) == 0.0
+        assert certify_horizon(family[1], params, delta=2.0) == 0.0
 
     def test_waived_source_margin_skips_excess_rate(self, final_datum, params, grid,
                                                     monkeypatch):
@@ -202,6 +202,16 @@ class TestCertifyHorizon:
             assert r.v.values.min() > params.A + delta
             assert r.v.values.max() <= params.B
             assert r.lam_t.values.min() >= -1e-8
+
+
+class TestSolutionTriple:
+    def test_weight_rate_required_on_the_shared_grid(self, family):
+        base = family[0]
+        with pytest.raises(TypeError):
+            SolutionTriple(base.u, base.v, base.lam, 0.5, "no rate")
+        with pytest.raises(GridMismatchError):
+            SolutionTriple(base.u, base.v, base.lam, 0.5, "short rate",
+                           lam_t=base.lam_t.restrict(2))
 
 
 class TestConstructFamily:

@@ -1,5 +1,6 @@
 """Solver contracts, each checked against an independent oracle."""
 
+import re
 import warnings
 
 import numpy as np
@@ -275,10 +276,11 @@ class TestPseudoparabolic:
                               small.x, axis=0)
         assert np.all(np.diff(energy) <= 0.0)
 
-    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
+    @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001, 1e-6, 1e-7])
     def test_exact_stepping_matches_closed_form(self, params, grid, backward, eps):
         # the backward datum keeps the middle branch, where mode 1 grows as
-        # exp(|phi0'| t/(1 + eps)) and every other mode stays put
+        # exp(|phi0'| t/(1 + eps)) and every other mode stays put; at eps 1e-6
+        # and 1e-7 RK4 everywhere would pass the step budget, but no step needs it
         sol = solve_pseudoparabolic(backward.u0, eps, params, grid)
         a0, a1 = sol.u_modes[:2, 0]
         exact = a0 + (a1 * np.exp(abs(params.phi0_slope) * grid.t / (1.0 + eps))[None, :]
@@ -330,8 +332,7 @@ class TestPseudoparabolic:
     def test_steep_branch_guard(self, grid, slope, refused):
         # at eps = 0.01 the step is eps/4-capped; slope 40 pushes the fastest
         # mode past RK4's stability region, slope 10 stays inside it
-        steep = PhaseParams(b=-1.0, c=1.0, A=-1.0, B=1.0, alpha1=slope, alpha2=slope,
-                            gamma1=1.0 + slope, gamma2=-1.0 - slope)
+        steep = PhaseParams(b=-1.0, c=1.0, A=-1.0, B=1.0, alpha1=slope, alpha2=slope)
         u0 = 2.0 + 0.1 * np.cos(grid.x)
         if refused:
             with pytest.raises(ConfigurationError, match="branch slope 40 .*eps/4"):
@@ -341,8 +342,16 @@ class TestPseudoparabolic:
             assert np.all(np.isfinite(sol.u_eps.values))
 
     def test_step_budget_guard(self, params, grid):
-        with pytest.raises(ConfigurationError):
-            solve_pseudoparabolic(np.full(grid.n_x, 0.1), 1e-7, params, grid)
+        # 0.9 cos x reaches c = 1 near t = 0.1, where RK4 must take over; the
+        # budget counts RK4 steps from that interval on and refuses the run
+        # there, before any RK4 step
+        eps = 1e-7
+        with pytest.raises(ConfigurationError, match="RK4 steps needed from t = 0.1") as err:
+            solve_pseudoparabolic(0.9 * np.cos(grid.x), eps, params, grid)
+        total, t = re.search(r"(\d+) RK4 steps needed from t = ([\d.]+);",
+                             str(err.value)).groups()
+        j = round(float(t) / grid.dt) + 1  # the first interval that needs RK4 ends at j
+        assert int(total) == int(np.ceil(grid.dt / (eps / 4))) * (grid.n_t - j)
 
     def test_bad_eps(self, params, grid):
         with pytest.raises(ConfigurationError):

@@ -24,6 +24,13 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid(L=L, T_end=1.0, n_x=16, n_t=8, n_modes=16)
 
+    def test_endpoint_stencil_needs_three_space_samples(self):
+        # n_x = 2 meets the anti-aliasing margin for one mode, but the
+        # one-sided endpoint slope reads three samples
+        with pytest.raises(ConfigurationError, match="three space samples"):
+            Grid(L=L, T_end=1.0, n_x=2, n_t=8, n_modes=1)
+        assert Grid(L=L, T_end=1.0, n_x=3, n_t=8, n_modes=1).n_x == 3
+
     def test_nodes_include_endpoints(self, small_grid):
         assert small_grid.x[0] == 0.0
         assert small_grid.x[-1] == pytest.approx(L)

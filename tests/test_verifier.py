@@ -93,12 +93,6 @@ class TestPointwiseCertificate:
         val = pointwise_certificate(triple, EntropyFlux.identity(), params)
         assert val >= 0.0
 
-    def test_requires_weight_rate(self, restricted_family, params):
-        bare = SolutionTriple(restricted_family[1].u, restricted_family[1].v,
-                              restricted_family[1].lam, 0.5, "x")
-        with pytest.raises(ConfigurationError):
-            pointwise_certificate(bare, EntropyFlux.identity(), params)
-
     def test_identity_defect_small_at_default_resolution(self, restricted_family, params):
         for flux in (EntropyFlux.identity(), EntropyFlux.saturating(1.0)):
             for triple in restricted_family:
@@ -137,12 +131,6 @@ class TestOneEntropyPass:
             assert seen.count(triple.v.values.size) == len(default_flux_battery())
             assert sum(seen) == len(default_flux_battery()) * (triple.v.values.size + 4)
 
-    def test_battery_requires_weight_rate(self, restricted_family, backward, params):
-        bare = SolutionTriple(restricted_family[1].u, restricted_family[1].v,
-                              restricted_family[1].lam, 0.5, "x")
-        with pytest.raises(ConfigurationError):
-            run_triple_battery(bare, backward.u0, params)
-
     def test_two_sample_window_fails_identity_closed(self, restricted_family, backward,
                                                      params):
         short = restricted_family[1]
@@ -165,7 +153,7 @@ class TestQuadratureResolution:
     def baseline_residual(n_x):
         from fbplab.counterexample import construct_family
         from fbplab.phase_model import PhaseParams
-        params = PhaseParams.from_critical_values(0.0, 1.0, 0.0, 3.0, 4.0, 4.0)
+        params = PhaseParams(0.0, 1.0, 0.0, 3.0, 4.0, 4.0)
         grid = Grid(L, 1.0, n_x, 256, 32)
         base = construct_family(CosineSeries(L, [0.5, 0.1]), [], params, grid)[0]
         return run_triple_battery(base.restricted(), base.u.values[:, 0],
@@ -202,7 +190,7 @@ class TestMonotonicity:
     def test_manufactured_decrease_is_located(self, family, params, grid):
         lam = np.maximum(0.0, 0.2 - grid.t)[None, :] * np.ones((grid.n_x, 1))
         bad = SolutionTriple(family[0].u, family[0].v,
-                             Field2D(grid, lam), 1.0, "control")
+                             Field2D(grid, lam), 1.0, "control", lam_t=family[0].lam_t)
         rep = monotonicity_report(bad, params)
         entry = rep.entry("lambda2-monotone")
         assert not entry.passed
@@ -228,8 +216,11 @@ class TestStructural:
         assert entry.t > full.t_bar
 
     def test_boundary_flux_trace_measured_small(self, restricted_family, backward, params):
-        rep = structural_check(restricted_family[1], backward.u0, params)
-        assert rep.entry("boundary-flux").residual < 1e-12
+        # the one-sided difference errs at third order (v_xxx = 0 at the ends):
+        # at most 2.7e-5 at 128 x 256, against the bound 1e-3
+        for triple in restricted_family:
+            entry = structural_check(triple, backward.u0, params).entry("boundary-flux")
+            assert entry.passed and entry.residual < 5e-5
 
 
 class TestViscousEntropy:
@@ -266,7 +257,7 @@ class TestDistinctness:
 class TestNegativeControls:
     def test_every_check_rejects_its_violator(self, params):
         results = negative_controls(params)
-        assert len(results) == 8
+        assert len(results) == 9
         for name, rejected, detail in results:
             assert rejected, f"{name} slipped through ({detail})"
 
