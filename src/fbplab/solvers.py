@@ -347,9 +347,10 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     interval over which the nodes provably keep one affine branch is advanced
     by the exact per-mode exponential (``_certified_branch``); any other
     interval by classic RK4 with steps of at most eps/4, which keeps every mode
-    well inside the stability region for unit-slope branches.  The step budget
-    counts RK4 steps only: the first interval that needs RK4 refuses the run
-    when RK4 on it and on every later interval would exceed the budget.
+    well inside the stability region for unit-slope branches.  Both RK4 guards
+    act at the first interval that needs RK4, so a run of exact steps is never
+    refused: a branch too steep for the step, and a budget that RK4 on that
+    interval and on every later one would exceed.
     """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
@@ -360,11 +361,6 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     slope_max = np.max(np.abs(params.branches.slope))
     n_sub = max(1, ceil(grid.dt / (eps / 4.0)))
     h = grid.dt / n_sub
-    # RK4 real-axis stability reaches |z| ~ 2.78; refuse configurations where a
-    # steep branch pushes the fastest mode past it
-    if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
-        raise ConfigurationError(f"branch slope {slope_max:g} too steep for the RK4 "
-                                 f"step {h:g} <= eps/4: the fastest mode is unstable")
     resolvent = 1.0 / (1.0 + eps * mu)
     # a row-major (n_x, K+1) copy: synthesis is one dot product per sample
     basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
@@ -390,6 +386,12 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
             state = u_modes[:, start] * factors
         else:
             run, total = None, n_sub * (grid.n_t - j)
+            # RK4 real-axis stability reaches |z| ~ 2.78; refuse a steep branch
+            # that pushes the fastest mode past it
+            if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
+                raise ConfigurationError(
+                    f"branch slope {slope_max:g} too steep for the RK4 step {h:g} <= eps/4 "
+                    f"from t = {grid.t[j - 1]:.6g}: the fastest mode is unstable")
             if total > _MAX_RK4_STEPS:
                 raise ConfigurationError(
                     f"{total} RK4 steps needed from t = {grid.t[j - 1]:.6g}; "

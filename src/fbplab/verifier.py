@@ -6,8 +6,10 @@ one-sided differences), time derivatives by finite differences, apart from the
 analytic weight rate that every triple carries.
 The battery covers the superposition/weak-form structure, the monotone-flux
 entropy inequality against a finite family of fluxes and test functions, the
-pointwise sign certificate and its defining identity, weight monotonicity with
-bounded variation, and pairwise distinctness of solutions.
+pointwise sign certificate and its defining identity, weight monotonicity (its
+total variation is reported, not asserted), and pairwise distinctness of
+solutions.  Every report row carries its admissible interval, and one rule
+decides it: a row passes when lower <= residual <= upper (``CheckResult``).
 
 The battery makes one entropy pass per flux: G(beta0(v)) and G(beta2(v)) are
 affine images of one primitive Gamma(v) of g on a certified field (the closed
@@ -45,6 +47,14 @@ CERTIFICATE_TOL = 1e-8
 IDENTITY_TOL = 2e-2
 ALGEBRAIC_TOL = 1e-10
 MONOTONE_TOL = 1e-8
+INITIAL_TRACE_TOL = 1e-10
+WEIGHT_BOUND_TOL = 1e-9
+#: how far v may cross a critical value before its jump clause applies
+JUMP_TOL = 1e-12
+#: how far below one the upper weight may sit where v > B
+WEIGHT_DEFICIT_TOL = 1e-6
+#: drift of the integral of u that the relaxation audit allows
+MASS_DRIFT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +211,36 @@ def default_weak_tests() -> list[FinalZeroTest]:
 # reports
 
 
+def _room(gap: float, bound: float) -> float:
+    return gap / (abs(bound) or 1.0) if np.isfinite(bound) else np.inf
+
+
 @dataclass(frozen=True)
 class CheckResult:
+    """One report row: a residual, where it was found, and the closed interval
+    [lower, upper] it must lie in.  A NaN residual fails any row; a row with
+    no finite bound fails on nothing else, so it only reports."""
+
     name: str
-    passed: bool
     residual: float
-    x: float
-    t: float
+    x: float = np.nan
+    t: float = np.nan
+    lower: float = -np.inf
+    upper: float = np.inf
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.lower <= self.residual <= self.upper)
+
+    @property
+    def headroom(self) -> float:
+        """Distance from the residual to its nearer bound in units of that bound
+        (1 for a zero residual, negative outside); -inf for a NaN residual."""
+        if np.isnan(self.residual):
+            return -np.inf
+        return min(_room(self.residual - self.lower, self.lower),
+                   _room(self.upper - self.residual, self.upper))
 
 
 @dataclass
@@ -234,15 +266,16 @@ class VerificationReport:
         raise KeyError(name)
 
     def worst(self) -> CheckResult:
-        return max(self.checks, key=lambda c: abs(c.residual))
+        """The row with the least headroom against its own bound."""
+        return min(self.checks, key=lambda c: c.headroom)
 
     def to_text(self) -> str:
         lines = [f"verification on {self.grid_summary}"]
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
-            lines.append(
-                f"  [{status}] {c.name}: residual {c.residual:.3e} "
-                f"at (x={c.x:.4g}, t={c.t:.4g})" + (f"  {c.note}" if c.note else ""))
+            lines.append(f"  [{status}] {c.name}: residual {c.residual:.3e} in "
+                         f"[{c.lower:.3g}, {c.upper:.3g}] at (x={c.x:.4g}, t={c.t:.4g})"
+                         + (f"  {c.note}" if c.note else ""))
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
@@ -256,11 +289,10 @@ class VerificationReport:
                          f"{format(c.t, '.17g')}\n")
 
 
-def _argworst(values: np.ndarray, grid: Grid, take_min: bool):
-    flat = int(np.argmin(values) if take_min else np.argmax(np.abs(values)))
-    i, j = np.unravel_index(flat, values.shape)
-    picked = values[i, j]
-    return float(picked), float(grid.x[i]), float(grid.t[j])
+def _extreme(values: np.ndarray, grid: Grid, pick=np.argmax):
+    """(value, x, t) of the sample that ``pick`` (np.argmax or np.argmin) selects."""
+    i, j = np.unravel_index(int(pick(values)), values.shape)
+    return float(values[i, j]), float(grid.x[i]), float(grid.t[j])
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +430,9 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
     """Stable-phase weights must not decrease while the flux avoids the critical values.
 
     For each grid x, the upper weight lambda2 = lambda is checked on maximal
-    time intervals where v > A, and the lower weight (identically zero in this
-    construction) on intervals where v < B.  Discrete total variation along
-    time is reported, not asserted.
+    time intervals where v > A.  The lower weight is identically zero in this
+    construction, so its clause cannot fail and has no row.  Discrete total
+    variation along time is reported, not asserted.
     """
     grid = triple.grid
     v = triple.v.values
@@ -408,20 +440,14 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
     dlam = np.diff(lam, axis=1)
 
     interior2 = (v[:, 1:] > params.A) & (v[:, :-1] > params.A)
-    viol2 = np.where(interior2, dlam, 0.0)
-    worst2, x2, t2 = _argworst(np.pad(viol2, ((0, 0), (1, 0))), grid, take_min=True)
-    lam2_ok = worst2 >= -tol
+    viol2 = np.pad(np.where(interior2, dlam, 0.0), ((0, 0), (1, 0)))
 
     tv = np.abs(dlam).sum(axis=1)
     i_tv = int(np.argmax(tv))
     checks = [
-        CheckResult("lambda2-monotone", bool(lam2_ok), worst2, x2, t2,
+        CheckResult("lambda2-monotone", *_extreme(viol2, grid, np.argmin), lower=-tol,
                     note="min increment on v > A intervals"),
-        # lambda1 is hard-wired to zero: its monotonicity clause is the
-        # statement that the embedded lower weight never moves
-        CheckResult("lambda1-monotone", True, 0.0, 0.0, 0.0,
-                    note="lower weight identically zero"),
-        CheckResult("lambda2-total-variation", True, float(tv[i_tv]),
+        CheckResult("lambda2-total-variation", float(tv[i_tv]),
                     float(grid.x[i_tv]), float(grid.T_end),
                     note="reported bound, not asserted"),
     ]
@@ -435,67 +461,35 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     grid = triple.grid
     u, v, lam = triple.u.values, triple.v.values, triple.lam.values
     u0 = np.asarray(u0, dtype=float)
-    checks = []
-
-    r = np.abs(u[:, 0] - u0)
-    i = int(np.argmax(r))
-    checks.append(CheckResult("initial-trace", bool(r[i] <= 1e-10),
-                              float(r[i]), float(grid.x[i]), 0.0))
-
     # the samples' endpoint slope (a cosine projection zeroes it by construction),
     # held to the backward solve's bound on its final datum
     edge = np.abs([_endpoint_slope(v, grid.dx, left) for left in (True, False)])
-    worst, j = float(edge.max()), int(np.argmax(edge.max(axis=0)))
-    bound = _BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(np.abs(v))))
-    checks.append(CheckResult("boundary-flux", worst <= bound, worst,
-                              float(grid.x[0] if edge[0, j] >= edge[1, j] else grid.x[-1]),
-                              float(grid.t[j]),
-                              note="|v_x| at the endpoints (one-sided difference)"))
-
-    low = params.A - v
-    val, xw, tw = _argworst(-low, grid, take_min=True)  # min of (v - A)
-    checks.append(CheckResult("flux-above-lower-critical", bool(-val <= MONOTONE_TOL),
-                              float(np.max(low)), xw, tw))
-
-    bad_upper = (v > params.B + 1e-12) & (lam < 1.0 - 1e-6)
-    if np.any(bad_upper):
-        val, xw, tw = _argworst(np.where(bad_upper, 1.0 - lam, 0.0), grid, take_min=False)
-        checks.append(CheckResult("upper-jump-clause", False, val, xw, tw,
-                                  note="v > B with upper weight below one"))
-    else:
-        checks.append(CheckResult("upper-jump-clause", True, 0.0, 0.0, 0.0,
-                                  note="vacuous or satisfied"))
-
-    bad_lower = v < params.A - 1e-12  # the embedded lower weight is identically zero
-    if np.any(bad_lower):
-        val, xw, tw = _argworst(np.where(bad_lower, params.A - v, 0.0), grid, False)
-        checks.append(CheckResult("lower-jump-clause", False, val, xw, tw,
-                                  note="v < A where the lower weight must be one"))
-    else:
-        checks.append(CheckResult("lower-jump-clause", True, 0.0, 0.0, 0.0,
-                                  note="vacuous"))
-
+    j = int(np.argmax(edge.max(axis=0)))
     sup = u - ((1.0 - lam) * beta0_extended(params, v) + lam * beta2_extended(params, v))
-    val, xw, tw = _argworst(sup, grid, take_min=False)
-    checks.append(CheckResult("superposition-identity",
-                              bool(np.max(np.abs(sup)) <= ALGEBRAIC_TOL),
-                              float(np.max(np.abs(sup))), xw, tw))
-
-    vxx = x_second_derivative(triple.v)
-    evo = u - u[:, [0]] - running_simpson(vxx, grid.dt)
-    val, xw, tw = _argworst(evo, grid, take_min=False)
-    checks.append(CheckResult("state-evolution-identity",
-                              bool(np.max(np.abs(evo)) <= WEAK_TOL),
-                              float(np.max(np.abs(evo))), xw, tw,
-                              note="u - u(.,0) - time integral of v_xx"))
-
-    lam_bad = np.maximum(-lam, lam - 1.0)
-    val, xw, tw = _argworst(lam_bad, grid, take_min=False)
-    checks.append(CheckResult("weight-bounds", bool(np.max(lam_bad) <= 1e-9),
-                              float(np.max(lam_bad)), xw, tw))
-
-    val, xw, tw = _argworst(triple.lam_t.values, grid, take_min=True)
-    checks.append(CheckResult("weight-rate-sign", bool(val >= -MONOTONE_TOL), val, xw, tw))
+    evo = u - u[:, [0]] - running_simpson(x_second_derivative(triple.v), grid.dt)
+    checks = [
+        CheckResult("initial-trace", *_extreme(np.abs(u[:, :1] - u0[:, None]), grid),
+                    upper=INITIAL_TRACE_TOL),
+        CheckResult("boundary-flux", float(edge.max()),
+                    float(grid.x[0] if edge[0, j] >= edge[1, j] else grid.x[-1]),
+                    float(grid.t[j]),
+                    upper=_BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(np.abs(v)))),
+                    note="|v_x| at the endpoints (one-sided difference)"),
+        # the embedded lower weight is identically zero, so v < A is the lower jump
+        CheckResult("flux-above-lower-critical", *_extreme(params.A - v, grid),
+                    upper=JUMP_TOL, note="max(A - v); the lower weight is zero"),
+        CheckResult("upper-jump-clause",
+                    *_extreme(np.where(v > params.B + JUMP_TOL, 1.0 - lam, 0.0), grid),
+                    upper=WEIGHT_DEFICIT_TOL, note="1 - lambda where v > B"),
+        CheckResult("superposition-identity", *_extreme(np.abs(sup), grid),
+                    upper=ALGEBRAIC_TOL),
+        CheckResult("state-evolution-identity", *_extreme(np.abs(evo), grid),
+                    upper=WEAK_TOL, note="u - u(.,0) - time integral of v_xx"),
+        CheckResult("weight-bounds", *_extreme(np.maximum(-lam, lam - 1.0), grid),
+                    upper=WEIGHT_BOUND_TOL),
+        CheckResult("weight-rate-sign", *_extreme(triple.lam_t.values, grid, np.argmin),
+                    lower=-MONOTONE_TOL),
+    ]
     return VerificationReport(checks, _grid_summary(grid))
 
 
@@ -572,8 +566,7 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
     checks = list(structural_check(triple, u0, params).checks)
     checks.extend(monotonicity_report(triple, params).checks)
 
-    wr = weak_residual(triple, u0)
-    checks.append(CheckResult("weak-form", wr <= WEAK_TOL, wr, np.nan, np.nan,
+    checks.append(CheckResult("weak-form", weak_residual(triple, u0), upper=WEAK_TOL,
                               note=f"max over {len(default_weak_tests())} final-zero tests"))
 
     v = triple.v.values
@@ -594,14 +587,12 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
         worst_cert = min(worst_cert, float(np.min(rate_cert)))
         if has_identity:
             worst_ident = max(worst_ident, _identity_defect(grid, vxx, gv, gstar, rate_cert))
-    checks.append(CheckResult("entropy-inequality", worst_entropy >= -ENTROPY_TOL,
-                              float(worst_entropy), np.nan, np.nan,
+    checks.append(CheckResult("entropy-inequality", float(worst_entropy), lower=-ENTROPY_TOL,
                               note=f"min over {len(fluxes)} fluxes x "
                                    f"{len(entropy_tests)} tests"))
-    checks.append(CheckResult("pointwise-certificate", worst_cert >= -CERTIFICATE_TOL,
-                              float(worst_cert), np.nan, np.nan))
-    checks.append(CheckResult("certificate-identity", worst_ident <= IDENTITY_TOL,
-                              float(worst_ident), np.nan, np.nan,
+    checks.append(CheckResult("pointwise-certificate", float(worst_cert),
+                              lower=-CERTIFICATE_TOL))
+    checks.append(CheckResult("certificate-identity", float(worst_ident), upper=IDENTITY_TOL,
                               note="centered-difference identity defect" if has_identity
                               else f"needs three time samples, window has {grid.n_t}"))
     return VerificationReport(checks, _grid_summary(grid))
@@ -632,12 +623,13 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
     decreasing = SolutionTriple(
         assemble_state(v_base, lam_dec, params), v_base, lam_dec, grid.T_end, "control",
         lam_t=Field2D(grid, lam_t_vals, "control weight rate"))
-    mono = monotonicity_report(decreasing, params)
-    cert = pointwise_certificate(decreasing, EntropyFlux.identity(), params)
-    rejected = (not mono.entry("lambda2-monotone").passed) and cert < -CERTIFICATE_TOL
-    results.append(("decreasing-weight", rejected,
-                    f"monotone residual {mono.entry('lambda2-monotone').residual:.2e}, "
-                    f"certificate min {cert:.2e}"))
+    mono = monotonicity_report(decreasing, params).entry("lambda2-monotone")
+    cert = CheckResult("pointwise-certificate",
+                       pointwise_certificate(decreasing, EntropyFlux.identity(), params),
+                       lower=-CERTIFICATE_TOL)
+    results.append(("decreasing-weight", not (mono.passed or cert.passed),
+                    f"monotone residual {mono.residual:.2e}, "
+                    f"certificate min {cert.residual:.2e}"))
 
     # 2. broken superposition identity
     zero = constant_field(grid, 0.0)
@@ -666,9 +658,9 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
         Field2D(grid, u_nc, "control state"),
         Field2D(grid, eval_phi(params, u_nc), "control flux"),
         zero, grid.T_end, "control", lam_t=zero)
-    wr = weak_residual(nonconservative, u0)
-    results.append(("non-conservative-state", wr > WEAK_TOL,
-                    f"weak residual {wr:.2e}"))
+    weak = CheckResult("weak-form", weak_residual(nonconservative, u0), upper=WEAK_TOL)
+    results.append(("non-conservative-state", not weak.passed,
+                    f"weak residual {weak.residual:.2e}"))
 
     # 5. flux above the upper critical value with upper weight below one
     v_hi = constant_field(grid, params.B + 0.1, "control flux")
@@ -688,9 +680,10 @@ def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool
         Field2D(grid, eps_sol.u_eps.values[:, ::-1], "control state"),
         Field2D(grid, eps_sol.v_eps.values[:, ::-1], "control flux"),
         eps_sol.u_modes[:, ::-1], eps_sol.v_modes[:, ::-1])
-    worst = viscous_entropy_audit(reversed_sol, params, [EntropyFlux.identity()])
-    results.append(("reversed-relaxation-flow", worst < -ENTROPY_TOL,
-                    f"viscous residual {worst:.2e}"))
+    viscous = CheckResult("viscous-entropy", viscous_entropy_audit(
+        reversed_sol, params, [EntropyFlux.identity()]), lower=-ENTROPY_TOL)
+    results.append(("reversed-relaxation-flow", not viscous.passed,
+                    f"viscous residual {viscous.residual:.2e}"))
 
     # 7. time-reversed baseline: forward diffusion in the unstable branch
     reversed_base = SolutionTriple(

@@ -331,15 +331,26 @@ class TestPseudoparabolic:
     @pytest.mark.parametrize("slope, refused", [(40.0, True), (10.0, False)])
     def test_steep_branch_guard(self, grid, slope, refused):
         # at eps = 0.01 the step is eps/4-capped; slope 40 pushes the fastest
-        # mode past RK4's stability region, slope 10 stays inside it
+        # mode past RK4's stability region, slope 10 stays inside it.  The
+        # guard acts where RK4 is first needed: 0.9 cos x reaches c = 1 near
+        # t = 0.1, while 2 + 0.1 cos x keeps the upper branch and takes exact
+        # steps only, so it runs at either slope and decays per mode as
+        # exp(-slope mu_k t/(1 + eps mu_k))
+        eps = 0.01
         steep = PhaseParams(b=-1.0, c=1.0, A=-1.0, B=1.0, alpha1=slope, alpha2=slope)
-        u0 = 2.0 + 0.1 * np.cos(grid.x)
+        mixed = 0.9 * np.cos(grid.x)
         if refused:
-            with pytest.raises(ConfigurationError, match="branch slope 40 .*eps/4"):
-                solve_pseudoparabolic(u0, 0.01, steep, grid)
+            with pytest.raises(ConfigurationError,
+                               match=r"branch slope 40 .*eps/4 from t = 0\.1"):
+                solve_pseudoparabolic(mixed, eps, steep, grid)
         else:
-            sol = solve_pseudoparabolic(u0, 0.01, steep, grid)
-            assert np.all(np.isfinite(sol.u_eps.values))
+            assert np.all(np.isfinite(solve_pseudoparabolic(mixed, eps, steep, grid).u_eps.values))
+        sol = solve_pseudoparabolic(2.0 + 0.1 * np.cos(grid.x), eps, steep, grid)
+        a0, a1 = sol.u_modes[:2, 0]
+        exact = a0 + (a1 * np.exp(-slope * grid.t / (1.0 + eps))[None, :]
+                      * np.cos(grid.x)[:, None])
+        assert np.max(np.abs(sol.u_eps.values - exact)) <= 1e-14
+        assert np.all(sol.u_modes[2:] == 0.0)
 
     def test_step_budget_guard(self, params, grid):
         # 0.9 cos x reaches c = 1 near t = 0.1, where RK4 must take over; the

@@ -179,7 +179,6 @@ class TestMonotonicity:
         for triple in restricted_family[1:]:
             rep = monotonicity_report(triple, params)
             assert rep.entry("lambda2-monotone").passed
-            assert rep.entry("lambda1-monotone").passed
 
     def test_total_variation_reported(self, restricted_family, params):
         rep = monotonicity_report(restricted_family[1], params)
@@ -268,9 +267,9 @@ class TestReports:
         names = [c.name for c in rep.checks]
         assert len(names) == len(set(names))
         expected = {"initial-trace", "boundary-flux", "flux-above-lower-critical",
-                    "upper-jump-clause", "lower-jump-clause", "superposition-identity",
+                    "upper-jump-clause", "superposition-identity",
                     "state-evolution-identity", "weight-bounds", "weight-rate-sign",
-                    "lambda1-monotone", "lambda2-monotone", "lambda2-total-variation",
+                    "lambda2-monotone", "lambda2-total-variation",
                     "weak-form", "entropy-inequality", "pointwise-certificate",
                     "certificate-identity"}
         assert set(names) == expected
@@ -294,6 +293,73 @@ class TestReports:
         rep = structural_check(family[2], backward.u0, params)
         text = rep.to_text()
         assert "FAIL" in text and "upper-jump-clause" in text
+
+
+class TestPassRule:
+    """Every row passes exactly when lower <= residual <= upper."""
+
+    @staticmethod
+    def with_fields(triple, v=None, lam=None):
+        grid = triple.grid
+        return SolutionTriple(triple.u, Field2D(grid, triple.v.values if v is None else v),
+                              Field2D(grid, triple.lam.values if lam is None else lam),
+                              triple.t_bar, "control", lam_t=triple.lam_t)
+
+    def test_flux_dip_below_lower_critical_fails(self, restricted_family, backward, params):
+        # a dip of 1e-10 below A: the flux check holds v to the jump bound 1e-12
+        base = restricted_family[0]
+        v = base.v.values.copy()
+        v[40, 60] = params.A - 1e-10
+        entry = structural_check(self.with_fields(base, v=v), backward.u0,
+                                 params).entry("flux-above-lower-critical")
+        assert not entry.passed
+        assert entry.residual == pytest.approx(1e-10, rel=1e-3)
+        assert (entry.x, entry.t) == (base.grid.x[40], base.grid.t[60])
+
+    def test_weight_bounds_located_at_the_residual(self, restricted_family, backward,
+                                                   params):
+        base = restricted_family[1]
+        lam = base.lam.values.copy()
+        lam[17, 5] = 1.0 + 1e-3
+        entry = structural_check(self.with_fields(base, lam=lam), backward.u0,
+                                 params).entry("weight-bounds")
+        assert not entry.passed
+        assert entry.residual == pytest.approx(1e-3, rel=1e-9)
+        assert (entry.x, entry.t) == (base.grid.x[17], base.grid.t[5])
+
+    def test_bounds_are_module_constants(self, restricted_family, backward, params):
+        import fbplab.solvers as solvers
+        import fbplab.verifier as verifier
+        constants = {value for name, value in vars(verifier).items()
+                     if name.endswith("_TOL") and isinstance(value, float)}
+        constants |= {-c for c in constants}
+        for triple in restricted_family:
+            for c in run_triple_battery(triple, backward.u0, params).checks:
+                bounds = [b for b in (c.lower, c.upper) if np.isfinite(b)]
+                if c.name == "lambda2-total-variation":
+                    assert bounds == []
+                elif c.name == "boundary-flux":
+                    scale = max(1.0, float(np.max(np.abs(triple.v.values))))
+                    assert bounds == [solvers._BOUNDARY_SLOPE_TOL * scale]
+                else:
+                    assert len(bounds) == 1 and bounds[0] in constants, c.name
+
+    def test_worst_is_least_relative_headroom(self):
+        rows = [CheckResult("far", 0.5, upper=1.0),           # headroom 0.5
+                CheckResult("near", 9e-9, upper=1e-8),        # 0.1, against the tighter bound
+                CheckResult("below", 2e-7, lower=-1e-6),      # 1.2
+                CheckResult("report", 1e9)]                   # no bound
+        rep = VerificationReport(rows, "g")
+        assert rep.worst().name == "near" and rep.passed
+        assert rep.worst().headroom == pytest.approx(0.1)
+        assert rows[3].headroom == np.inf and rows[3].passed
+        nan_row = CheckResult("nan", np.nan, upper=1.0)
+        assert not nan_row.passed
+        assert VerificationReport(rows + [nan_row], "g").worst().name == "nan"
+
+    def test_failing_row_has_negative_headroom(self):
+        row = CheckResult("over", 3e-6, upper=1e-6)
+        assert not row.passed and row.headroom == pytest.approx(-2.0)
 
 
 class TestTestFunctions:
