@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .counterexample import DELTA
 from .errors import ConfigurationError
 from .phase_model import PhaseParams
 from .spectral import CosineSeries, Grid
@@ -61,7 +62,7 @@ class FinalDatum:
 class Margins:
     """The certification margin: it shapes what gets constructed, not what passes."""
 
-    delta: float = 0.05
+    delta: float = DELTA
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):

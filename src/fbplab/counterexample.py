@@ -32,6 +32,7 @@ from .spectral import (CosineSeries, Field2D, Grid, constant_field,
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
 RATE_TOL = 1e-8           # certification admits a weight rate down to -RATE_TOL
+DELTA = 0.05              # the certification margin c2 when none is configured
 
 
 @dataclass(frozen=True)
@@ -111,24 +112,20 @@ def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
     return Field2D(v.grid, u, "assembled state")
 
 
-def certify_horizon(triple: SolutionTriple, params: PhaseParams, delta: float,
-                    require_source_margin: bool = True) -> float:
+def certify_horizon(triple: SolutionTriple, params: PhaseParams, delta: float) -> float:
     """Largest grid time through which all margin conditions hold.
 
     Conditions on the prefix rectangle: (i) gap(v) >= delta, (ii) m >= delta,
     (iii) lambda in [0, 1-delta], (iv) lambda_t >= -RATE_TOL, (v) A + delta < v <= B
     (a sample where v touches A + delta exactly is excluded).  Condition (ii)
-    certifies growth of the weight and is waived for classical weight-zero
-    solutions (``require_source_margin=False``), whose monotonicity clause
+    certifies growth of the weight and is waived exactly when lambda = 0 on the
+    whole window: a classical weight-zero solution, whose monotonicity clause
     holds identically.  Returns 0.0 when no positive time qualifies.
     """
-    t_bar, _ = certify_horizon_report(triple, params, delta,
-                                      require_source_margin=require_source_margin)
-    return t_bar
+    return certify_horizon_report(triple, params, delta)[0]
 
 
-def certify_horizon_report(triple: SolutionTriple, params: PhaseParams, delta: float,
-                           require_source_margin: bool = True):
+def certify_horizon_report(triple: SolutionTriple, params: PhaseParams, delta: float):
     """As ``certify_horizon`` but also returns a per-condition diagnostic dict."""
     if delta <= 0:
         raise ConfigurationError("certification margin delta must be positive")
@@ -138,7 +135,7 @@ def certify_horizon_report(triple: SolutionTriple, params: PhaseParams, delta: f
     gap = branch_gap_extended(params, v)
     lam_t = triple.lam_t.values
     rate_ok = np.ones_like(gap, dtype=bool)
-    if require_source_margin:
+    if lam.any():
         # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
         v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
         rate_ok = x_second_derivative(triple.v) + params.sigma_abs * v_t >= delta
@@ -192,7 +189,7 @@ def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
 
 
 def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
-                     grid: Grid, delta: float = 0.05) -> list[SolutionTriple]:
+                     grid: Grid, delta: float = DELTA) -> list[SolutionTriple]:
     """Baseline plus one sourced triple per source, all sharing u(.,0).
 
     Sources must synthesize to values >= delta (the certification margin c2);
@@ -204,8 +201,7 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
     zero = constant_field(grid, 0.0, "stable-phase weight")
     baseline = SolutionTriple(back.u_bar, back.v_bar, zero, 0.0, "baseline",
                               lam_t=constant_field(grid, 0.0, "stable-phase weight rate"))
-    t_bar = certify_horizon(baseline, params, delta, require_source_margin=False)
-    triples = [replace(baseline, t_bar=t_bar)]
+    triples = [replace(baseline, t_bar=certify_horizon(baseline, params, delta))]
 
     v0 = back.v_bar.values[:, 0]
     for idx, f in enumerate(sources):

@@ -37,9 +37,11 @@ from .spectral import (OVERFLOW_EXPONENT, CosineSeries, Field2D, Grid,
 
 #: growth exponent above which the float64 fast path is abandoned for mpmath
 _MP_EXPONENT_THRESHOLD = 16.0
-#: sample residual of a band-limited profile and endpoint slope of a zero-flux
-#: datum, both relative to the profile, and the RK4 budget of one relaxation
-_BAND_LIMIT_TOL, _BOUNDARY_SLOPE_TOL, _MAX_RK4_STEPS = 1e-8, 1e-3, 2_000_000
+#: sample residual of a band-limited profile, relative to the profile, and the
+#: RK4 budget of one relaxation
+_BAND_LIMIT_TOL, _MAX_RK4_STEPS = 1e-8, 2_000_000
+#: endpoint slope of a zero-flux datum relative to the profile
+BOUNDARY_SLOPE_TOL = 1e-3
 
 
 def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
@@ -66,8 +68,8 @@ def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
     return series
 
 
-def _endpoint_slope(vals: np.ndarray, dx: float, left: bool) -> float:
-    # second-order one-sided difference
+def endpoint_slope(vals: np.ndarray, dx: float, left: bool) -> float:
+    """Second-order one-sided difference at the left or right end of axis 0."""
     if left:
         return (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dx)
     return (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dx)
@@ -107,9 +109,9 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
         if g_vals.shape != (grid.n_x,):
             raise ConfigurationError(
                 f"final datum: expected {grid.n_x} samples, got {g_vals.shape}")
-        sl = max(abs(_endpoint_slope(g_vals, grid.dx, True)),
-                 abs(_endpoint_slope(g_vals, grid.dx, False)))
-        if sl > _BOUNDARY_SLOPE_TOL * max(1.0, np.max(np.abs(g_vals))):
+        sl = max(abs(endpoint_slope(g_vals, grid.dx, True)),
+                 abs(endpoint_slope(g_vals, grid.dx, False)))
+        if sl > BOUNDARY_SLOPE_TOL * max(1.0, np.max(np.abs(g_vals))):
             raise BoundaryConditionError(
                 f"final datum has slope {sl:.2e} at an endpoint; zero-flux data required")
     if np.any(params.branch_index(g_vals)):

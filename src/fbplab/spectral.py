@@ -97,7 +97,7 @@ def cosine_basis(n_modes: int, L: float, x) -> np.ndarray:
     return np.cos(np.outer(k, x) * (np.pi / L))
 
 
-def _trapezoid_weights(n: int, length: float) -> np.ndarray:
+def trapezoid_weights(n: int, length: float) -> np.ndarray:
     """Trapezoid weights of ``n`` uniform endpoint-inclusive nodes over ``length``."""
     w = np.full(n, length / (n - 1))
     w[[0, -1]] *= 0.5
@@ -108,7 +108,7 @@ def analysis_matrix(n_modes: int, L: float, n_x: int) -> np.ndarray:
     """(n_modes + 1, n_x) trapezoid projection of endpoint-inclusive samples."""
     scale = np.where(np.arange(n_modes + 1) == 0, 1.0, 2.0) / L
     return scale[:, None] * (cosine_basis(n_modes, L, np.linspace(0.0, L, n_x))
-                             * _trapezoid_weights(n_x, L))
+                             * trapezoid_weights(n_x, L))
 
 
 def _coerce_coeffs(coeffs) -> np.ndarray:

@@ -10,6 +10,8 @@ pointwise sign certificate and its defining identity, weight monotonicity (its
 total variation is reported, not asserted), and pairwise distinctness of
 solutions.  Every report row carries its admissible interval, and one rule
 decides it: a row passes when lower <= residual <= upper (``CheckResult``).
+A relaxed solution gets its own report (``relaxation_report``), and each
+negative control is decided by the target rows of one of these reports.
 
 The battery makes one entropy pass per flux: G(beta0(v)) and G(beta2(v)) are
 affine images of one primitive Gamma(v) of g on a certified field (the closed
@@ -31,9 +33,9 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended,
                           branch_image_primitives, certificate_from_primitives,
                           entropy_primitive, eval_phi)
-from .solvers import (_BOUNDARY_SLOPE_TOL, EpsSolution, _endpoint_slope,
+from .solvers import (BOUNDARY_SLOPE_TOL, EpsSolution, endpoint_slope,
                       solve_pseudoparabolic, solve_unstable_backward)
-from .spectral import (CosineSeries, Field2D, Grid, _trapezoid_weights,
+from .spectral import (CosineSeries, Field2D, Grid, trapezoid_weights,
                        analyze_columns, constant_field, x_derivative_columns,
                        x_second_derivative)
 
@@ -334,8 +336,8 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, flux: EntropyFlux):
 
 def _weighted_factors(tests, grid: Grid) -> list[tuple]:
     """Each test's factors (X, X', T, T') with the trapezoid weights folded in."""
-    wx = _trapezoid_weights(grid.n_x, grid.L)
-    wt = _trapezoid_weights(grid.n_t, grid.T_end)
+    wx = trapezoid_weights(grid.n_x, grid.L)
+    wt = trapezoid_weights(grid.n_t, grid.T_end)
     return [(wx * xp, wx * xs, wt * tp, wt * ts)
             for xp, xs, tp, ts in (test.factors(grid) for test in tests)]
 
@@ -379,7 +381,7 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray) -> float:
     if u0.shape != (grid.n_x,):
         raise GridMismatchError("initial datum does not match the triple's grid")
     vx = _v_x(triple.v)
-    wx = _trapezoid_weights(grid.n_x, grid.L)
+    wx = trapezoid_weights(grid.n_x, grid.L)
     worst = 0.0
     for test in default_weak_tests():
         xpart, xslope, tpart, tslope = test.factors(grid)
@@ -451,7 +453,7 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
                     float(grid.x[i_tv]), float(grid.T_end),
                     note="reported bound, not asserted"),
     ]
-    return VerificationReport(checks, _grid_summary(grid))
+    return VerificationReport(checks, grid_summary(grid))
 
 
 def structural_check(triple: SolutionTriple, u0: np.ndarray,
@@ -463,7 +465,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     u0 = np.asarray(u0, dtype=float)
     # the samples' endpoint slope (a cosine projection zeroes it by construction),
     # held to the backward solve's bound on its final datum
-    edge = np.abs([_endpoint_slope(v, grid.dx, left) for left in (True, False)])
+    edge = np.abs([endpoint_slope(v, grid.dx, left) for left in (True, False)])
     j = int(np.argmax(edge.max(axis=0)))
     sup = u - ((1.0 - lam) * beta0_extended(params, v) + lam * beta2_extended(params, v))
     evo = u - u[:, [0]] - running_simpson(x_second_derivative(triple.v), grid.dt)
@@ -473,7 +475,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
         CheckResult("boundary-flux", float(edge.max()),
                     float(grid.x[0] if edge[0, j] >= edge[1, j] else grid.x[-1]),
                     float(grid.t[j]),
-                    upper=_BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(np.abs(v)))),
+                    upper=BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(np.abs(v)))),
                     note="|v_x| at the endpoints (one-sided difference)"),
         # the embedded lower weight is identically zero, so v < A is the lower jump
         CheckResult("flux-above-lower-critical", *_extreme(params.A - v, grid),
@@ -490,7 +492,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
         CheckResult("weight-rate-sign", *_extreme(triple.lam_t.values, grid, np.argmin),
                     lower=-MONOTONE_TOL),
     ]
-    return VerificationReport(checks, _grid_summary(grid))
+    return VerificationReport(checks, grid_summary(grid))
 
 
 def viscous_entropy_audit(eps_sol: EpsSolution, params: PhaseParams,
@@ -519,6 +521,20 @@ def viscous_entropy_residual(eps_sol: EpsSolution, flux: EntropyFlux,
     return viscous_entropy_audit(eps_sol, params, [flux], [test])
 
 
+def relaxation_report(eps_sol: EpsSolution, params: PhaseParams) -> VerificationReport:
+    """Conservation and viscous admissibility of one relaxed solution."""
+    grid = eps_sol.grid
+    mass = np.trapezoid(eps_sol.u_eps.values, grid.x, axis=0)
+    drift = np.abs(mass - mass[0])
+    j = int(np.argmax(drift))
+    return VerificationReport([
+        CheckResult("mass-drift", float(drift[j]), t=float(grid.t[j]), upper=MASS_DRIFT_TOL,
+                    note="max |integral of u - its initial value|"),
+        CheckResult("viscous-entropy", viscous_entropy_audit(eps_sol, params),
+                    lower=-ENTROPY_TOL, note="min over the default fluxes x tests"),
+    ], grid_summary(grid))
+
+
 def distinctness(triple_a: SolutionTriple, triple_b: SolutionTriple,
                  t_probe: float) -> tuple[float, float, float]:
     """Spatial L2 distances of (u, v, lambda) at one certified time."""
@@ -542,7 +558,7 @@ def distinctness(triple_a: SolutionTriple, triple_b: SolutionTriple,
             dist(triple_a.lam, triple_b.lam))
 
 
-def _grid_summary(grid: Grid) -> str:
+def grid_summary(grid: Grid) -> str:
     return (f"grid L={grid.L:.6g} T={grid.T_end:.6g} "
             f"n_x={grid.n_x} n_t={grid.n_t} n_modes={grid.n_modes}")
 
@@ -595,119 +611,103 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
     checks.append(CheckResult("certificate-identity", float(worst_ident), upper=IDENTITY_TOL,
                               note="centered-difference identity defect" if has_identity
                               else f"needs three time samples, window has {grid.n_t}"))
-    return VerificationReport(checks, _grid_summary(grid))
+    return VerificationReport(checks, grid_summary(grid))
 
 
 # ---------------------------------------------------------------------------
-# negative controls: every check must reject its manufactured violator
+# negative controls: every bounded row must reject its manufactured violator
 
 
-def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool, str]]:
-    """Build one violator per check and report whether it was rejected.
+def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, object]]:
+    """(control name, target rows, violator) for every row with a finite bound.
 
-    Returns (control name, rejected, detail) entries; a control counts as
-    rejected only when its *target* check flags it.
+    A violator is a (triple, u0) pair, checked by ``run_triple_battery``, or a
+    relaxed solution, checked by ``relaxation_report``.
     """
     params = params or PhaseParams.default()
     grid = Grid(np.pi, 1.0, 64, 97, 16)
     final = CosineSeries(np.pi, [0.0, 0.1])
     back = solve_unstable_backward(final, params, grid)
-    v_base = back.v_bar
-    u0 = back.u0
-    results = []
-
-    # 1. a weight that decreases while the flux stays above the lower critical value
-    lam_vals = np.maximum(0.0, 0.2 - grid.t)[None, :] * np.ones((grid.n_x, 1))
-    lam_t_vals = np.where(grid.t < 0.2, -1.0, 0.0)[None, :] * np.ones((grid.n_x, 1))
-    lam_dec = Field2D(grid, lam_vals, "control weight")
-    decreasing = SolutionTriple(
-        assemble_state(v_base, lam_dec, params), v_base, lam_dec, grid.T_end, "control",
-        lam_t=Field2D(grid, lam_t_vals, "control weight rate"))
-    mono = monotonicity_report(decreasing, params).entry("lambda2-monotone")
-    cert = CheckResult("pointwise-certificate",
-                       pointwise_certificate(decreasing, EntropyFlux.identity(), params),
-                       lower=-CERTIFICATE_TOL)
-    results.append(("decreasing-weight", not (mono.passed or cert.passed),
-                    f"monotone residual {mono.residual:.2e}, "
-                    f"certificate min {cert.residual:.2e}"))
-
-    # 2. broken superposition identity
+    u0, t = back.u0, grid.t[None, :]
     zero = constant_field(grid, 0.0)
-    broken = SolutionTriple(
-        Field2D(grid, back.u_bar.values + 1e-3, "control state"), v_base, zero,
-        grid.T_end, "control", lam_t=zero)
-    rep = structural_check(broken, u0, params)
-    results.append(("broken-superposition",
-                    not rep.entry("superposition-identity").passed,
-                    f"residual {rep.entry('superposition-identity').residual:.2e}"))
+    base = SolutionTriple(back.u_bar, back.v_bar, zero, grid.T_end, "control", lam_t=zero)
 
-    # 3. flux dipping below the lower critical value
-    v_dip = v_base.values.copy()
-    v_dip[:, grid.n_t // 2:] -= (params.B - params.A)
-    dipped = SolutionTriple(
-        Field2D(grid, beta0_extended(params, v_dip), "control state"),
-        Field2D(grid, v_dip, "control flux"), zero, grid.T_end, "control", lam_t=zero)
-    rep = structural_check(dipped, u0, params)
-    results.append(("flux-below-lower-critical",
-                    not rep.entry("flux-above-lower-critical").passed,
-                    f"worst defect {rep.entry('flux-above-lower-critical').residual:.2e}"))
+    def field(values) -> Field2D:
+        return Field2D(grid, np.broadcast_to(values, (grid.n_x, grid.n_t)).copy(), "control")
 
-    # 4. non-conservative state (mass grows linearly)
-    u_nc = u0[:, None] + 0.1 * grid.t[None, :]
-    nonconservative = SolutionTriple(
-        Field2D(grid, u_nc, "control state"),
-        Field2D(grid, eval_phi(params, u_nc), "control flux"),
-        zero, grid.T_end, "control", lam_t=zero)
-    weak = CheckResult("weak-form", weak_residual(nonconservative, u0), upper=WEAK_TOL)
-    results.append(("non-conservative-state", not weak.passed,
-                    f"weak residual {weak.residual:.2e}"))
+    def on_branch0(v) -> tuple[SolutionTriple, np.ndarray]:
+        """The weight-zero triple with flux v on the decreasing branch, and its u(.,0)."""
+        triple = replace(base, u=field(beta0_extended(params, v)), v=field(v))
+        return triple, triple.u.values[:, 0]
 
-    # 5. flux above the upper critical value with upper weight below one
-    v_hi = constant_field(grid, params.B + 0.1, "control flux")
-    lam_mid = constant_field(grid, 0.3, "control weight")
-    u_hi = assemble_state(v_hi, lam_mid, params)
-    jump = SolutionTriple(u_hi, v_hi, lam_mid, grid.T_end, "control", lam_t=zero)
-    rep = structural_check(jump, u_hi.values[:, 0], params)
-    results.append(("upper-jump-violation",
-                    not rep.entry("upper-jump-clause").passed,
-                    f"weight deficit {rep.entry('upper-jump-clause').residual:.2e}"))
-
-    # 6. time-reversed relaxation flow (anti-diffusive in a stable branch)
-    u0_stable = 2.5 + 0.25 * np.cos(grid.x)
-    eps_sol = solve_pseudoparabolic(u0_stable, 0.05, params, grid)
-    reversed_sol = EpsSolution(
-        eps_sol.eps,
-        Field2D(grid, eps_sol.u_eps.values[:, ::-1], "control state"),
-        Field2D(grid, eps_sol.v_eps.values[:, ::-1], "control flux"),
-        eps_sol.u_modes[:, ::-1], eps_sol.v_modes[:, ::-1])
-    viscous = CheckResult("viscous-entropy", viscous_entropy_audit(
-        reversed_sol, params, [EntropyFlux.identity()]), lower=-ENTROPY_TOL)
-    results.append(("reversed-relaxation-flow", not viscous.passed,
-                    f"viscous residual {viscous.residual:.2e}"))
-
-    # 7. time-reversed baseline: forward diffusion in the unstable branch
-    reversed_base = SolutionTriple(
-        Field2D(grid, back.u_bar.values[:, ::-1], "control state"),
-        Field2D(grid, v_base.values[:, ::-1], "control flux"),
-        zero, grid.T_end, "control", lam_t=zero)
-    rep = run_triple_battery(reversed_base, reversed_base.u.values[:, 0], params)
-    results.append(("reversed-baseline", not rep.entry("entropy-inequality").passed,
-                    f"entropy residual {rep.entry('entropy-inequality').residual:.2e}"))
-
-    # 8. a certified sourced triple whose weight rate is doubled
+    # a weight that decreases while the flux stays above the lower critical value
+    lam_dec = field(np.maximum(0.0, 0.2 - t))
+    decreasing = replace(base, u=assemble_state(base.v, lam_dec, params), lam=lam_dec,
+                         lam_t=field(np.where(t < 0.2, -1.0, 0.0)))
+    # a flux that dips below the lower critical value, and a flux ramp, whose
+    # sides carry a nonzero flux
+    v_dip = back.v_bar.values.copy()
+    v_dip[:, grid.n_t // 2:] -= params.B - params.A
+    v_ramp = (0.5 * grid.x / grid.L - 0.25)[:, None]
+    # a non-conservative state (mass grows linearly)
+    u_nc = u0[:, None] + 0.1 * t
+    # a flux above the upper critical value with upper weight below one
+    v_hi, lam_mid = field(params.B + 0.1), field(0.3)
+    jump = replace(base, u=assemble_state(v_hi, lam_mid, params), v=v_hi, lam=lam_mid)
+    # forward diffusion in the unstable branch: the baseline reversed in time
+    reversed_base = replace(base, u=field(back.u_bar.values[:, ::-1]),
+                            v=field(back.v_bar.values[:, ::-1]))
+    # a certified sourced triple, and a relaxed solution in a stable branch
     sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)[1].restricted()
-    doubled = replace(sourced, lam_t=Field2D(sourced.grid, 2.0 * sourced.lam_t.values,
-                                             "control weight rate"))
-    rep = run_triple_battery(doubled, u0, params)
-    results.append(("doubled-weight-rate", not rep.entry("certificate-identity").passed,
-                    f"identity defect {rep.entry('certificate-identity').residual:.2e}"))
+    lam_over, rate_under = sourced.lam.values.copy(), sourced.lam_t.values.copy()
+    lam_over[17, 5], rate_under[17, 5] = 1.0 + 1e-3, -1e-3
+    relaxed = solve_pseudoparabolic(2.5 + 0.25 * np.cos(grid.x), 0.05, params, grid)
+    return [
+        ("decreasing-weight", ("lambda2-monotone", "pointwise-certificate"),
+         (decreasing, u0)),
+        ("broken-superposition", ("superposition-identity",),
+         (replace(base, u=field(back.u_bar.values + 1e-3)), u0)),
+        ("flux-below-lower-critical", ("flux-above-lower-critical",), on_branch0(v_dip)),
+        ("non-conservative-state", ("weak-form",),
+         (replace(base, u=field(u_nc), v=field(eval_phi(params, u_nc))), u0)),
+        ("upper-jump-violation", ("upper-jump-clause",), (jump, jump.u.values[:, 0])),
+        ("reversed-relaxation-flow", ("viscous-entropy",),
+         EpsSolution(relaxed.eps, field(relaxed.u_eps.values[:, ::-1]),
+                     field(relaxed.v_eps.values[:, ::-1]),
+                     relaxed.u_modes[:, ::-1], relaxed.v_modes[:, ::-1])),
+        ("reversed-baseline", ("entropy-inequality",),
+         (reversed_base, reversed_base.u.values[:, 0])),
+        ("doubled-weight-rate", ("certificate-identity",),
+         (replace(sourced, lam_t=Field2D(sourced.grid, 2.0 * sourced.lam_t.values)), u0)),
+        ("sloped-boundary-flux", ("boundary-flux",), on_branch0(v_ramp)),
+        ("shifted-initial-datum", ("initial-trace",), (sourced, u0 + 1e-6)),
+        ("drifting-state", ("state-evolution-identity",),
+         (replace(base, u=field(back.u_bar.values + 1e-3 * t * np.cos(grid.x)[:, None])),
+          u0)),
+        ("weight-above-one", ("weight-bounds",),
+         (replace(sourced, lam=Field2D(sourced.grid, lam_over)), u0)),
+        ("negative-weight-rate", ("weight-rate-sign",),
+         (replace(sourced, lam_t=Field2D(sourced.grid, rate_under)), u0)),
+        ("growing-relaxed-mass", ("mass-drift",),
+         replace(relaxed, u_eps=field(relaxed.u_eps.values * (1.0 + 0.1 * t)),
+                 u_modes=relaxed.u_modes * (1.0 + 0.1 * t))),
+    ]
 
-    # 9. a flux ramp, whose sides carry a nonzero flux
-    v_ramp = (0.5 * grid.x / grid.L - 0.25)[:, None] * np.ones((1, grid.n_t))
-    ramp = SolutionTriple(
-        Field2D(grid, beta0_extended(params, v_ramp), "control state"),
-        Field2D(grid, v_ramp, "control flux"), zero, grid.T_end, "control", lam_t=zero)
-    rep = structural_check(ramp, ramp.u.values[:, 0], params)
-    results.append(("sloped-boundary-flux", not rep.entry("boundary-flux").passed,
-                    f"endpoint slope {rep.entry('boundary-flux').residual:.2e}"))
+
+def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool, str]]:
+    """Check every violator of ``control_table`` with the report that carries its
+    target rows.
+
+    Returns (control name, rejected, detail) entries; a control counts as
+    rejected only when every one of its target rows fails, and the detail
+    gives each target row's residual.
+    """
+    params = params or PhaseParams.default()
+    results = []
+    for name, rows, violator in control_table(params):
+        report = (relaxation_report(violator, params) if isinstance(violator, EpsSolution)
+                  else run_triple_battery(*violator, params))
+        entries = [report.entry(row) for row in rows]
+        results.append((name, not any(e.passed for e in entries),
+                        ", ".join(f"{e.name} {e.residual:.2e}" for e in entries)))
     return results

@@ -166,16 +166,31 @@ class TestCertifyHorizon:
     def test_baseline_certified_to_horizon(self, family, grid):
         assert family[0].t_bar == pytest.approx(grid.T_end)
 
-    def test_zero_source_fails_rate_margin(self, midpoint_setup, params, midpoint_grid):
+    @staticmethod
+    def sourced_triple(f0, back, params, grid):
+        sol = solve_sourced(CosineSeries(L, [f0]), back.v_bar.values[:, 0], 1.0, grid)
+        lam, rate = build_lambda(sol, params)
+        return SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0,
+                              f"sourced(f=[{f0}])", lam_t=rate)
+
+    def test_source_below_margin_fails_rate_margin(self, midpoint_setup, params,
+                                                   midpoint_grid):
         back, _ = midpoint_setup
-        free = solve_sourced(CosineSeries(L, [0.0]), back.v_bar.values[:, 0], 1.0,
-                             midpoint_grid)
-        lam, rate = build_lambda(free, params)
-        u = assemble_state(free.v, lam, params)
-        triple = SolutionTriple(u, free.v, lam, 0.0, "sourced(f=[0])", lam_t=rate)
+        triple = self.sourced_triple(0.01, back, params, midpoint_grid)
         t_bar, diag = certify_horizon_report(triple, params, 0.05)
         assert t_bar == 0.0
         assert any("excess rate" in key for key in diag)
+
+    def test_zero_source_is_certified_as_weight_zero(self, midpoint_setup, params,
+                                                     midpoint_grid):
+        # f = 0 gives lambda = 0 on the whole window: a classical solution,
+        # whose condition (ii) is waived as for the baseline
+        back, _ = midpoint_setup
+        triple = self.sourced_triple(0.0, back, params, midpoint_grid)
+        assert not triple.lam.values.any()
+        t_bar, diag = certify_horizon_report(triple, params, 0.05)
+        assert t_bar > 0.0
+        assert not any("excess rate" in key for key in diag)
 
     def test_margin_above_source_maximum_gives_zero(self, family, params):
         assert certify_horizon(family[1], params, delta=2.0) == 0.0

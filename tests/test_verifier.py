@@ -17,8 +17,9 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              certificate_identity_error, default_entropy_tests,
                              default_flux_battery, default_weak_tests,
                              distinctness, entropy_inequality_residual,
-                             monotonicity_report, negative_controls,
-                             pointwise_certificate, run_triple_battery,
+                             monotonicity_report, negative_controls, control_table,
+                             pointwise_certificate, relaxation_report,
+                             run_triple_battery,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
                              weak_residual)
@@ -256,9 +257,21 @@ class TestDistinctness:
 class TestNegativeControls:
     def test_every_check_rejects_its_violator(self, params):
         results = negative_controls(params)
-        assert len(results) == 9
+        assert len(results) == 14
         for name, rejected, detail in results:
             assert rejected, f"{name} slipped through ({detail})"
+
+    def test_every_bounded_row_is_a_target(self, restricted_family, backward, params, grid):
+        # every row that can fail, in the battery and in the relaxation audit,
+        # has a manufactured violator that it must reject
+        relaxed = solve_pseudoparabolic(backward.u0, 0.1, params, grid)
+        reports = [run_triple_battery(restricted_family[1], backward.u0, params),
+                   relaxation_report(relaxed, params)]
+        bounded = {c.name for rep in reports for c in rep.checks
+                   if np.isfinite(c.lower) or np.isfinite(c.upper)}
+        targets = {row for _, rows, _ in control_table(params) for row in rows}
+        assert bounded <= targets, sorted(bounded - targets)
+        assert len(bounded) == 15
 
 
 class TestReports:
@@ -276,7 +289,7 @@ class TestReports:
         assert rep.passed
 
     def test_duplicate_names_rejected(self):
-        c = CheckResult("x", True, 0.0, 0.0, 0.0)
+        c = CheckResult("x", 0.0)
         with pytest.raises(ConfigurationError):
             VerificationReport([c, c], "g")
 
@@ -340,7 +353,7 @@ class TestPassRule:
                     assert bounds == []
                 elif c.name == "boundary-flux":
                     scale = max(1.0, float(np.max(np.abs(triple.v.values))))
-                    assert bounds == [solvers._BOUNDARY_SLOPE_TOL * scale]
+                    assert bounds == [solvers.BOUNDARY_SLOPE_TOL * scale]
                 else:
                     assert len(bounds) == 1 and bounds[0] in constants, c.name
 
@@ -440,6 +453,15 @@ class TestSeparableContraction:
         single = min(viscous_entropy_residual(sol, flux, test, params)
                      for flux in default_flux_battery() for test in tests)
         assert viscous_entropy_audit(sol, params) == single
+
+    def test_relaxation_report_rows(self, backward, params, grid):
+        sol = solve_pseudoparabolic(backward.u0, 0.1, params, grid)
+        rep = relaxation_report(sol, params)
+        assert [c.name for c in rep.checks] == ["mass-drift", "viscous-entropy"]
+        assert rep.passed
+        mass = np.trapezoid(sol.u_eps.values, grid.x, axis=0)
+        assert rep.entry("mass-drift").residual == np.max(np.abs(mass - mass[0]))
+        assert rep.entry("viscous-entropy").residual == viscous_entropy_audit(sol, params)
 
 
 class TestRunningSimpson:
