@@ -71,6 +71,7 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
     reports = []
     for i, triple in enumerate(family):
         tag = _triple_tag(i, triple.provenance)
+        binding = triple.binding or "whole window"
         report = verifier.run_triple_battery(triple.restricted(), u0, params)
         reports.append(report)
 
@@ -80,13 +81,15 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
                 out / "fields" / f"{tag}_{name}.meta.txt", fld.label,
                 "state evolution u_t = v_xx with zero-flux sides",
                 {"provenance": triple.provenance, "component": name,
-                 "certified_horizon": triple.t_bar, "delta": margins.delta})
+                 "certified_horizon": triple.t_bar, "binding_condition": binding,
+                 "delta": margins.delta})
         report.to_csv(out / "reports" / f"{tag}_checks.csv")
         (out / "reports" / f"{tag}_report.txt").write_text(report.to_text() + "\n")
 
         worst = report.worst()
         lines.append(f"{tag}: provenance={triple.provenance}")
-        lines.append(f"  certified horizon T_bar = {triple.t_bar:.6g}")
+        lines.append(f"  certified horizon T_bar = {triple.t_bar:.6g} "
+                     + (f"(binding: {triple.binding})" if triple.binding else "(whole window)"))
         lines.append(f"  battery: {'pass' if report.passed else 'FAIL'} (least headroom "
                      f"{worst.headroom:.3f} of its bound in {worst.name}, "
                      f"residual {worst.residual:.3e})")

@@ -11,9 +11,10 @@ Sections and keys::
     [output]     dir
 
 Key case is significant (the phase section distinguishes A from alpha1's a).
-A key a section does not list is a configuration error (``[sources]`` keys are
-free names), so a misspelt key cannot silently run a different scenario.  The
-tolerances that decide a verdict are fixed in ``verifier``, and the rate
+A section not listed here, or a key a section does not list, is a
+configuration error (``[sources]`` keys are free names), so a misspelt section
+or key cannot silently run a different scenario.  The tolerances that decide a
+verdict are fixed in ``verifier``, and the rate
 tolerance of certification in ``counterexample``; ``PhaseParams`` derives the
 outer-branch intercepts ``gamma1, gamma2`` from the six ``[phase]`` values.
 """
@@ -112,6 +113,11 @@ class ScenarioConfig:
             raise ConfigurationError(f"bad scenario file {path}: {exc}") from exc
         if not read:
             raise ConfigurationError(f"cannot read config file {path}")
+        known = [f"[{name}]" for name in (*SECTION_KEYS, "sources")]
+        unknown = [f"[{name}]" for name in parser.sections() if f"[{name}]" not in known]
+        if unknown:
+            raise ConfigurationError(f"bad scenario file {path}: unknown section(s) "
+                                     f"{', '.join(unknown)}; the sections are {', '.join(known)}")
         for section, keys in SECTION_KEYS.items():
             present = parser[section] if parser.has_section(section) else {}
             unknown = [k for k in present if k not in keys]

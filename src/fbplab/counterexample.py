@@ -12,7 +12,8 @@ yields a candidate triple (u, v, lambda) with u = (1-lambda) beta0(v)
 + lambda beta2(v), which satisfies u_t = v_xx and u(.,0) = u0 by construction.
 ``certify_horizon`` turns the sufficient margin conditions (gap bounded below,
 source bounded below, weight strictly inside [0,1), weight nondecreasing,
-flux between the critical values) into the largest grid time where all hold.
+flux between the critical values) into the largest grid time where all hold,
+and names the condition that ends it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class SolutionTriple:
     """State u, flux v and stable-phase weight lambda of one candidate solution.
 
     The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
-    certified horizon and ``lam_t`` the analytic time derivative of the weight.
-    All four fields live on one grid.
+    certified horizon, ``binding`` the margin condition that ends it ("" when it
+    is the whole window) and ``lam_t`` the analytic time derivative of the
+    weight.  All four fields live on one grid.
     """
 
     u: Field2D
@@ -50,6 +52,7 @@ class SolutionTriple:
     t_bar: float
     provenance: str
     lam_t: Field2D
+    binding: str = ""
 
     def __post_init__(self):
         if any(f.grid != self.u.grid for f in (self.v, self.lam, self.lam_t)):
@@ -63,9 +66,8 @@ class SolutionTriple:
         """The triple truncated to its certified horizon."""
         n_keep = int(round(self.t_bar / self.grid.dt)) + 1
         n_keep = max(2, min(n_keep, self.grid.n_t))
-        return SolutionTriple(
-            self.u.restrict(n_keep), self.v.restrict(n_keep), self.lam.restrict(n_keep),
-            self.t_bar, self.provenance, self.lam_t.restrict(n_keep))
+        return replace(self, u=self.u.restrict(n_keep), v=self.v.restrict(n_keep),
+                       lam=self.lam.restrict(n_keep), lam_t=self.lam_t.restrict(n_keep))
 
 
 def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Field2D]:
@@ -112,62 +114,47 @@ def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
     return Field2D(v.grid, u, "assembled state")
 
 
-def certify_horizon(triple: SolutionTriple, params: PhaseParams, delta: float) -> float:
-    """Largest grid time through which all margin conditions hold.
+def _prefix_scan(conds: dict[str, np.ndarray]) -> tuple[int, str]:
+    """The last sample j such that every (n_x, n_t) mask holds on samples 1..j
+    (sample 0 is not scanned), and the names of the masks that fail at j + 1."""
+    held = {name: mask.all(axis=0) for name, mask in conds.items()}
+    ok = np.logical_and.reduce(list(held.values()))
+    j = int(np.logical_and.accumulate(ok[1:]).sum())
+    if j + 1 == ok.size:
+        return j, ""
+    return j, "; ".join(name for name, per_t in held.items() if not per_t[j + 1])
+
+
+def certify_horizon(triple: SolutionTriple, params: PhaseParams,
+                    delta: float) -> tuple[float, str]:
+    """Largest grid time through which all margin conditions hold, and the
+    condition or conditions that end it ("" when the whole window holds).
 
     Conditions on the prefix rectangle: (i) gap(v) >= delta, (ii) m >= delta,
     (iii) lambda in [0, 1-delta], (iv) lambda_t >= -RATE_TOL, (v) A + delta < v <= B
     (a sample where v touches A + delta exactly is excluded).  Condition (ii)
     certifies growth of the weight and is waived exactly when lambda = 0 on the
     whole window: a classical weight-zero solution, whose monotonicity clause
-    holds identically.  Returns 0.0 when no positive time qualifies.
+    holds identically.  The horizon is 0.0 when no positive time qualifies.
     """
-    return certify_horizon_report(triple, params, delta)[0]
-
-
-def certify_horizon_report(triple: SolutionTriple, params: PhaseParams, delta: float):
-    """As ``certify_horizon`` but also returns a per-condition diagnostic dict."""
     if delta <= 0:
         raise ConfigurationError("certification margin delta must be positive")
     grid = triple.grid
     v = triple.v.values
     lam = triple.lam.values
-    gap = branch_gap_extended(params, v)
-    lam_t = triple.lam_t.values
-    rate_ok = np.ones_like(gap, dtype=bool)
+    rate_ok = np.ones(v.shape, dtype=bool)
     if lam.any():
         # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
         v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
         rate_ok = x_second_derivative(triple.v) + params.sigma_abs * v_t >= delta
-
-    conds = {
-        "branch gap >= delta": gap >= delta,
+    j, binding = _prefix_scan({
+        "branch gap >= delta": branch_gap_extended(params, v) >= delta,
         "excess rate m >= delta": rate_ok,
         "weight in [0, 1-delta]": (lam >= 0.0) & (lam <= 1.0 - delta),
-        "weight nondecreasing": lam_t >= -RATE_TOL,
+        "weight nondecreasing": triple.lam_t.values >= -RATE_TOL,
         "flux in (A+delta, B]": (v > params.A + delta) & (v <= params.B),
-    }
-    ok = np.ones(grid.n_t, dtype=bool)
-    for mask in conds.values():
-        ok &= mask.all(axis=0)
-    j = 0
-    while j + 1 < grid.n_t and ok[j + 1]:
-        j += 1
-    diagnostics = {}
-    if j == 0:
-        for name, mask in conds.items():
-            col = mask[:, 1] if grid.n_t > 1 else mask[:, 0]
-            if not col.all():
-                diagnostics[name] = "fails at the first positive time sample"
-        if not ok[0]:
-            diagnostics["initial sample"] = "conditions already fail at t = 0"
-        return 0.0, diagnostics
-    for name, mask in conds.items():
-        per_t = mask.all(axis=0)
-        if not per_t.all():
-            first_bad = int(np.argmin(per_t))
-            diagnostics[name] = f"first fails at t = {grid.t[first_bad]:.6g}"
-    return float(grid.t[j]), diagnostics
+    })
+    return float(grid.t[j]), binding
 
 
 def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
@@ -176,15 +163,12 @@ def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
     Keeps v > A with gap above the build floor and the weight at most 1; the
     certified horizon is always strictly inside this window.
     """
-    grid = sol.grid
     v = sol.v.values
     gap = branch_gap_extended(params, v)
-    fx = sol.source_values()
-    lam = grid.t[None, :] * fx[:, None] / np.where(gap > 0, gap, np.inf)
-    ok = ((v > params.A) & (gap >= BUILD_GAP_FLOOR) & (lam <= 1.0)).all(axis=0)
-    j = 0
-    while j + 1 < grid.n_t and ok[j + 1]:
-        j += 1
+    lam = sol.grid.t[None, :] * sol.source_values()[:, None] / np.where(gap > 0, gap, np.inf)
+    j, _ = _prefix_scan({"flux above A": v > params.A,
+                         "branch gap >= build floor": gap >= BUILD_GAP_FLOOR,
+                         "weight at most 1": lam <= 1.0})
     return j + 1
 
 
@@ -201,7 +185,8 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
     zero = constant_field(grid, 0.0, "stable-phase weight")
     baseline = SolutionTriple(back.u_bar, back.v_bar, zero, 0.0, "baseline",
                               lam_t=constant_field(grid, 0.0, "stable-phase weight rate"))
-    triples = [replace(baseline, t_bar=certify_horizon(baseline, params, delta))]
+    t_bar, binding = certify_horizon(baseline, params, delta)
+    triples = [replace(baseline, t_bar=t_bar, binding=binding)]
 
     v0 = back.v_bar.values[:, 0]
     for idx, f in enumerate(sources):
@@ -219,6 +204,6 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         u = assemble_state(sol.v, lam, params)
         coeffs = ", ".join(format(c, "g") for c in f.as_float())
         triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t)
-        t_bar = certify_horizon(triple, params, delta)
-        triples.append(replace(triple, t_bar=t_bar))
+        t_bar, binding = certify_horizon(triple, params, delta)
+        triples.append(replace(triple, t_bar=t_bar, binding=binding))
     return triples

@@ -31,17 +31,16 @@ import numpy as np
 from .errors import (BoundaryConditionError, ConfigurationError,
                      DomainViolationError, InstabilityError)
 from .phase_model import PhaseParams, eval_phi
-from .spectral import (OVERFLOW_EXPONENT, CosineSeries, Field2D, Grid,
-                       analysis_matrix, cosine_analyze, cosine_basis,
-                       cosine_eigenvalues, field_from_modes)
+from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
+                       analysis_matrix, boundary_slopes, cosine_analyze,
+                       cosine_basis, cosine_eigenvalues, field_from_modes,
+                       mode_exponential)
 
 #: growth exponent above which the float64 fast path is abandoned for mpmath
 _MP_EXPONENT_THRESHOLD = 16.0
 #: sample residual of a band-limited profile, relative to the profile, and the
 #: RK4 budget of one relaxation
 _BAND_LIMIT_TOL, _MAX_RK4_STEPS = 1e-8, 2_000_000
-#: endpoint slope of a zero-flux datum relative to the profile
-BOUNDARY_SLOPE_TOL = 1e-3
 
 
 def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
@@ -66,13 +65,6 @@ def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
         raise ConfigurationError(
             f"{what}: samples are not band-limited on this grid (residual {resid:.2e})")
     return series
-
-
-def endpoint_slope(vals: np.ndarray, dx: float, left: bool) -> float:
-    """Second-order one-sided difference at the left or right end of axis 0."""
-    if left:
-        return (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dx)
-    return (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dx)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +101,7 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
         if g_vals.shape != (grid.n_x,):
             raise ConfigurationError(
                 f"final datum: expected {grid.n_x} samples, got {g_vals.shape}")
-        sl = max(abs(endpoint_slope(g_vals, grid.dx, True)),
-                 abs(endpoint_slope(g_vals, grid.dx, False)))
+        sl = float(np.max(boundary_slopes(g_vals, grid.L, grid.n_modes)))
         if sl > BOUNDARY_SLOPE_TOL * max(1.0, np.max(np.abs(g_vals))):
             raise BoundaryConditionError(
                 f"final datum has slope {sl:.2e} at an endpoint; zero-flux data required")
@@ -120,7 +111,8 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
     series = _profile_to_series(g, grid, "final datum")
 
     # u_k(t) = g_k exp(-|phi0'| mu_k (T - t)): exact, decaying toward t = 0
-    decay = np.exp(-abs(params.phi0_slope) * np.outer(grid.mu(), grid.T_end - grid.t))
+    decay = mode_exponential(-abs(params.phi0_slope) * np.outer(grid.mu(), grid.T_end - grid.t),
+                             series.active, "backward solve")
     u_modes = series.as_float()[:, None] * decay
     u_field = field_from_modes(grid, u_modes, "backward-branch state")
     v_field = Field2D(grid, eval_phi(params, u_field.values), "backward-branch flux")
@@ -157,19 +149,6 @@ class SourcedSolution:
                                 "sourced flux curvature")
 
 
-def _guard_exponents(mu: np.ndarray, active: np.ndarray, T: float, sigma_abs: float,
-                     context: str) -> float:
-    expo = mu * T / sigma_abs
-    bad = active & (expo > OVERFLOW_EXPONENT)
-    if np.any(bad):
-        mode = int(np.argmax(bad))
-        raise InstabilityError(
-            f"{context}: mode {mode} growth exponent {expo[mode]:.1f} exceeds the "
-            "overflow guard; the expansion needs stronger coefficient decay "
-            "(summability) before this horizon is reachable")
-    return float(np.max(np.where(active, expo, 0.0), initial=0.0))
-
-
 def _mp_precision(max_exponent: float) -> int:
     # enough bits to absorb the e^{max_exponent} cancellation plus a margin
     return max(113, int(max_exponent * log2(np.e)) + 80)
@@ -198,20 +177,19 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     f_coeffs = fs.coeffs
 
     mu = grid.mu()
-    active = np.asarray([(ak != 0) or (fk != 0) for ak, fk in zip(a_coeffs, f_coeffs)])
-    max_exp = _guard_exponents(mu, active, grid.T_end, sigma_abs, "sourced solve")
+    active = a.active | fs.active
+    expo = np.outer(mu, grid.t) / sigma_abs
+    growth = mode_exponential(expo, active, "sourced solve")
+    max_exp = float(np.max(expo[:, -1], where=active, initial=0.0))
 
     use_mp = (max_exp > _MP_EXPONENT_THRESHOLD
               or a_coeffs.dtype == object or f_coeffs.dtype == object)
-    K, n_t = grid.n_modes, grid.n_t
     ff = fs.as_float()
-    v_modes = np.zeros((K + 1, n_t))
     if use_mp:
+        v_modes = np.zeros((grid.n_modes + 1, grid.n_t))
         with mp.workprec(_mp_precision(max_exp)):
             tgrid = [mp.mpf(tj) for tj in grid.t]
-            for k in range(K + 1):
-                if not active[k]:
-                    continue
+            for k in np.flatnonzero(active):
                 ak = _to_mpf(a_coeffs[k])
                 fk = _to_mpf(f_coeffs[k])
                 if k == 0:
@@ -223,12 +201,9 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
                 v_modes[k] = [float(r) for r in row]
     else:
         af = a.as_float()
+        F = np.divide(ff, mu, out=np.zeros_like(ff), where=mu > 0)
+        v_modes = (af + F)[:, None] * growth - F[:, None]
         v_modes[0] = af[0] + ff[0] * grid.t / sigma_abs
-        for k in range(1, K + 1):
-            if not active[k]:
-                continue
-            Fk = ff[k] / mu[k]
-            v_modes[k] = (af[k] + Fk) * np.exp(mu[k] * grid.t / sigma_abs) - Fk
 
     # |sigma| v_t = f + mu v element-wise: computing vt from the rounded modes
     # keeps the identity v_xx + |sigma| v_t = f exact at the sample level
@@ -257,9 +232,9 @@ def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
     if len(a.coeffs) != len(b_series.coeffs):
         raise ConfigurationError("endpoint profiles must carry the same mode count")
     mu = cosine_eigenvalues(len(a.coeffs) - 1, a.L)
-    active = np.asarray([(ak != 0) or (bk != 0)
-                         for ak, bk in zip(a.coeffs, b_series.coeffs)])
-    max_exp = _guard_exponents(mu, active, T_end, sigma_abs, "inverse source")
+    active, expo = a.active | b_series.active, mu * T_end / sigma_abs
+    mode_exponential(expo, active, "inverse source")  # the guard; mpmath forms E_k
+    max_exp = float(np.max(expo, where=active, initial=0.0))
 
     out = np.empty(len(mu), dtype=object)
     with mp.workprec(_mp_precision(max_exp)):
@@ -312,15 +287,6 @@ def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
     return out
 
 
-def _exact_factors(modes: np.ndarray, exponents: np.ndarray) -> np.ndarray | None:
-    """exp(exponents) on the nonzero modes and 1 on the zero ones (which so stay
-    exactly zero); None when an active exponent passes the overflow guard."""
-    active = modes != 0
-    if np.any(active & (exponents > OVERFLOW_EXPONENT)):
-        return None
-    return np.exp(np.where(active, exponents, 0.0))
-
-
 def _certified_branch(state: np.ndarray, params: PhaseParams, basis: np.ndarray,
                       exponents: np.ndarray) -> int | None:
     """The branch that every node provably keeps over the next sample interval, or None.
@@ -334,9 +300,9 @@ def _certified_branch(state: np.ndarray, params: PhaseParams, basis: np.ndarray,
     vals = basis @ state
     lo, hi = vals.min(), vals.max()
     i = params.branch_holding(lo, hi)
-    factors = None if i is None else _exact_factors(state, exponents[i])
-    if factors is None:
+    if i is None:
         return None
+    factors = mode_exponential(exponents[i], state != 0, "relaxation step")
     drift = np.abs(state) @ np.abs(factors - 1.0)
     return i if params.branch_holding(lo - drift, hi + drift) == i else None
 
@@ -381,11 +347,10 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
         i = _certified_branch(state, params, basis, exponents)
         if i is not None and i != run:
             start, run = j - 1, i
-        # the closed form from the run's first sample: rounding does not compound
-        factors = (None if i is None
-                   else _exact_factors(u_modes[:, start], (j - start) * exponents[i]))
-        if factors is not None:
-            state = u_modes[:, start] * factors
+        if i is not None:
+            # the closed form from the run's first sample: rounding does not compound
+            state = u_modes[:, start] * mode_exponential(
+                (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step")
         else:
             run, total = None, n_sub * (grid.n_t - j)
             # RK4 real-axis stability reaches |z| ~ 2.78; refuse a steep branch

@@ -7,6 +7,10 @@ including both endpoints; analysis uses the trapezoid inner product, which is
 an exact projection for inputs band-limited to N <= (n_x - 1)/2 modes.
 Propagation of the heat kernel is exact per mode, which is the only way the
 backward (negative-diffusivity) flows in this package are ever advanced.
+Every exact per-mode flow of the package (heat propagation, the backward
+solve, the sourced solve and its inverse, the relaxation's exact steps) takes
+its factors from the one guarded exponential, ``mode_exponential``.  The
+zero-flux test of sampled data, ``boundary_slopes``, also lives here.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainViolationError, InstabilityError
 
-#: |exponent| above which a per-mode exponential is refused.
+#: exponent above which a per-mode exponential of an active mode is refused
 OVERFLOW_EXPONENT = 700.0
+#: endpoint slope of a zero-flux profile relative to the profile
+BOUNDARY_SLOPE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,11 @@ class CosineSeries:
     def n_modes(self) -> int:
         return len(self.coeffs) - 1
 
+    @property
+    def active(self) -> np.ndarray:
+        """Which coefficients are nonzero (the modes an exact flow must move)."""
+        return np.asarray([c != 0 for c in self.coeffs], dtype=bool)
+
     def as_float(self) -> np.ndarray:
         return np.asarray([float(c) for c in self.coeffs], dtype=float)
 
@@ -195,24 +206,47 @@ def x_derivative_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarr
     return basis.T @ modes
 
 
+def mode_exponential(exponents, active, what: str) -> np.ndarray:
+    """exp(exponents) on the active modes and exactly 1 on the others, which so
+    stay exactly zero; ``exponents`` has one value or one row per mode.  An
+    active exponent above ``OVERFLOW_EXPONENT`` raises ``InstabilityError``."""
+    expo = np.asarray(exponents, dtype=float)
+    act = np.asarray(active, dtype=bool).reshape((-1,) + (1,) * (expo.ndim - 1))
+    peak = expo.reshape(expo.shape[0], -1).max(axis=1)
+    bad = act.ravel() & (peak > OVERFLOW_EXPONENT)
+    if np.any(bad):
+        mode = int(np.argmax(bad))
+        raise InstabilityError(
+            f"{what}: mode {mode} exponent {peak[mode]:.1f} exceeds the overflow guard; "
+            "the expansion needs stronger coefficient decay (summability) to get this far")
+    return np.exp(np.where(act, expo, 0.0))
+
+
 def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
     """Exact per-mode solution of w_t = kappa * w_xx over a step dt >= 0.
 
-    Negative ``kappa`` (backward flow) is allowed; growth is guarded by the
-    overflow exponent on modes with nonzero coefficients (zero modes stay
-    exactly zero and never trip the guard).
+    Negative ``kappa`` (backward flow) is allowed; growth is guarded by
+    ``mode_exponential``, and decay of any size is not refused.
     """
     if dt < 0:
         raise ConfigurationError("propagation step must be nonnegative")
     expo = -kappa * cosine_eigenvalues(s.n_modes, s.L) * dt
-    active = np.asarray([c != 0 for c in s.coeffs])
-    bad = active & (np.abs(expo) > OVERFLOW_EXPONENT)
-    if np.any(bad):
-        mode = int(np.argmax(bad))
-        raise InstabilityError(
-            f"mode {mode} exponent {expo[mode]:.1f} exceeds the overflow guard")
-    factors = np.where(active, np.exp(np.where(active, expo, 0.0)), 1.0)
-    return CosineSeries(s.L, s.coeffs * factors)
+    return CosineSeries(s.L, s.coeffs * mode_exponential(expo, s.active, "heat propagation"))
+
+
+def boundary_slopes(values: np.ndarray, L: float, n_modes: int) -> np.ndarray:
+    """|slope| at x = 0 (row 0) and x = L (row 1) of each column of ``values``.
+
+    The second-order one-sided stencil reads the samples minus their cosine
+    projection: every mode has zero slope at both ends, so the stencil's own
+    truncation error on band-limited data is not read as flux.
+    """
+    vals = np.asarray(values, dtype=float).reshape(len(values), -1)
+    rest = vals - synthesize_columns(analyze_columns(vals, L, n_modes), L,
+                                     np.linspace(0.0, L, len(vals)))
+    left = -3.0 * rest[0] + 4.0 * rest[1] - rest[2]
+    right = 3.0 * rest[-1] - 4.0 * rest[-2] + rest[-3]
+    return np.abs([left, right]) / (2.0 * L / (len(vals) - 1))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here works from sampled fields only: flux derivatives are
 recomputed by cosine projection of the stored values (endpoint slopes by
-one-sided differences), time derivatives by finite differences, apart from the
-analytic weight rate that every triple carries.
+one-sided differences of what that projection misses), time derivatives by
+finite differences, apart from the analytic weight rate that every triple
+carries.
 The battery covers the superposition/weak-form structure, the monotone-flux
 entropy inequality against a finite family of fluxes and test functions, the
 pointwise sign certificate and its defining identity, weight monotonicity (its
@@ -33,11 +34,10 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended,
                           branch_image_primitives, certificate_from_primitives,
                           entropy_primitive, eval_phi)
-from .solvers import (BOUNDARY_SLOPE_TOL, EpsSolution, endpoint_slope,
-                      solve_pseudoparabolic, solve_unstable_backward)
-from .spectral import (CosineSeries, Field2D, Grid, trapezoid_weights,
-                       analyze_columns, constant_field, x_derivative_columns,
-                       x_second_derivative)
+from .solvers import EpsSolution, solve_pseudoparabolic, solve_unstable_backward
+from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
+                       analyze_columns, boundary_slopes, constant_field,
+                       trapezoid_weights, x_derivative_columns, x_second_derivative)
 
 # the verdict tolerances, fixed for every run; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
@@ -463,9 +463,9 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     grid = triple.grid
     u, v, lam = triple.u.values, triple.v.values, triple.lam.values
     u0 = np.asarray(u0, dtype=float)
-    # the samples' endpoint slope (a cosine projection zeroes it by construction),
-    # held to the backward solve's bound on its final datum
-    edge = np.abs([endpoint_slope(v, grid.dx, left) for left in (True, False)])
+    # the endpoint slope of what the cosine projection misses, held to the
+    # backward solve's bound on its final datum
+    edge = boundary_slopes(v, grid.L, grid.n_modes)
     j = int(np.argmax(edge.max(axis=0)))
     sup = u - ((1.0 - lam) * beta0_extended(params, v) + lam * beta2_extended(params, v))
     evo = u - u[:, [0]] - running_simpson(x_second_derivative(triple.v), grid.dt)
@@ -476,7 +476,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
                     float(grid.x[0] if edge[0, j] >= edge[1, j] else grid.x[-1]),
                     float(grid.t[j]),
                     upper=BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(np.abs(v)))),
-                    note="|v_x| at the endpoints (one-sided difference)"),
+                    note="|v_x| at the endpoints (one-sided difference past the projection)"),
         # the embedded lower weight is identically zero, so v < A is the lower jump
         CheckResult("flux-above-lower-critical", *_extreme(params.A - v, grid),
                     upper=JUMP_TOL, note="max(A - v); the lower weight is zero"),
@@ -593,19 +593,21 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
     # the centered difference of G* needs an interior time sample; a shorter
     # window keeps the NaN, which fails the identity check
     has_identity = grid.n_t >= 3
-    worst_entropy, worst_cert = np.inf, np.inf
+    worst_entropy, worst_cert, worst_pair = np.inf, np.inf, ""
     worst_ident = 0.0 if has_identity else np.nan
     for flux in fluxes:
         gv, gstar, certificate = _flux_pass(triple, params, flux)
-        worst_entropy = min(worst_entropy,
-                            *_entropy_integrals(flux, v, vx, gv, gstar, weighted))
+        values = _entropy_integrals(flux, v, vx, gv, gstar, weighted)
+        k = int(np.argmin(values))
+        if values[k] < worst_entropy:
+            worst_entropy, worst_pair = values[k], f"{flux.label()} x {entropy_tests[k].label()}"
         rate_cert = lam_t * certificate
         worst_cert = min(worst_cert, float(np.min(rate_cert)))
         if has_identity:
             worst_ident = max(worst_ident, _identity_defect(grid, vxx, gv, gstar, rate_cert))
     checks.append(CheckResult("entropy-inequality", float(worst_entropy), lower=-ENTROPY_TOL,
                               note=f"min over {len(fluxes)} fluxes x "
-                                   f"{len(entropy_tests)} tests"))
+                                   f"{len(entropy_tests)} tests; worst {worst_pair}"))
     checks.append(CheckResult("pointwise-certificate", float(worst_cert),
                               lower=-CERTIFICATE_TOL))
     checks.append(CheckResult("certificate-identity", float(worst_ident), upper=IDENTITY_TOL,

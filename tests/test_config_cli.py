@@ -78,6 +78,22 @@ class TestScenarioConfig:
         assert f"[{section}]" in capsys.readouterr().err
         assert not Path(cfg.output_dir).exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("margin", "delta", "0.2", id="margin-delta"),
+        pytest.param("outputs", "dir", "elsewhere", id="outputs-dir")])
+    def test_unknown_section_refused(self, small_config, capsys, section, key, value):
+        # a misspelt section would otherwise be ignored: delta 0.05, output in out
+        cfg, path = small_config
+        path.write_text(path.read_text() + f"\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigurationError, match=rf"unknown section.*\[{section}\]"):
+            ScenarioConfig.from_file(path)
+        assert main(["counterexample", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert all(f"[{known}]" in err for known in
+                   ("phase", "grid", "final_datum", "sources", "margins",
+                    "regularization", "output"))
+        assert not Path(cfg.output_dir).exists()
+
     @pytest.mark.parametrize("text", ["[grid]\nn_x = 64\nn_x = 32\n", "n_x = 64\n[grid]\n"],
                              ids=["duplicate-key", "no-section"])
     def test_malformed_file_refused(self, tmp_path, text):
@@ -121,6 +137,21 @@ class TestCounterexampleCommand:
         assert (out / "fields" / "triple01_sourced_lam.csv").exists()
         assert (out / "fields" / "triple01_sourced_u.meta.txt").exists()
         assert (out / "reports" / "triple01_sourced_checks.csv").exists()
+
+    def test_binding_condition_written(self, small_config):
+        cfg, path = small_config
+        assert main(["counterexample", "--config", str(path)]) == 0
+        out = Path(cfg.output_dir)
+        summary = (out / "summary.txt").read_text().splitlines()
+        horizons = [line for line in summary if "certified horizon" in line]
+        assert horizons[0] == "  certified horizon T_bar = 1 (whole window)"
+        assert horizons[1].endswith(" (binding: flux in (A+delta, B])")
+        for tag, binding in (("triple00_baseline", "whole window"),
+                             ("triple01_sourced", "flux in (A+delta, B]")):
+            for name in ("u", "v", "lam"):
+                meta = (out / "fields" / f"{tag}_{name}.meta.txt").read_text().splitlines()
+                at = [line.split(":")[0] for line in meta].index("certified_horizon")
+                assert meta[at + 1] == f"binding_condition: {binding}"
 
     def test_empty_sources_reports_family_of_one(self, small_config, tmp_path):
         cfg, _ = small_config
@@ -195,7 +226,8 @@ class TestCounterexampleCommand:
         cfg.to_file(path)
         assert main(["counterexample", "--config", str(path)]) == 0
         summary = (tmp_path / "steep" / "summary.txt").read_text()
-        assert "certified horizon T_bar = 0\n" in summary
+        # v = vbar + 300 t passes B = 1 at the first time sample
+        assert "certified horizon T_bar = 0 (binding: flux in (A+delta, B])\n" in summary
         assert "certificate-identity: FAIL nan" in summary
         assert "(0,3): no common certified time after t=0 -> skipped" in summary
         assert "3/4 triples pass the battery; pairwise distinct: True" in summary

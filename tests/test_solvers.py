@@ -199,11 +199,32 @@ class TestSourcedSolve:
     def test_active_mode_overflow_guard(self, grid):
         coeffs = np.zeros(grid.n_modes + 1)
         coeffs[-1] = 1.0  # mode 32: exponent 1024 > 700
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError, match="mode 32 .*summability"):
             solve_sourced(CosineSeries(L, coeffs), np.zeros(grid.n_x), 1.0, grid)
+
+    def test_float_path_is_the_per_mode_closed_form(self, grid):
+        # v_k(t) = (a_k + f_k/mu_k) e^{mu_k t/|sigma|} - f_k/mu_k, mode 0 linear
+        short = Grid(L, 0.01, grid.n_x, 9, grid.n_modes)
+        a = np.zeros(short.n_modes + 1)
+        f = np.zeros(short.n_modes + 1)
+        a[[0, 2, 5]], f[[0, 1, 5, 32]] = (0.3, -0.2, 0.05), (1.0, 0.4, -0.1, 0.02)
+        sol = solve_sourced(CosineSeries(L, f), CosineSeries(L, a), 2.0, short)
+        mu = short.mu()
+        assert np.array_equal(sol.v_modes[0], a[0] + f[0] * short.t / 2.0)
+        for k in range(1, short.n_modes + 1):
+            fk = f[k] / mu[k]
+            expect = (a[k] + fk) * np.exp(mu[k] * short.t / 2.0) - fk if a[k] or f[k] else 0.0
+            assert np.array_equal(sol.v_modes[k], np.broadcast_to(expect, short.t.shape)), k
 
 
 class TestPseudoparabolic:
+    def test_exact_step_overflow_is_instability(self, params, grid):
+        # mode 32 at 1e-310 stays certified in the middle branch until its run
+        # exponent passes the guard: refused, not handed to RK4
+        u0 = CosineSeries(L, [0.0] * 32 + [1e-310])
+        with pytest.raises(InstabilityError, match="relaxation step: mode 32"):
+            solve_pseudoparabolic(u0, 1e-4, params, grid)
+
     def test_equilibrium(self, params, grid):
         sol = solve_pseudoparabolic(np.full(grid.n_x, 0.4), 0.1, params, grid)
         assert np.max(np.abs(sol.u_eps.values - 0.4)) < 1e-13

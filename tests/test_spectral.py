@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
-from fbplab.spectral import (CosineSeries, Field2D, Grid, cosine_analyze,
-                             constant_field, propagate_heat, write_field_csv,
+from fbplab.spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
+                             boundary_slopes, cosine_analyze, constant_field,
+                             mode_exponential, propagate_heat, write_field_csv,
                              x_second_derivative)
 
 L = np.pi
@@ -126,6 +127,19 @@ class TestPropagate:
         with pytest.raises(InstabilityError, match="mode 8"):
             propagate_heat(CosineSeries(L, [0.0] * 8 + [1.0]), -12.0, 1.0)
 
+    def test_decay_is_not_refused(self):
+        # exponent -1024 is a decay to zero, not an overflow
+        s = propagate_heat(CosineSeries(L, [0.0] * 32 + [1.0]), 1.0, 1.0)
+        assert np.all(s.coeffs == 0.0)
+
+    def test_guard_on_active_modes_only(self):
+        expo = np.array([[0.0, 1.0], [800.0, 900.0], [650.0, 701.0]])
+        out = mode_exponential(expo, [True, False, False], "probe")
+        assert np.array_equal(out, np.vstack([np.exp(expo[0]), np.ones((2, 2))]))
+        with pytest.raises(InstabilityError, match="probe: mode 2 exponent 701.0"):
+            mode_exponential(expo, [True, False, True], "probe")
+        assert np.array_equal(CosineSeries(L, [1.0, 0.0, -2.0]).active, [True, False, True])
+
     def test_inactive_modes_do_not_trip_guard(self):
         # zero coefficients stay exactly zero no matter the exponent
         s = propagate_heat(CosineSeries(L, [1.0] + [0.0] * 30), -12.0, 10.0)
@@ -184,3 +198,18 @@ class TestField2D:
         assert r.grid.n_t == 33
         assert r.grid.dt == pytest.approx(small_grid.dt)
         assert r.grid.T_end == pytest.approx(small_grid.t[32])
+
+
+class TestBoundarySlopes:
+    @pytest.mark.parametrize("k", [8, 16, 24, 32])
+    def test_band_limited_columns_read_round_off(self, k):
+        # the bare one-sided stencil reads its truncation error (1.5e-3 at k = 8)
+        x = np.linspace(0.0, L, 128)
+        vals = 0.1 * np.cos(k * x)[:, None] * np.array([1.0, -2.0])
+        assert np.max(boundary_slopes(vals, L, 32)) < 1e-13
+
+    def test_ramp_reads_its_slope(self):
+        x = np.linspace(0.0, L, 128)
+        slopes = boundary_slopes(0.1 * x / L, L, 32)
+        assert slopes.shape == (2, 1)
+        assert np.all(slopes > BOUNDARY_SLOPE_TOL)

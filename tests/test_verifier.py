@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from fbplab.counterexample import SolutionTriple
+from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError
 from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
                                 entropy_primitive)
@@ -77,6 +77,17 @@ class TestEntropyInequality:
         for triple in restricted_family:
             for test in default_entropy_tests(triple.grid.L, triple.grid.T_end):
                 assert entropy_inequality_residual(triple, flux, test, params) >= -1e-6
+
+    def test_note_names_the_worst_pair(self, restricted_family, backward, params):
+        # the row's note names the (flux, test) pair whose integral is the residual
+        for triple in restricted_family:
+            entry = run_triple_battery(triple, backward.u0, params).entry("entropy-inequality")
+            fluxes = {f.label(): f for f in default_flux_battery()}
+            tests = {t.label(): t
+                     for t in default_entropy_tests(triple.grid.L, triple.grid.T_end)}
+            flux_label, test_label = entry.note.split("; worst ")[1].split(" x ")
+            assert entropy_inequality_residual(triple, fluxes[flux_label], tests[test_label],
+                                               params) == entry.residual
 
 
 class TestPointwiseCertificate:
@@ -162,7 +173,7 @@ class TestQuadratureResolution:
 
     @pytest.mark.xfail(strict=True, reason="x-quadrature error (-1.18e-6) exceeds the "
                        "absolute ENTROPY_TOL at n_x = 128; tolerances that scale with "
-                       "the resolution are ROADMAP item 4")
+                       "the resolution are ROADMAP item 3")
     def test_baseline_passes_at_reference_resolution(self):
         assert self.baseline_residual(128).passed
 
@@ -216,11 +227,22 @@ class TestStructural:
         assert entry.t > full.t_bar
 
     def test_boundary_flux_trace_measured_small(self, restricted_family, backward, params):
-        # the one-sided difference errs at third order (v_xxx = 0 at the ends):
-        # at most 2.7e-5 at 128 x 256, against the bound 1e-3
+        # band-limited fields: the stencil reads only what the cosine projection
+        # misses, which is round-off (at most 3.6e-14 at 128 x 256)
         for triple in restricted_family:
             entry = structural_check(triple, backward.u0, params).entry("boundary-flux")
-            assert entry.passed and entry.residual < 5e-5
+            assert entry.passed and entry.residual < 1e-12
+
+    def test_high_mode_baseline_has_zero_flux(self, params, grid):
+        # the stencil alone reads 1.54e-3 on this baseline, above its bound 1e-3,
+        # and refuses its sampled datum
+        final = CosineSeries(L, [0.0] * 8 + [0.1])
+        base = construct_family(final, [], params, grid)[0]
+        entry = run_triple_battery(base.restricted(), base.u.values[:, 0],
+                                   params).entry("boundary-flux")
+        assert entry.passed and entry.residual < 1e-12
+        sampled = solve_unstable_backward(0.1 * np.cos(8 * grid.x), params, grid)
+        assert np.max(np.abs(sampled.u0 - base.u.values[:, 0])) < 1e-12
 
 
 class TestViscousEntropy:
@@ -341,7 +363,7 @@ class TestPassRule:
         assert (entry.x, entry.t) == (base.grid.x[17], base.grid.t[5])
 
     def test_bounds_are_module_constants(self, restricted_family, backward, params):
-        import fbplab.solvers as solvers
+        import fbplab.spectral as spectral
         import fbplab.verifier as verifier
         constants = {value for name, value in vars(verifier).items()
                      if name.endswith("_TOL") and isinstance(value, float)}
@@ -353,7 +375,7 @@ class TestPassRule:
                     assert bounds == []
                 elif c.name == "boundary-flux":
                     scale = max(1.0, float(np.max(np.abs(triple.v.values))))
-                    assert bounds == [solvers.BOUNDARY_SLOPE_TOL * scale]
+                    assert bounds == [spectral.BOUNDARY_SLOPE_TOL * scale]
                 else:
                     assert len(bounds) == 1 and bounds[0] in constants, c.name
 
