@@ -368,10 +368,11 @@ def certificate_integrand_extended(params: PhaseParams, flux: EntropyFlux, v):
     """Certificate integrand through the affine continuations, no domain check."""
     arr = np.asarray(v, dtype=float)
     g0, g2 = branch_image_primitives(params, flux, arr)
-    out = certificate_from_primitives(params, arr, g0, g2, flux.value(arr))
+    out = certificate_from_primitives(branch_gap_extended(params, arr), g0, g2,
+                                      flux.value(arr))
     return _scalar_like(v, np.asarray(out))
 
 
-def certificate_from_primitives(params: PhaseParams, v, g0, g2, gv):
-    """The certificate integrand from g0 = G(beta0(v)), g2 = G(beta2(v)) and gv = g(v)."""
-    return g0 - g2 + branch_gap_extended(params, v) * gv
+def certificate_from_primitives(gap, g0, g2, gv):
+    """The certificate from the branch gap, G(beta0(v)), G(beta2(v)) and g(v)."""
+    return g0 - g2 + gap * gv

@@ -32,9 +32,9 @@ from .errors import (BoundaryConditionError, ConfigurationError,
                      DomainViolationError, InstabilityError)
 from .phase_model import PhaseParams, eval_phi
 from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                       analysis_matrix, boundary_slopes, cosine_analyze,
-                       cosine_basis, cosine_eigenvalues, field_from_modes,
-                       mode_exponential)
+                       analysis_matrix, analyze_columns, boundary_slopes,
+                       cosine_analyze, cosine_basis, cosine_eigenvalues,
+                       field_from_modes, mode_exponential)
 
 #: growth exponent above which the float64 fast path is abandoned for mpmath
 _MP_EXPONENT_THRESHOLD = 16.0
@@ -79,7 +79,6 @@ class BackwardBranchSolution:
     v_bar: Field2D
     u0: np.ndarray
     final_data: np.ndarray
-    params: PhaseParams
 
     @property
     def grid(self) -> Grid:
@@ -101,7 +100,8 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
         if g_vals.shape != (grid.n_x,):
             raise ConfigurationError(
                 f"final datum: expected {grid.n_x} samples, got {g_vals.shape}")
-        sl = float(np.max(boundary_slopes(g_vals, grid.L, grid.n_modes)))
+        modes = analyze_columns(g_vals[:, None], grid.L, grid.n_modes)
+        sl = float(np.max(boundary_slopes(g_vals[:, None], modes, grid.L)))
         if sl > BOUNDARY_SLOPE_TOL * max(1.0, np.max(np.abs(g_vals))):
             raise BoundaryConditionError(
                 f"final datum has slope {sl:.2e} at an endpoint; zero-flux data required")
@@ -117,7 +117,7 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
     u_field = field_from_modes(grid, u_modes, "backward-branch state")
     v_field = Field2D(grid, eval_phi(params, u_field.values), "backward-branch flux")
     return BackwardBranchSolution(u_field, v_field, u_field.values[:, 0].copy(),
-                                  g_vals.copy(), params)
+                                  g_vals.copy())
 
 
 # ---------------------------------------------------------------------------

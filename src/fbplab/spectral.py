@@ -9,8 +9,9 @@ Propagation of the heat kernel is exact per mode, which is the only way the
 backward (negative-diffusivity) flows in this package are ever advanced.
 Every exact per-mode flow of the package (heat propagation, the backward
 solve, the sourced solve and its inverse, the relaxation's exact steps) takes
-its factors from the one guarded exponential, ``mode_exponential``.  The
-zero-flux test of sampled data, ``boundary_slopes``, also lives here.
+its factors from the one guarded exponential, ``mode_exponential``.  A sampled
+field is projected once (``Field2D.modes``), and its space derivatives, the
+zero-flux test ``boundary_slopes`` among them, read that projection.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class Grid:
         t = np.linspace(0.0, self.T_end, self.n_t)
         t.flags.writeable = False
         return t
-
-    @property
-    def dx(self) -> float:
-        return self.L / (self.n_x - 1)
 
     @property
     def dt(self) -> float:
@@ -234,24 +231,24 @@ def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
     return CosineSeries(s.L, s.coeffs * mode_exponential(expo, s.active, "heat propagation"))
 
 
-def boundary_slopes(values: np.ndarray, L: float, n_modes: int) -> np.ndarray:
-    """|slope| at x = 0 (row 0) and x = L (row 1) of each column of ``values``.
+def boundary_slopes(values: np.ndarray, modes: np.ndarray, L: float) -> np.ndarray:
+    """|slope| at x = 0 (row 0) and x = L (row 1) of each column of the
+    (n_x, n_cols) ``values``, given ``modes``, their ``analyze_columns``.
 
     The second-order one-sided stencil reads the samples minus their cosine
     projection: every mode has zero slope at both ends, so the stencil's own
     truncation error on band-limited data is not read as flux.
     """
-    vals = np.asarray(values, dtype=float).reshape(len(values), -1)
-    rest = vals - synthesize_columns(analyze_columns(vals, L, n_modes), L,
-                                     np.linspace(0.0, L, len(vals)))
+    rest = values - synthesize_columns(modes, L, np.linspace(0.0, L, len(values)))
     left = -3.0 * rest[0] + 4.0 * rest[1] - rest[2]
     right = 3.0 * rest[-1] - 4.0 * rest[-2] + rest[-3]
-    return np.abs([left, right]) / (2.0 * L / (len(vals) - 1))
+    return np.abs([left, right]) / (2.0 * L / (len(values) - 1))
 
 
 @dataclass(frozen=True)
 class Field2D:
-    """A scalar function sampled on a grid, with provenance in ``label``."""
+    """A scalar function sampled on a grid, with provenance in ``label``; its
+    cosine projection ``modes`` is formed on first use and kept."""
 
     grid: Grid
     values: np.ndarray
@@ -269,6 +266,13 @@ class Field2D:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """The cosine projection of the samples, one column per time sample."""
+        modes = analyze_columns(self.values, self.grid.L, self.grid.n_modes)
+        modes.flags.writeable = False
+        return modes
+
     def restrict(self, n_keep: int) -> "Field2D":
         return Field2D(self.grid.with_time(n_keep), self.values[:, :n_keep], self.label)
 
@@ -280,10 +284,9 @@ def field_from_modes(grid: Grid, modes: np.ndarray, label: str = "") -> Field2D:
 
 
 def x_second_derivative(f: Field2D) -> np.ndarray:
-    """v_xx of a sampled field: cosine projection, then a_k -> -(k*pi/L)^2 a_k."""
+    """v_xx of a sampled field: its cosine projection with a_k -> -(k*pi/L)^2 a_k."""
     g = f.grid
-    modes = analyze_columns(f.values, g.L, g.n_modes)
-    return synthesize_columns(-(g.mu()[:, None] * modes), g.L, g.x)
+    return synthesize_columns(-(g.mu()[:, None] * f.modes), g.L, g.x)
 
 
 def constant_field(grid: Grid, value: float, label: str = "") -> Field2D:

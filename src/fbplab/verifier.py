@@ -1,10 +1,10 @@
 """Independent admissibility checks for constructed solutions.
 
-Everything here works from sampled fields only: flux derivatives are
-recomputed by cosine projection of the stored values (endpoint slopes by
-one-sided differences of what that projection misses), time derivatives by
-finite differences, apart from the analytic weight rate that every triple
-carries.
+Everything here works from sampled fields only: flux derivatives come from
+the one cosine projection each field keeps of its stored values
+(``Field2D.modes``; endpoint slopes by one-sided differences of what that
+projection misses), time derivatives from finite differences, apart from the
+analytic weight rate that every triple carries.
 The battery covers the superposition/weak-form structure, the monotone-flux
 entropy inequality against a finite family of fluxes and test functions, the
 pointwise sign certificate and its defining identity, weight monotonicity (its
@@ -14,11 +14,11 @@ decides it: a row passes when lower <= residual <= upper (``CheckResult``).
 A relaxed solution gets its own report (``relaxation_report``), and each
 negative control is decided by the target rows of one of these reports.
 
-The battery makes one entropy pass per flux: G(beta0(v)) and G(beta2(v)) are
-affine images of one primitive Gamma(v) of g on a certified field (the closed
-form of ``branch_image_primitives``) and feed the entropy, certificate and
-identity checks, which share the product lambda_t * certificate; each entropy
-integral contracts the fields with separable test factors X(x) T(t).
+One pass per flux (``_flux_pass``) serves the battery and the single checks:
+G(beta0(v)) and G(beta2(v)) are affine images of one primitive Gamma(v) of g on
+a certified field (``branch_image_primitives``) and give the entropy integrals,
+min lambda_t * certificate and the identity defect; each entropy integral
+contracts the fields with separable test factors X(x) T(t).
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ import numpy as np
 from .counterexample import SolutionTriple, assemble_state, construct_family
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
-                          beta0_extended, beta2_extended,
+                          beta0_extended, beta2_extended, branch_gap_extended,
                           branch_image_primitives, certificate_from_primitives,
                           entropy_primitive, eval_phi)
 from .solvers import EpsSolution, solve_pseudoparabolic, solve_unstable_backward
 from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                       analyze_columns, boundary_slopes, constant_field,
-                       trapezoid_weights, x_derivative_columns, x_second_derivative)
+                       boundary_slopes, constant_field, trapezoid_weights,
+                       x_derivative_columns, x_second_derivative)
 
 # the verdict tolerances, fixed for every run; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
@@ -302,8 +302,7 @@ def _extreme(values: np.ndarray, grid: Grid, pick=np.argmax):
 
 
 def _v_x(field: Field2D) -> np.ndarray:
-    g = field.grid
-    return x_derivative_columns(analyze_columns(field.values, g.L, g.n_modes), g.L, g.x)
+    return x_derivative_columns(field.modes, field.grid.L, field.grid.x)
 
 
 def running_simpson(y: np.ndarray, dt: float) -> np.ndarray:
@@ -323,15 +322,6 @@ def running_simpson(y: np.ndarray, dt: float) -> np.ndarray:
         parts[..., :-1:2] = ahead[..., ::2]                         # other even ones
         parts *= dt / 12.0
     return np.concatenate([np.zeros_like(y[..., :1]), np.cumsum(parts, axis=-1)], axis=-1)
-
-
-def _flux_pass(triple: SolutionTriple, params: PhaseParams, flux: EntropyFlux):
-    """g(v), G* = (1-lam) G(beta0(v)) + lam G(beta2(v)) and the sign certificate."""
-    v = triple.v.values
-    lam = triple.lam.values
-    g0, g2 = branch_image_primitives(params, flux, v)
-    gv = flux.value(v)
-    return gv, (1.0 - lam) * g0 + lam * g2, certificate_from_primitives(params, v, g0, g2, gv)
 
 
 def _weighted_factors(tests, grid: Grid) -> list[tuple]:
@@ -358,10 +348,35 @@ def _entropy_integrals(flux: EntropyFlux, v: np.ndarray, vx: np.ndarray, gv: np.
 def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndarray,
                      rate_cert: np.ndarray) -> float:
     """max |g(v) v_xx - (G*)_t - rate_cert| over interior time samples, where
-    rate_cert is the product lambda_t * certificate."""
-    gstar_t = (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
-    lhs = gv[:, 1:-1] * vxx[:, 1:-1] - gstar_t
-    return float(np.max(np.abs(lhs - rate_cert[:, 1:-1])))
+    rate_cert is the product lambda_t * certificate; NaN without one."""
+    if grid.n_t < 3:
+        return np.nan
+    defect = gv[:, 1:-1] * vxx[:, 1:-1]        # formed in place: one full-field array
+    defect -= (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
+    defect -= rate_cert[:, 1:-1]
+    return float(np.max(np.abs(defect, out=defect)))
+
+
+def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[EntropyFlux],
+               tests) -> list[tuple[list[float], float, float]]:
+    """Per flux: the entropy integrals over ``tests``, min lambda_t * certificate
+    and the identity defect.  v_x, v_xx, the gap and the test factors are formed
+    once, and each flux's full-field arrays are freed before the next flux's."""
+    grid, v, lam = triple.grid, triple.v.values, triple.lam.values
+    vx, vxx = _v_x(triple.v), x_second_derivative(triple.v)
+    gap = branch_gap_extended(params, v)
+    weighted = _weighted_factors(tests, grid)
+
+    def one(flux: EntropyFlux) -> tuple[list[float], float, float]:
+        g0, g2 = branch_image_primitives(params, flux, v)
+        gv = flux.value(v)
+        gstar = (1.0 - lam) * g0 + lam * g2
+        rate_cert = triple.lam_t.values * certificate_from_primitives(gap, g0, g2, gv)
+        del g0, g2       # freed before the two checks below, where memory peaks
+        return (_entropy_integrals(flux, v, vx, gv, gstar, weighted),
+                float(np.min(rate_cert)), _identity_defect(grid, vxx, gv, gstar, rate_cert))
+
+    return [one(flux) for flux in fluxes]
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +410,7 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray) -> float:
 def entropy_inequality_residual(triple: SolutionTriple, flux: EntropyFlux,
                                 test, params: PhaseParams) -> float:
     """Quadrature value of the admissibility integral; >= -tol when admissible."""
-    gv, gstar, _ = _flux_pass(triple, params, flux)
-    return _entropy_integrals(flux, triple.v.values, _v_x(triple.v), gv, gstar,
-                              _weighted_factors([test], triple.grid))[0]
+    return _flux_pass(triple, params, [flux], [test])[0][0][0]
 
 
 def pointwise_certificate(triple: SolutionTriple, flux: EntropyFlux,
@@ -408,7 +421,7 @@ def pointwise_certificate(triple: SolutionTriple, flux: EntropyFlux,
     nondecreasing fluxes on the constructed class, so the quadrature checks
     only guard the implementation.
     """
-    return float(np.min(triple.lam_t.values * _flux_pass(triple, params, flux)[2]))
+    return _flux_pass(triple, params, [flux], [])[0][1]
 
 
 def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
@@ -419,12 +432,9 @@ def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
     time refinement for C1 fluxes (first order on cells crossing a clamp
     corner); interior time samples only.
     """
-    grid = triple.grid
-    if grid.n_t < 3:
+    if triple.grid.n_t < 3:
         raise ConfigurationError("identity check needs at least three time samples")
-    gv, gstar, certificate = _flux_pass(triple, params, flux)
-    return _identity_defect(grid, x_second_derivative(triple.v), gv, gstar,
-                            triple.lam_t.values * certificate)
+    return _flux_pass(triple, params, [flux], [])[0][2]
 
 
 def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
@@ -465,7 +475,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     u0 = np.asarray(u0, dtype=float)
     # the endpoint slope of what the cosine projection misses, held to the
     # backward solve's bound on its final datum
-    edge = boundary_slopes(v, grid.L, grid.n_modes)
+    edge = boundary_slopes(v, triple.v.modes, grid.L)
     j = int(np.argmax(edge.max(axis=0)))
     sup = u - ((1.0 - lam) * beta0_extended(params, v) + lam * beta2_extended(params, v))
     evo = u - u[:, [0]] - running_simpson(x_second_derivative(triple.v), grid.dt)
@@ -585,33 +595,17 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
     checks.append(CheckResult("weak-form", weak_residual(triple, u0), upper=WEAK_TOL,
                               note=f"max over {len(default_weak_tests())} final-zero tests"))
 
-    v = triple.v.values
-    vx = _v_x(triple.v)
-    vxx = x_second_derivative(triple.v)
-    lam_t = triple.lam_t.values
-    weighted = _weighted_factors(entropy_tests, grid)
-    # the centered difference of G* needs an interior time sample; a shorter
-    # window keeps the NaN, which fails the identity check
-    has_identity = grid.n_t >= 3
-    worst_entropy, worst_cert, worst_pair = np.inf, np.inf, ""
-    worst_ident = 0.0 if has_identity else np.nan
-    for flux in fluxes:
-        gv, gstar, certificate = _flux_pass(triple, params, flux)
-        values = _entropy_integrals(flux, v, vx, gv, gstar, weighted)
-        k = int(np.argmin(values))
-        if values[k] < worst_entropy:
-            worst_entropy, worst_pair = values[k], f"{flux.label()} x {entropy_tests[k].label()}"
-        rate_cert = lam_t * certificate
-        worst_cert = min(worst_cert, float(np.min(rate_cert)))
-        if has_identity:
-            worst_ident = max(worst_ident, _identity_defect(grid, vxx, gv, gstar, rate_cert))
-    checks.append(CheckResult("entropy-inequality", float(worst_entropy), lower=-ENTROPY_TOL,
+    integrals, certs, defects = zip(*_flux_pass(triple, params, fluxes, entropy_tests))
+    # the first (flux, test) pair that attains the minimum
+    i, k = np.unravel_index(int(np.argmin(integrals)), (len(fluxes), len(entropy_tests)))
+    worst = f"{fluxes[i].label()} x {entropy_tests[k].label()}"
+    checks.append(CheckResult("entropy-inequality", integrals[i][k], lower=-ENTROPY_TOL,
                               note=f"min over {len(fluxes)} fluxes x "
-                                   f"{len(entropy_tests)} tests; worst {worst_pair}"))
-    checks.append(CheckResult("pointwise-certificate", float(worst_cert),
-                              lower=-CERTIFICATE_TOL))
-    checks.append(CheckResult("certificate-identity", float(worst_ident), upper=IDENTITY_TOL,
-                              note="centered-difference identity defect" if has_identity
+                                   f"{len(entropy_tests)} tests; worst {worst}"))
+    checks.append(CheckResult("pointwise-certificate", min(certs), lower=-CERTIFICATE_TOL))
+    # a window without an interior time sample has NaN defects, which fail the row
+    checks.append(CheckResult("certificate-identity", max(defects), upper=IDENTITY_TOL,
+                              note="centered-difference identity defect" if grid.n_t >= 3
                               else f"needs three time samples, window has {grid.n_t}"))
     return VerificationReport(checks, grid_summary(grid))
 

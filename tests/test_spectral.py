@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                             boundary_slopes, cosine_analyze, constant_field,
-                             mode_exponential, propagate_heat, write_field_csv,
-                             x_second_derivative)
+                             analyze_columns, boundary_slopes, cosine_analyze,
+                             constant_field, mode_exponential, propagate_heat,
+                             write_field_csv, x_second_derivative)
 
 L = np.pi
 
@@ -166,6 +166,16 @@ class TestField2D:
         with pytest.raises(ValueError):
             f.values[0, 0] = 2.0
 
+    def test_modes_are_the_frozen_projection(self, small_grid):
+        vals = np.random.default_rng(4).normal(size=(small_grid.n_x, small_grid.n_t))
+        f = Field2D(small_grid, vals)
+        assert f.modes is f.modes          # projected once, then kept
+        assert f.modes.tobytes() == analyze_columns(f.values, L, small_grid.n_modes).tobytes()
+        with pytest.raises(ValueError):
+            f.modes[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            f.modes = np.zeros_like(f.modes)
+
     def test_csv_layout(self, small_grid, tmp_path):
         f = constant_field(small_grid, 1.5, "demo")
         path = tmp_path / "demo.csv"
@@ -206,10 +216,11 @@ class TestBoundarySlopes:
         # the bare one-sided stencil reads its truncation error (1.5e-3 at k = 8)
         x = np.linspace(0.0, L, 128)
         vals = 0.1 * np.cos(k * x)[:, None] * np.array([1.0, -2.0])
-        assert np.max(boundary_slopes(vals, L, 32)) < 1e-13
+        assert np.max(boundary_slopes(vals, analyze_columns(vals, L, 32), L)) < 1e-13
 
     def test_ramp_reads_its_slope(self):
         x = np.linspace(0.0, L, 128)
-        slopes = boundary_slopes(0.1 * x / L, L, 32)
+        ramp = (0.1 * x / L)[:, None]
+        slopes = boundary_slopes(ramp, analyze_columns(ramp, L, 32), L)
         assert slopes.shape == (2, 1)
         assert np.all(slopes > BOUNDARY_SLOPE_TOL)

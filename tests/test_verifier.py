@@ -1,10 +1,13 @@
 """Admissibility checks: positive cases on certified triples, negative
 controls on manufactured violators, and the cross-form consistency checks."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
+from fbplab import spectral
 from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError
 from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
@@ -181,6 +184,52 @@ class TestQuadratureResolution:
         entry = self.baseline_residual(256)
         assert entry.passed
         assert abs(entry.residual) < 1e-7
+
+
+class TestHighModeBaselineResolution:
+    """The exact classical baseline from 0.1 cos 8x on the default diagram: its
+    mode decays like e^{-64(T-t)}, and the time discretization of the
+    state-evolution and certificate-identity rows decides their verdicts
+    against the absolute WEAK_TOL and IDENTITY_TOL."""
+
+    @staticmethod
+    def baseline_report(params, n_t):
+        grid = Grid(L, 1.0, 128, n_t, 32)
+        base = construct_family(CosineSeries(L, [0.0] * 8 + [0.1]), [], params, grid)[0]
+        return run_triple_battery(base.restricted(), base.u.values[:, 0], params)
+
+    @pytest.mark.xfail(strict=True, reason="time-discretization error (state-evolution "
+                       "1.51e-5, certificate-identity 5.78e-2) exceeds the absolute "
+                       "tolerances at n_t = 256; tolerances that scale with the "
+                       "resolution are ROADMAP item 3")
+    def test_baseline_passes_at_reference_resolution(self, params):
+        assert self.baseline_report(params, 256).passed
+
+    def test_baseline_passes_at_n_t_1024(self, params):
+        report = self.baseline_report(params, 1024)
+        assert report.passed
+        assert report.entry("state-evolution-identity").residual < 1e-7
+        assert report.entry("certificate-identity").residual < 1e-2
+
+
+class TestOneProjection:
+    def test_battery_projects_v_once(self, family, backward, params, monkeypatch):
+        # every fbplab module that binds analyze_columns counts through one wrapper
+        original, calls = spectral.analyze_columns, []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "fbplab" or name.startswith("fbplab.")) \
+                    and getattr(module, "analyze_columns", None) is original:
+                monkeypatch.setattr(module, "analyze_columns", counting)
+        for triple in family:
+            fresh = triple.restricted()
+            calls.clear()
+            run_triple_battery(fresh, backward.u0, params)
+            assert calls == [fresh.v.values.shape]
 
 
 class TestMonotonicity:
