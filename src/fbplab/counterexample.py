@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, DomainViolationError,
 from .phase_model import (PhaseParams, beta0_extended, beta2_extended,
                           branch_gap_extended)
 from .solvers import SourcedSolution, solve_sourced, solve_unstable_backward
-from .spectral import (CosineSeries, Field2D, Grid, constant_field,
-                       x_second_derivative)
+from .spectral import (CosineSeries, Field2D, Grid, analyze_columns, constant_field,
+                       x_second_derivative_columns)
 
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
@@ -144,9 +144,13 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
     lam = triple.lam.values
     rate_ok = np.ones(v.shape, dtype=bool)
     if lam.any():
-        # excess rate m = v_xx + |sigma| v_t from the sampled flux alone
+        # excess rate m = v_xx + |sigma| v_t from the sampled flux alone; its
+        # projection of v is dropped after the scan (caching it on triple.v
+        # would hold it all run: the battery projects the restricted field)
         v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
-        rate_ok = x_second_derivative(triple.v) + params.sigma_abs * v_t >= delta
+        v_xx = x_second_derivative_columns(analyze_columns(v, grid.L, grid.n_modes),
+                                           grid.L, grid.x)
+        rate_ok = v_xx + params.sigma_abs * v_t >= delta
     j, binding = _prefix_scan({
         "branch gap >= delta": branch_gap_extended(params, v) >= delta,
         "excess rate m >= delta": rate_ok,

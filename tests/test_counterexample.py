@@ -209,12 +209,19 @@ class TestCertifyHorizon:
                                                     monkeypatch):
         # the baseline waives condition (ii), so m = v_xx + |sigma| v_t is never formed
         calls = []
-        original = counterexample.x_second_derivative
-        monkeypatch.setattr(counterexample, "x_second_derivative",
-                            lambda f: calls.append(f) or original(f))
+        original = counterexample.analyze_columns
+        monkeypatch.setattr(counterexample, "analyze_columns",
+                            lambda *args: calls.append(args) or original(*args))
         family = construct_family(final_datum, [], params, grid)
         assert len(family) == 1 and family[0].t_bar == pytest.approx(grid.T_end)
         assert len(calls) == 0
+
+    def test_excess_rate_keeps_no_projection(self, final_datum, default_sources, params,
+                                             grid):
+        # m is formed from a projection of the full-window v that is dropped
+        # after the scan: no triple of a fresh family carries a cached Field2D.modes
+        family = construct_family(final_datum, default_sources, params, grid)
+        assert all("modes" not in vars(t.v) for t in family)
 
     def test_certified_region_respects_margins(self, family, params):
         delta = 0.05

@@ -1,16 +1,18 @@
 """Cosine basis machinery: analysis, differentiation, propagation, quadrature."""
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
                              analyze_columns, boundary_slopes, cosine_analyze,
-                             constant_field, mode_exponential, propagate_heat,
-                             write_field_csv, x_second_derivative)
+                             constant_field, format_rows, mode_exponential,
+                             propagate_heat, write_field_csv, x_second_derivative)
 
 L = np.pi
 
@@ -208,6 +210,82 @@ class TestField2D:
         assert r.grid.n_t == 33
         assert r.grid.dt == pytest.approx(small_grid.dt)
         assert r.grid.T_end == pytest.approx(small_grid.t[32])
+
+
+def per_value_rows(values) -> bytes:
+    """The oracle: format(v, '.17g') per cell, tab-separated rows."""
+    return "".join("\t".join(format(v, ".17g") for v in row) + "\n"
+                   for row in np.asarray(values).tolist()).encode()
+
+
+def row_template_csv(f: Field2D, path) -> None:
+    """The field writer before the numpy encoder: one '%.17g' template per row."""
+    cells = "\t".join(["%.17g"] * f.grid.n_x) + "\n"
+    row = "%.17g\t" + cells
+    with open(path, "w") as fh:
+        fh.write("x\t" + cells % tuple(f.grid.x.tolist()))
+        for tj, vals in zip(f.grid.t.tolist(), f.values.T):
+            fh.write(row % (tj, *vals.tolist()))
+
+
+POWERS_OF_TEN = [np.nextafter(10.0 ** k, toward)
+                 for k in range(-6, 18) for toward in (0.0, np.inf)]
+# rows of 1e-8 .. 1e17 in magnitude: every exponent class of the numpy path,
+# and the fallback on either side of it
+EVERY_CLASS = (np.random.default_rng(11).uniform(1.0, 10.0, (26, 40))
+               * (10.0 ** np.arange(-8, 18) * (-1.0) ** np.arange(26))[:, None])
+
+
+class TestFormatRows:
+    """``format_rows`` writes exactly the bytes of Python's '%.17g'."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[2.0 ** -25, -(2.0 ** -25)]]))           # half-even tie
+    @example(np.array([[1e15 + 0.25, 1e15 + 0.75, 123456789012345.625]]))   # ties, fixed
+    @example(np.array([POWERS_OF_TEN, [-x for x in POWERS_OF_TEN]]))
+    @example(np.array([[9.9999999999999995e-05, 1e16, 1e17]]))
+    @example(np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308]]))
+    @example(EVERY_CLASS)
+    def test_matches_per_value_format(self, values):
+        assert format_rows(values) == per_value_rows(values)
+
+
+class TestFieldFileEdgeCases:
+    """Whole fields whose every cell takes one special path, byte for byte
+    against the row template the encoder replaced."""
+
+    @pytest.mark.parametrize("make", [
+        lambda shape, rng: np.zeros(shape),                       # the baseline weight
+        lambda shape, rng: np.where(rng.random(shape) < 0.5, -0.0, rng.normal(size=shape)),
+        lambda shape, rng: 1e-7 * rng.normal(size=shape),         # all exponent notation
+    ], ids=["all-zero", "negative-zero", "exponent-notation"])
+    def test_bytes_match_row_template(self, small_grid, tmp_path, make):
+        f = Field2D(small_grid, make((small_grid.n_x, small_grid.n_t),
+                                     np.random.default_rng(5)))
+        write_field_csv(f, tmp_path / "new.csv")
+        row_template_csv(f, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_exponent_notation_field_is_not_slower(self, tmp_path):
+        # every cell falls back to Python's '%.17g'; the fallback formats a
+        # chunk's cells with one format string, so it keeps the row template's pace
+        grid = Grid(L=L, T_end=1.0, n_x=256, n_t=257, n_modes=16)
+        f = Field2D(grid, 1e-7 * np.random.default_rng(6).normal(size=(256, 257)))
+
+        def best_of_three(write, path):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                write(f, path)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        new = best_of_three(write_field_csv, tmp_path / "new.csv")
+        old = best_of_three(row_template_csv, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert new <= 1.5 * old
 
 
 class TestBoundarySlopes:
