@@ -273,7 +273,8 @@ class EntropyFlux:
             out = np.tanh(arr / self.s)
         return _scalar_like(v, np.asarray(out))
 
-    def derivative(self, v):
+    def derivative(self, v, value=None):
+        """g'(v); a tanh flux takes (1 - g^2)/s from ``value`` = g(v) when given."""
         arr = np.asarray(v, dtype=float)
         if self.kind == "identity":
             out = np.ones_like(arr)
@@ -281,7 +282,7 @@ class EntropyFlux:
             # a constant flux (p = q) has zero slope even at v = p
             out = ((arr >= self.p) & (arr <= self.q) & (self.p < self.q)).astype(float)
         else:
-            t = np.tanh(arr / self.s)
+            t = np.tanh(arr / self.s) if value is None else np.asarray(value, dtype=float)
             out = (1.0 - t * t) / self.s
         return _scalar_like(v, out)
 

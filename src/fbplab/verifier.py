@@ -14,7 +14,8 @@ decides it: a row passes when lower <= residual <= upper (``CheckResult``).
 A relaxed solution gets its own report (``relaxation_report``), and each
 negative control is decided by the target rows of one of these reports.
 
-One pass per flux (``_flux_pass``) serves the battery and the single checks:
+One sweep over blocks of x-rows (``_flux_pass``) serves every flux of the
+battery and the single checks, each block while it stays in cache:
 G(beta0(v)) and G(beta2(v)) are affine images of one primitive Gamma(v) of g on
 a certified field (``branch_image_primitives``) and give the entropy integrals,
 min lambda_t * certificate and the identity defect; each entropy integral
@@ -57,6 +58,8 @@ JUMP_TOL = 1e-12
 WEIGHT_DEFICIT_TOL = 1e-6
 #: drift of the integral of u that the relaxation audit allows
 MASS_DRIFT_TOL = 1e-8
+#: cells in one row block of the flux pass: its fields stay in L2 cache
+_BLOCK_CELLS = 32768
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +335,33 @@ def _weighted_factors(tests, grid: Grid) -> list[tuple]:
             for xp, xs, tp, ts in (test.factors(grid) for test in tests)]
 
 
-def _entropy_integrals(flux: EntropyFlux, v: np.ndarray, vx: np.ndarray, gv: np.ndarray,
-                       big_g: np.ndarray, weighted) -> list[float]:
-    """Double-trapezoid values of G psi_t - g(v) v_x psi_x - g'(v) v_x^2 psi, one per test.
+def _row_blocks(params: PhaseParams, v: np.ndarray) -> list[slice]:
+    """Blocks of about ``_BLOCK_CELLS`` cells, 8k x-rows each but the last: BLAS
+    groups a matrix-vector product's rows by four, so every row sums bitwise as
+    on the whole field.  A field with a sample outside [A, B] (or not finite) is
+    one block, so ``branch_image_primitives`` decides its path once."""
+    n_x, n_t = v.shape
+    if not (v.size and params.A <= np.min(v) and np.max(v) <= params.B):
+        return [slice(0, n_x)]
+    rows = max(8, _BLOCK_CELLS // n_t // 8 * 8)
+    return [slice(i, i + rows) for i in range(0, n_x, rows)]
 
-    psi = X(x) T(t), so each is a contraction with the weighted factors; one
-    matrix-vector product per test keeps its value bitwise the same in any batch.
-    """
+
+def _row_contractions(acc: np.ndarray, rows: slice, big_g: np.ndarray, gv: np.ndarray,
+                      dgv: np.ndarray, vx: np.ndarray, weighted) -> None:
+    """acc[k, :, rows] = G @ T', (g(v) v_x) @ T, (g'(v) v_x^2) @ T for each test k."""
     gvx = gv * vx
-    dgvx2 = flux.derivative(v) * vx * vx
-    return [float(xp @ (big_g @ ts) - xs @ (gvx @ tp) - xp @ (dgvx2 @ tp))
-            for xp, xs, tp, ts in weighted]
+    dgvx2 = dgv * vx * vx
+    for out, (_, _, tp, ts) in zip(acc, weighted):
+        out[0, rows], out[1, rows], out[2, rows] = big_g @ ts, gvx @ tp, dgvx2 @ tp
+
+
+def _entropy_integrals(acc: np.ndarray, weighted) -> list[float]:
+    """Double-trapezoid values of G psi_t - g(v) v_x psi_x - g'(v) v_x^2 psi, one per
+    test: psi = X(x) T(t), so the x factors contract the rows of ``_row_contractions``,
+    one matrix-vector product per term, bitwise the same in any batch."""
+    return [float(xp @ out[0] - xs @ out[1] - xp @ out[2])
+            for out, (xp, xs, _, _) in zip(acc, weighted)]
 
 
 def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndarray,
@@ -351,7 +370,7 @@ def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndar
     rate_cert is the product lambda_t * certificate; NaN without one."""
     if grid.n_t < 3:
         return np.nan
-    defect = gv[:, 1:-1] * vxx[:, 1:-1]        # formed in place: one full-field array
+    defect = gv[:, 1:-1] * vxx[:, 1:-1]        # formed in place: one array per block
     defect -= (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
     defect -= rate_cert[:, 1:-1]
     return float(np.max(np.abs(defect, out=defect)))
@@ -360,23 +379,30 @@ def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndar
 def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[EntropyFlux],
                tests) -> list[tuple[list[float], float, float]]:
     """Per flux: the entropy integrals over ``tests``, min lambda_t * certificate
-    and the identity defect.  v_x, v_xx, the gap and the test factors are formed
-    once, and each flux's full-field arrays are freed before the next flux's."""
-    grid, v, lam = triple.grid, triple.v.values, triple.lam.values
+    and the identity defect.  Each row block (``_row_blocks``) reads v, v_x,
+    v_xx, lambda, lambda_t and the gap once for all fluxes, which form Gamma(v),
+    g, g', G*, the certificate and the defect on its rows only.  The running min
+    and max are exact (a zero minimum's sign follows numpy's reduction order)."""
+    grid, v, lam, rate = triple.grid, triple.v.values, triple.lam.values, triple.lam_t.values
     vx, vxx = _v_x(triple.v), x_second_derivative(triple.v)
-    gap = branch_gap_extended(params, v)
     weighted = _weighted_factors(tests, grid)
-
-    def one(flux: EntropyFlux) -> tuple[list[float], float, float]:
-        g0, g2 = branch_image_primitives(params, flux, v)
-        gv = flux.value(v)
-        gstar = (1.0 - lam) * g0 + lam * g2
-        rate_cert = triple.lam_t.values * certificate_from_primitives(gap, g0, g2, gv)
-        del g0, g2       # freed before the two checks below, where memory peaks
-        return (_entropy_integrals(flux, v, vx, gv, gstar, weighted),
-                float(np.min(rate_cert)), _identity_defect(grid, vxx, gv, gstar, rate_cert))
-
-    return [one(flux) for flux in fluxes]
+    acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
+    certs, defects = np.full(len(fluxes), np.inf), np.full(len(fluxes), -np.inf)
+    for rows in _row_blocks(params, v):
+        vb, lb, rest = v[rows], lam[rows], 1.0 - lam[rows]
+        gap = branch_gap_extended(params, vb)
+        for i, flux in enumerate(fluxes):
+            g0, g2 = branch_image_primitives(params, flux, vb)
+            gv = flux.value(vb)
+            gstar = rest * g0 + lb * g2
+            rate_cert = rate[rows] * certificate_from_primitives(gap, g0, g2, gv)
+            _row_contractions(acc[i], rows, gstar, gv, flux.derivative(vb, gv), vx[rows],
+                              weighted)
+            certs[i] = np.minimum(certs[i], np.min(rate_cert))
+            defects[i] = np.maximum(defects[i],
+                                    _identity_defect(grid, vxx[rows], gv, gstar, rate_cert))
+    return [(_entropy_integrals(a, weighted), float(c), float(d))
+            for a, c, d in zip(acc, certs, defects)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +546,12 @@ def viscous_entropy_audit(eps_sol: EpsSolution, params: PhaseParams,
     u, v = eps_sol.u_eps.values, eps_sol.v_eps.values
     vx = _v_x(eps_sol.v_eps)
     weighted = _weighted_factors(tests, grid)
-    return min(min(_entropy_integrals(flux, v, vx, flux.value(v),
-                                      entropy_primitive(params, flux, u), weighted))
-               for flux in fluxes)
+    acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
+    for a, flux in zip(acc, fluxes):
+        gv = flux.value(v)
+        _row_contractions(a, slice(None), entropy_primitive(params, flux, u), gv,
+                          flux.derivative(v, gv), vx, weighted)
+    return min(min(_entropy_integrals(a, weighted)) for a in acc)
 
 
 def viscous_entropy_residual(eps_sol: EpsSolution, flux: EntropyFlux,

@@ -1,0 +1,88 @@
+"""Byte-identity of the reference commands against a committed manifest.
+
+``tests/golden/reference.sha256`` lists the relative path, size and SHA-256 of
+every file that the built-in ``counterexample``, ``regularize`` and
+``inverse`` write, and of the ``--seed-check`` stdout, together with the
+Python, numpy and mpmath versions that wrote it.  A change that alters an
+output on purpose regenerates the manifest in the same commit:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import platform
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+
+from fbplab import cli
+
+MANIFEST = Path(__file__).parent / "golden" / "reference.sha256"
+COMMANDS = {
+    "counterexample": ["counterexample"],
+    "regularize": ["regularize"],
+    "inverse": ["inverse", "--a=0.5,0.1,-0.05,0.02", "--b=0.6,0.05,0.01,-0.01",
+                "--T", "0.5"],
+}
+SEED_CHECK = "seed-check.stdout"
+
+
+def versions() -> str:
+    return (f"python {platform.python_version()} numpy {np.__version__} "
+            f"mpmath {mpmath.__version__}")
+
+
+def run_reference(out: Path) -> None:
+    """Run the four reference commands, each into its own directory under ``out``."""
+    for name, argv in COMMANDS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--out", str(out / name)]) == 0, name
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["--seed-check"]) == 0
+    (out / SEED_CHECK).write_text(stdout.getvalue())
+
+
+def digest(out: Path) -> dict[str, tuple[int, str]]:
+    """{relative path: (size, sha256)} of every file under ``out``."""
+    return {p.relative_to(out).as_posix(): (p.stat().st_size,
+                                            hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def read_manifest() -> tuple[str, dict[str, tuple[int, str]]]:
+    lines = MANIFEST.read_text().splitlines()
+    entries = {}
+    for line in lines[1:]:
+        sha, size, path = line.split(maxsplit=2)
+        entries[path] = (int(size), sha)
+    return lines[0].removeprefix("# "), entries
+
+
+def write_manifest(out: Path) -> None:
+    MANIFEST.parent.mkdir(exist_ok=True)
+    rows = [f"{sha}  {size}  {path}" for path, (size, sha) in digest(out).items()]
+    MANIFEST.write_text("\n".join([f"# {versions()}"] + rows) + "\n")
+
+
+def test_reference_outputs_match_manifest(tmp_path):
+    run_reference(tmp_path)
+    written, (wrote_with, want) = digest(tmp_path), read_manifest()
+    differ = sorted(p for p in want.keys() & written.keys() if want[p] != written[p])
+    missing, extra = sorted(want.keys() - written.keys()), sorted(written.keys() - want.keys())
+    assert not (differ or missing or extra), (
+        f"differ: {differ}; missing: {missing}; not in the manifest: {extra} "
+        f"(manifest written with {wrote_with}, this run {versions()})")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_reference(Path(tmp))
+        write_manifest(Path(tmp))
+    sys.stdout.write(f"wrote {MANIFEST}\n")

@@ -2,6 +2,8 @@
 controls on manufactured violators, and the cross-form consistency checks."""
 
 import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from fbplab import spectral
 from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError
 from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
-                                entropy_primitive)
+                                branch_gap_extended, branch_image_primitives,
+                                certificate_from_primitives, entropy_primitive)
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
 from fbplab.spectral import (CosineSeries, Field2D, Grid, analyze_columns,
-                             constant_field, x_derivative_columns)
+                             constant_field, x_derivative_columns, x_second_derivative)
 from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              VerificationReport, CheckResult,
                              certificate_identity_error, default_entropy_tests,
@@ -25,7 +28,7 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              run_triple_battery,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
-                             weak_residual)
+                             weak_residual, _flux_pass, _row_blocks, _weighted_factors)
 
 L = np.pi
 
@@ -156,6 +159,104 @@ class TestOneEntropyPass:
         assert not entry.passed
         assert np.isnan(entry.residual)
         assert "three" in entry.note
+
+
+def whole_field_flux_pass(triple, params, fluxes, tests):
+    """The flux pass before row blocking: every flux forms its arrays over the
+    whole field, and g'(v) evaluates tanh(v/s) a second time."""
+    grid, v, lam = triple.grid, triple.v.values, triple.lam.values
+    vx = x_derivative_columns(triple.v.modes, grid.L, grid.x)
+    vxx = x_second_derivative(triple.v)
+    gap = branch_gap_extended(params, v)
+    weighted = _weighted_factors(tests, grid)
+    out = []
+    for flux in fluxes:
+        g0, g2 = branch_image_primitives(params, flux, v)
+        gv = flux.value(v)
+        gstar = (1.0 - lam) * g0 + lam * g2
+        rate_cert = triple.lam_t.values * certificate_from_primitives(gap, g0, g2, gv)
+        gvx = gv * vx
+        dgvx2 = flux.derivative(v) * vx * vx
+        integrals = [float(xp @ (gstar @ ts) - xs @ (gvx @ tp) - xp @ (dgvx2 @ tp))
+                     for xp, xs, tp, ts in weighted]
+        defect = np.nan
+        if grid.n_t >= 3:
+            defect = float(np.max(np.abs(gv[:, 1:-1] * vxx[:, 1:-1]
+                                         - (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
+                                         - rate_cert[:, 1:-1])))
+        out.append((integrals, float(np.min(rate_cert)), defect))
+    return out
+
+
+def assert_same_pass(triple, params):
+    fluxes = default_flux_battery()
+    tests = default_entropy_tests(triple.grid.L, triple.grid.T_end)
+    got = _flux_pass(triple, params, fluxes, tests)
+    want = whole_field_flux_pass(triple, params, fluxes, tests)
+    for flux, (g_int, g_cert, g_def), (w_int, w_cert, w_def) in zip(fluxes, got, want,
+                                                                      strict=True):
+        # compared as bit patterns, so that the sign of a zero and a NaN count too
+        assert (np.array(g_int + [g_cert, g_def]).view(np.int64).tolist()
+                == np.array(w_int + [w_cert, w_def]).view(np.int64).tolist()), flux.label()
+
+
+@pytest.fixture(scope="module")
+def blocked_family(params):
+    """Restricted triples on 203 x 1201: several row blocks, the last one short by
+    a row count that is 3 mod 4."""
+    grid = Grid(L, 1.0, 203, 1201, 32)
+    sources = [CosineSeries(L, [1.0]), CosineSeries(L, [1.0, 0.0, 0.3])]
+    return [t.restricted()
+            for t in construct_family(CosineSeries(L, [0.0, 0.1]), sources, params, grid)]
+
+
+class TestBlockedFluxPass:
+    """The row-blocked flux pass equals the whole-field pass bit for bit."""
+
+    def test_reference_triples(self, restricted_family, params):
+        for triple in restricted_family:
+            assert len(_row_blocks(params, triple.v.values)) == 1
+            assert_same_pass(triple, params)
+
+    def test_several_blocks_and_a_short_last_block(self, blocked_family, params):
+        for triple in blocked_family:
+            blocks = _row_blocks(params, triple.v.values)
+            assert len(blocks) >= 3
+            assert all((b.stop - b.start) % 8 == 0 for b in blocks[:-1])
+            assert (triple.grid.n_x - blocks[-1].start) % 4 == 3
+            assert_same_pass(triple, params)
+
+    def test_sample_past_b_takes_the_whole_field_path(self, blocked_family, params):
+        triple = blocked_family[1]
+        v = triple.v.values.copy()
+        v[100, triple.grid.n_t // 2] = params.B + 0.01
+        past = replace(triple, v=Field2D(triple.grid, v, "v"))
+        assert _row_blocks(params, v) == [slice(0, triple.grid.n_x)]
+        assert_same_pass(past, params)
+
+    def test_two_sample_window(self, restricted_family, params):
+        short = restricted_family[1]
+        short = SolutionTriple(short.u.restrict(2), short.v.restrict(2),
+                               short.lam.restrict(2), 0.0, "short",
+                               lam_t=short.lam_t.restrict(2))
+        assert all(np.isnan(defect) for _, _, defect in
+                   _flux_pass(short, params, default_flux_battery(), []))
+        assert_same_pass(short, params)
+
+    def test_peak_memory_is_a_few_fields(self, params):
+        # the whole-field pass peaks near 10 field sizes on this triple
+        grid = Grid(L, 1.0, 128, 2048, 32)
+        triple = construct_family(CosineSeries(L, [0.0, 0.1]), [CosineSeries(L, [1.0])],
+                                  params, grid)[1].restricted()
+        assert len(_row_blocks(params, triple.v.values)) >= 8
+        tests = default_entropy_tests(grid.L, grid.T_end)
+        tracemalloc.start()
+        try:
+            _flux_pass(triple, params, default_flux_battery(), tests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * triple.v.values.nbytes
 
 
 class TestQuadratureResolution:
