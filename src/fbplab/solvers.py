@@ -12,17 +12,14 @@
   extended precision (mpmath) whenever the growth factors would eat double
   precision, and the inverse constructor always returns extended-precision
   coefficients.
-* ``solve_pseudoparabolic``: the relaxation system u_t = v_xx,
-  (I - eps * d_xx) v = phi(u), advanced in mode space one sample interval at a
-  time: by the closed-form per-mode exponential when the state provably keeps
-  one affine branch over the interval, else by classic RK4 with steps bounded
-  by eps/4.
+* ``solve_pseudoparabolic``: the relaxation system u_t = v_xx, (I - eps d_xx) v =
+  phi(u), advanced exactly in mode space and split at located branch crossings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
+from math import log2
 from pathlib import Path
 
 import mpmath as mp
@@ -38,9 +35,10 @@ from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
 
 #: growth exponent above which the float64 fast path is abandoned for mpmath
 _MP_EXPONENT_THRESHOLD = 16.0
-#: sample residual of a band-limited profile, relative to the profile, and the
-#: RK4 budget of one relaxation
-_BAND_LIMIT_TOL, _MAX_RK4_STEPS = 1e-8, 2_000_000
+#: sample residual of a band-limited profile, relative to the profile
+_BAND_LIMIT_TOL = 1e-8
+#: how far past its breakpoint, relative to max(1, |b|, |c|), a node has crossed
+_CROSSING_TOL = 1e-13
 
 
 def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
@@ -269,13 +267,9 @@ class EpsSolution:
 
 def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
                 basis: np.ndarray, analysis: np.ndarray) -> np.ndarray:
-    """Cosine modes of phi(u) for mode-vector state u_hat.
-
-    When the sampled state stays inside one affine branch the flux modes are an
-    exact affine image of the state modes, which keeps inactive modes exactly
-    zero (no round-off seeding of the violently growing high modes).  Mixed
-    ranges fall back to pointwise evaluation plus projection.
-    """
+    """Cosine modes of phi(u) for mode-vector state u_hat: on one affine branch an
+    exact affine image of the state modes, so inactive modes stay exactly zero and
+    no round-off seeds the growing high modes; else phi at the nodes, projected."""
     vals = basis @ u_hat
     if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e100:
         raise InstabilityError("relaxation state overflowed")
@@ -291,11 +285,8 @@ def _certified_branch(state: np.ndarray, params: PhaseParams, basis: np.ndarray,
                       exponents: np.ndarray) -> int | None:
     """The branch that every node provably keeps over the next sample interval, or None.
 
-    On branch i the system is linear and diagonal: over one interval mode k is
-    multiplied by exp(-mu_k slope_i dt/(1 + eps mu_k)) = exp(exponents[i, k]).
-    Each mode moves monotonically and |cos| <= 1, so no node drifts by more
-    than D = sum_k |a_k| |e^{r_k dt} - 1|; the interval is certified when
-    [min - D, max + D] of the nodes still lies in the branch holding them.
+    On branch i, over one interval, mode k is multiplied by exp(exponents[i, k])
+    and moves monotonically, so no node drifts by more than sum_k |a_k| |e^{r_k dt} - 1|.
     """
     vals = basis @ state
     lo, hi = vals.min(), vals.max()
@@ -307,73 +298,112 @@ def _certified_branch(state: np.ndarray, params: PhaseParams, basis: np.ndarray,
     return i if params.branch_holding(lo - drift, hi + drift) == i else None
 
 
+class _FrozenPattern:
+    """The exact flow of the modes while node j keeps the branch ``pattern[j]``: mode 0
+    stays put (mu_0 = 0), modes 1..K obey u' = -P S u + e with P = diag(mu r d) > 0
+    and S = B1^T W diag(m) B1 symmetric (node slopes m), so ``eigh`` of P^1/2 S P^1/2
+    gives real rates lam, and from an anchor node j moves by sum_k c_jk F_k(t), with
+    F_k(t) = (1 - e^{-lam_k t})/lam_k growing in t."""
+
+    def __init__(self, pattern, mean, params: PhaseParams, basis, analysis, rate, dt):
+        self.pattern, self.args = pattern, (mean, params, basis, analysis, rate, dt)
+        table, root, slope = params.branches, np.sqrt(rate[1:]), params.branches.slope[pattern]
+        self.lam, vecs = np.linalg.eigh(
+            root[:, None] * (analysis[1:] @ (slope[:, None] * basis[:, 1:])) * root)
+        mode_exponential(-self.lam * dt, np.ones(self.lam.size, bool), "relaxation step")
+        self.to_modes, self.from_modes = root[:, None] * vecs, vecs.T / root
+        self.basis, self.nodes = basis, basis[:, 1:] @ self.to_modes
+        self.forcing = self.from_modes @ (
+            -rate[1:] * (analysis[1:] @ (slope * mean + table.intercept[pattern])))
+        self.lo, self.hi = np.array(table.closed)[pattern].T[:, :, None]
+        self.tol = _CROSSING_TOL * max(1.0, abs(params.b), abs(params.c))
+
+    def _F(self, taus) -> np.ndarray:
+        taus, lam = np.asarray(taus, dtype=float), self.lam[:, None]
+        return np.divide(-np.expm1(-lam * taus), lam, out=taus + 0.0 * lam, where=lam != 0)
+
+    def _past(self, nodes, rates, taus, tol: float, rows=slice(None)):
+        vals = nodes[rows, None] + self.nodes[rows] @ (rates[:, None] * self._F(taus))
+        return (vals < self.lo[rows] - tol) | (vals > self.hi[rows] + tol), vals
+
+    def _certified(self, nodes, rates, taus) -> np.ndarray:
+        """Per step tau, whether every node provably keeps its branch over [0, tau]: node j
+        falls by at most sum_k max(0, -c_jk) F_k(tau), and by at most max(0, R_j(tau) -
+        tau v_j) with v_j = sum_k c_jk and the convex R_j(t) = sum_k |c_jk| |F_k(t) - t|,
+        which certifies a node that just crossed; it rises likewise."""
+        c, F = self.nodes * rates, self._F(taus)
+        rise, fall = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+        bend, slope = (rise + fall) @ np.abs(F - taus), c.sum(axis=1)[:, None] * taus
+        low = nodes[:, None] - np.minimum(fall @ F, np.maximum(0.0, bend - slope))
+        high = nodes[:, None] + np.minimum(rise @ F, np.maximum(0.0, bend + slope))
+        return np.all((low >= self.lo - self.tol) & (high <= self.hi + self.tol), axis=0)
+
+    def step(self, state: np.ndarray, left: float):
+        """Advance ``state`` exactly by ``left``; returns it and the pattern it ends in:
+        of the steps 1, 1/2, ..., 2^-24, 0 of what is left (0 is certified for a finite
+        state) the longest certified one is taken, unless the next longer one has nodes
+        past their breakpoints; then their first crossing is located to round-off, 16
+        sections a round, and the nodes past there flip, each to the branch it entered."""
+        flow = self
+        while left > 0.0:
+            nodes = flow.basis @ state
+            rates = flow.forcing - flow.lam * (flow.from_modes @ state[1:])
+            ok = flow._certified(nodes, rates, taus := left * np.r_[2.0 ** -np.arange(25), 0.0])
+            k = int(np.argmax(ok))
+            lo, hi = taus[k], taus[max(k - 1, 0)]
+            rows = np.flatnonzero(flow._past(nodes, rates, [hi], flow.tol)[0])
+            hi = hi if len(rows) else lo or hi  # no crossing yet, or too short to certify
+            while len(rows) and hi - lo > 1e-15 * left:
+                ts = np.linspace(lo, hi, 17)[1:]
+                i = int(np.argmax(flow._past(nodes, rates, ts, flow.tol, rows)[0].any(0)))
+                lo, hi = np.r_[lo, ts][i], ts[i]
+            state = state + np.r_[0.0, flow.to_modes @ (rates * flow._F([hi])[:, 0])]
+            if len(rows):  # flip at tol 0, so that partners a round-off behind flip too
+                crossed, vals = flow._past(nodes, rates, [hi], 0.0)
+                pattern = np.where(crossed, flow.args[1].branch_index(vals), flow.pattern[:, None])
+                flow = _FrozenPattern(pattern[:, 0], *flow.args)
+            left -= hi
+        return state, flow
+
+
 def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> EpsSolution:
     """Integrate u_t = v_xx with (I - eps d_xx) v = phi(u), zero-flux sides.
 
-    The elliptic solve is diagonal in mode space (v_k = [phi(u)]_k/(1 + eps mu_k)),
-    so the system is a stiff ODE with rates bounded by max|phi'|/eps.  A sample
-    interval over which the nodes provably keep one affine branch is advanced
-    by the exact per-mode exponential (``_certified_branch``); any other
-    interval by classic RK4 with steps of at most eps/4, which keeps every mode
-    well inside the stability region for unit-slope branches.  Both RK4 guards
-    act at the first interval that needs RK4, so a run of exact steps is never
-    refused: a branch too steep for the step, and a budget that RK4 on that
-    interval and on every later one would exceed.
+    The elliptic solve is diagonal in mode space (v_k = [phi(u)]_k/(1 + eps mu_k))
+    and phi is affine per branch, so each sample interval is advanced exactly: by
+    the per-mode exponential from the first sample of its run when the nodes keep
+    one branch (``_certified_branch``), which keeps zero modes zero, else under a
+    node-branch pattern carried from crossing to crossing (``_FrozenPattern``).
     """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
-    series = _profile_to_series(u0, grid, "initial state")
-    u_hat = series.as_float()
+    u_hat = _profile_to_series(u0, grid, "initial state").as_float()
 
     mu = grid.mu()
-    slope_max = np.max(np.abs(params.branches.slope))
-    n_sub = max(1, ceil(grid.dt / (eps / 4.0)))
-    h = grid.dt / n_sub
     resolvent = 1.0 / (1.0 + eps * mu)
     # a row-major (n_x, K+1) copy: synthesis is one dot product per sample
     basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
     analysis = analysis_matrix(grid.n_modes, grid.L, grid.n_x)
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return -mu * resolvent * _flux_modes(state, params, basis, analysis)
-
     # row i: exponent of each mode over one sample interval on branch i
     exponents = -np.outer(params.branches.slope, mu * resolvent) * grid.dt
-    u_modes = np.zeros((grid.n_modes + 1, grid.n_t))
-    u_modes[:, 0] = u_hat
-    state = u_hat.copy()
-    start, run = 0, None  # first sample and branch of the current run of exact steps
+    u_modes, state = np.repeat(u_hat[:, None], grid.n_t, axis=1), u_hat
+    start, run, flow = 0, None, None  # single-branch run: first sample, branch; else pattern
     for j in range(1, grid.n_t):
         i = _certified_branch(state, params, basis, exponents)
-        if i is not None and i != run:
-            start, run = j - 1, i
-        if i is not None:
-            # the closed form from the run's first sample: rounding does not compound
-            state = u_modes[:, start] * mode_exponential(
-                (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step")
+        if i is None:
+            flow = flow or _FrozenPattern(params.branch_index(basis @ state), state[0], params,
+                                          basis, analysis, mu * resolvent, grid.dt)
+            run, (state, flow) = None, flow.step(state, grid.dt)
         else:
-            run, total = None, n_sub * (grid.n_t - j)
-            # RK4 real-axis stability reaches |z| ~ 2.78; refuse a steep branch
-            # that pushes the fastest mode past it
-            if h * slope_max * mu[-1] / (1.0 + eps * mu[-1]) > 2.5:
-                raise ConfigurationError(
-                    f"branch slope {slope_max:g} too steep for the RK4 step {h:g} <= eps/4 "
-                    f"from t = {grid.t[j - 1]:.6g}: the fastest mode is unstable")
-            if total > _MAX_RK4_STEPS:
-                raise ConfigurationError(
-                    f"{total} RK4 steps needed from t = {grid.t[j - 1]:.6g}; "
-                    "increase eps, shorten T_end, or coarsen n_t")
-            for _ in range(n_sub):
-                k1 = rhs(state)
-                k2 = rhs(state + 0.5 * h * k1)
-                k3 = rhs(state + 0.5 * h * k2)
-                k4 = rhs(state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            start, run = (j - 1, i) if i != run else (start, run)
+            # the closed form from the run's first sample: rounding does not compound
+            state, flow = u_modes[:, start] * mode_exponential(
+                (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step"), None
         u_modes[:, j] = state
 
-    v_modes = np.empty_like(u_modes)
-    for j in range(grid.n_t):
-        v_modes[:, j] = resolvent * _flux_modes(u_modes[:, j], params, basis, analysis)
+    v_modes = np.stack([resolvent * _flux_modes(u, params, basis, analysis)
+                        for u in u_modes.T], axis=1)
     u_field = field_from_modes(grid, u_modes, f"relaxed state eps={eps:g}")
     v_field = field_from_modes(grid, v_modes, f"relaxed flux eps={eps:g}")
     return EpsSolution(float(eps), u_field, v_field, u_modes, v_modes)

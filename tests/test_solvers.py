@@ -1,10 +1,11 @@
 """Solver contracts, each checked against an independent oracle."""
 
-import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mpmath as mp
 
@@ -13,7 +14,8 @@ from fbplab.errors import (BoundaryConditionError, ConfigurationError,
 from fbplab.phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
 from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic,
                             solve_sourced, solve_unstable_backward)
-from fbplab.spectral import CosineSeries, Grid, propagate_heat
+from fbplab.spectral import (CosineSeries, Grid, analysis_matrix, cosine_basis,
+                             mode_exponential, propagate_heat)
 
 L = np.pi
 
@@ -32,6 +34,81 @@ def heat_fd_oracle(g_vals, x, diffusivity, horizon, n_steps):
         lap[-1] = 2 * (w[-2] - w[-1]) / (dx * dx)
         w = w + dt * diffusivity * lap
     return w
+
+
+def rk4_relaxation_oracle(u0, eps, params, grid, refine=1):
+    """Mode history of the relaxation stepper that exact mixed-interval steps
+    replaced: an interval certified to one branch takes the per-mode closed form,
+    any other one refine * ceil(dt/(eps/4)) classic RK4 steps on the nonlinear
+    system, with phi evaluated at the nodes."""
+    from fbplab.solvers import _certified_branch, _flux_modes, _profile_to_series
+
+    mu = grid.mu()
+    resolvent = 1.0 / (1.0 + eps * mu)
+    n_sub = refine * max(1, int(np.ceil(grid.dt / (eps / 4.0))))
+    h = grid.dt / n_sub
+    basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
+    analysis = analysis_matrix(grid.n_modes, grid.L, grid.n_x)
+
+    def rhs(state):
+        return -mu * resolvent * _flux_modes(state, params, basis, analysis)
+
+    exponents = -np.outer(params.branches.slope, mu * resolvent) * grid.dt
+    u_modes = np.zeros((grid.n_modes + 1, grid.n_t))
+    u_modes[:, 0] = state = _profile_to_series(u0, grid, "initial state").as_float()
+    start, run = 0, None
+    for j in range(1, grid.n_t):
+        i = _certified_branch(state, params, basis, exponents)
+        if i is not None and i != run:
+            start, run = j - 1, i
+        if i is not None:
+            state = u_modes[:, start] * mode_exponential(
+                (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step")
+        else:
+            run = None
+            for _ in range(n_sub):
+                k1 = rhs(state)
+                k2 = rhs(state + 0.5 * h * k1)
+                k3 = rhs(state + 0.5 * h * k2)
+                k4 = rhs(state + h * k3)
+                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u_modes[:, j] = state
+    return u_modes
+
+
+def assert_relaxes(sol, params, strict=False, crosses=True):
+    """u leaves [b, c] (when it crosses), int u dx is conserved to 1e-12 and
+    int Phi(u) dx (Phi' = phi) never increases: not at all when strict, else by
+    at most 4 ulps of the trapezoid sum, as at an equilibrium reached to round-off."""
+    x, u = sol.grid.x, sol.u_eps.values
+    assert not crosses or u.min() < params.b or u.max() > params.c
+    mass = np.trapezoid(u, x, axis=0)
+    assert np.max(np.abs(mass - mass[0])) <= 1e-12
+    energy = np.trapezoid(entropy_primitive(params, EntropyFlux.identity(), u), x, axis=0)
+    slack = 0.0 if strict else 4.0 * np.spacing(np.abs(energy[:-1]))
+    assert np.all(np.diff(energy) <= slack)
+
+
+@pytest.fixture
+def frozen_patterns(monkeypatch):
+    """Records each node-branch pattern the relaxation decomposes, and each
+    anchor a sub-step is certified from: the pattern object and what is left
+    of its sample interval."""
+    import fbplab.solvers as solvers
+    log = {"patterns": [], "anchors": []}
+    certified = solvers._FrozenPattern._certified
+
+    class Recording(solvers._FrozenPattern):
+        def __init__(self, pattern, *args):
+            log["patterns"].append(pattern.copy())
+            super().__init__(pattern, *args)
+
+        def _certified(self, nodes, rates, taus):
+            log["anchors"].append((self, taus[0]))
+            return certified(self, nodes, rates, taus)
+
+    monkeypatch.setattr(solvers, "_FrozenPattern", Recording)
+    return log
 
 
 class TestBackwardSolve:
@@ -323,49 +400,101 @@ class TestPseudoparabolic:
 
     @pytest.mark.parametrize("amplitude, exact", [(0.9, False), (0.5, True)])
     def test_exact_step_needs_the_drift_certificate(self, params, monkeypatch,
-                                                    amplitude, exact):
+                                                    frozen_patterns, amplitude, exact):
         # one interval of length 0.5 from a cos x in the middle branch: the
-        # drift bound of 0.9 cos x reaches c = 1, so that interval runs the
-        # 200 RK4 sub-steps (4 flux evaluations each) and crosses into a stable
-        # branch; 0.5 cos x stays below c and takes the exact step
+        # drift bound of 0.9 cos x reaches c = 1, so that interval is stepped
+        # under frozen node-branch patterns and crosses into a stable branch;
+        # 0.5 cos x stays below c and takes the single-branch closed form
         import fbplab.solvers as solvers
-        flux_modes = solvers._flux_modes
-        calls, pointwise = [], []
-
-        def counting_flux(*args):
-            calls.append(1)
-            return flux_modes(*args)
+        patterns, pointwise = frozen_patterns["patterns"], []
 
         def counting_phi(p, u):
             pointwise.append(u.size)
             return eval_phi(p, u)
 
-        monkeypatch.setattr(solvers, "_flux_modes", counting_flux)
         monkeypatch.setattr(solvers, "eval_phi", counting_phi)
         one_step = Grid(L, 0.5, 64, 2, 16)
         sol = solve_pseudoparabolic(amplitude * np.cos(one_step.x), 1e-2, params, one_step)
-        n_sub = 200  # ceil(dt / (eps / 4))
-        assert len(calls) == (0 if exact else 4 * n_sub) + one_step.n_t
-        assert bool(pointwise) is not exact
+        assert bool(patterns) is not exact
+        assert bool(pointwise) is not exact  # only the flux at the crossed end sample
         assert (sol.u_eps.values.max() > params.c) is not exact
+        if not exact:
+            # the run starts all-middle and ends with nodes in both stable branches
+            assert not np.any(patterns[0]) and {1, 2} <= set(patterns[-1])
 
-    @pytest.mark.parametrize("slope, refused", [(40.0, True), (10.0, False)])
-    def test_steep_branch_guard(self, grid, slope, refused):
-        # at eps = 0.01 the step is eps/4-capped; slope 40 pushes the fastest
-        # mode past RK4's stability region, slope 10 stays inside it.  The
-        # guard acts where RK4 is first needed: 0.9 cos x reaches c = 1 near
-        # t = 0.1, while 2 + 0.1 cos x keeps the upper branch and takes exact
-        # steps only, so it runs at either slope and decays per mode as
+    def test_frozen_pattern_step_matches_refined_rk4(self, params, frozen_patterns):
+        # 1.5 cos x starts in all three branches, and over 0.01 no node crosses:
+        # one pattern, one linear system, which RK4 refined 64x resolves
+        patterns = frozen_patterns["patterns"]
+        one_step = Grid(L, 0.01, 32, 2, 8)
+        u0 = 1.5 * np.cos(one_step.x)
+        sol = solve_pseudoparabolic(u0, 1e-2, params, one_step)
+        assert len(patterns) == 1 and set(patterns[0]) == {0, 1, 2}
+        oracle = rk4_relaxation_oracle(u0, 1e-2, params, one_step, refine=64)
+        assert np.max(np.abs(sol.u_modes[:, 1] - oracle[:, 1])) <= 1e-10
+        assert np.max(np.abs(sol.u_modes[:, 1] - sol.u_modes[:, 0])) > 1e-2
+
+    def test_refined_rk4_approaches_exact_steps_on_a_nonunit_diagram(self):
+        # b, c, A, B = 0, 1, 0, 3 with outer slopes 4: 0.5 + 0.6 cos x crosses
+        # both breakpoints, and RK4 refined 4x and 16x closes in on the exact
+        # steps: they lie within half the 4x-to-16x gap of RK4 16x (0.19 of it)
+        steep = PhaseParams(b=0.0, c=1.0, A=0.0, B=3.0, alpha1=4.0, alpha2=4.0)
+        small = Grid(L, 0.3, 64, 65, 16)
+        u0 = 0.5 + 0.6 * np.cos(small.x)
+        sol = solve_pseudoparabolic(u0, 1e-2, steep, small)
+        assert_relaxes(sol, steep, strict=True)
+        fine, coarse = (rk4_relaxation_oracle(u0, 1e-2, steep, small, refine)
+                        for refine in (16, 4))
+        assert np.max(np.abs(sol.u_modes - fine)) < 0.5 * np.max(np.abs(coarse - fine))
+
+    def test_crossing_time_matches_the_closed_form(self, params, frozen_patterns):
+        # 1.5 cos x on 32 nodes: one node reaches its breakpoint mid-interval.
+        # The located time is where the solver's second pattern starts; the
+        # oracle bisects the first pattern's closed form exp(t M) (scipy's expm
+        # of the affine system, not the eigen-decomposition) for the first
+        # time a node lies past its breakpoint
+        from scipy.linalg import expm
+        eps, one_step = 1e-2, Grid(L, 0.02, 32, 2, 8)
+        u0 = 1.5 * np.cos(one_step.x)
+        sol = solve_pseudoparabolic(u0, eps, params, one_step)
+        anchors = frozen_patterns["anchors"]
+        flows = list(dict.fromkeys(flow for flow, _ in anchors))
+        assert len(flows) == 2
+        located = one_step.T_end - next(left for flow, left in anchors if flow is flows[1])
+
+        basis = cosine_basis(one_step.n_modes, L, one_step.x).T
+        analysis = analysis_matrix(one_step.n_modes, L, one_step.n_x)
+        rate = one_step.mu() / (1.0 + eps * one_step.mu())
+        pattern = params.branch_index(u0)
+        slope, intercept = params.branches.slope[pattern], params.branches.intercept[pattern]
+        n = one_step.n_modes + 1
+        system = np.zeros((n + 1, n + 1))
+        system[:n, :n] = -rate[:, None] * (analysis @ (slope[:, None] * basis))
+        system[:n, n] = -rate * (analysis @ intercept)
+        lo, hi = np.array(params.branches.closed)[pattern].T
+
+        def past(t):
+            nodes = basis @ (expm(t * system) @ np.r_[sol.u_modes[:, 0], 1.0])[:n]
+            return np.any((nodes < lo) | (nodes > hi))
+
+        ts = np.linspace(0.0, one_step.T_end, 401)
+        first = next(i for i, t in enumerate(ts) if past(t))
+        a, b = ts[first - 1], ts[first]
+        for _ in range(60):
+            a, b = (a, 0.5 * (a + b)) if past(0.5 * (a + b)) else (0.5 * (a + b), b)
+        assert 0.0 < located < one_step.T_end
+        assert abs(located - b) <= 1e-12
+
+    @pytest.mark.parametrize("slope", [40.0, 10.0])
+    def test_steep_branch_runs(self, grid, slope):
+        # no RK4 stability region limits a step: with outer slopes 40 at
+        # eps = 0.01, 0.9 cos x crosses into both stable branches and relaxes,
+        # and 2 + 0.1 cos x keeps the upper branch, decaying per mode as
         # exp(-slope mu_k t/(1 + eps mu_k))
         eps = 0.01
         steep = PhaseParams(b=-1.0, c=1.0, A=-1.0, B=1.0, alpha1=slope, alpha2=slope)
-        mixed = 0.9 * np.cos(grid.x)
-        if refused:
-            with pytest.raises(ConfigurationError,
-                               match=r"branch slope 40 .*eps/4 from t = 0\.1"):
-                solve_pseudoparabolic(mixed, eps, steep, grid)
-        else:
-            assert np.all(np.isfinite(solve_pseudoparabolic(mixed, eps, steep, grid).u_eps.values))
+        sol = solve_pseudoparabolic(0.9 * np.cos(grid.x), eps, steep, grid)
+        assert_relaxes(sol, steep)
         sol = solve_pseudoparabolic(2.0 + 0.1 * np.cos(grid.x), eps, steep, grid)
         a0, a1 = sol.u_modes[:2, 0]
         exact = a0 + (a1 * np.exp(-slope * grid.t / (1.0 + eps))[None, :]
@@ -373,17 +502,32 @@ class TestPseudoparabolic:
         assert np.max(np.abs(sol.u_eps.values - exact)) <= 1e-14
         assert np.all(sol.u_modes[2:] == 0.0)
 
-    def test_step_budget_guard(self, params, grid):
-        # 0.9 cos x reaches c = 1 near t = 0.1, where RK4 must take over; the
-        # budget counts RK4 steps from that interval on and refuses the run
-        # there, before any RK4 step
-        eps = 1e-7
-        with pytest.raises(ConfigurationError, match="RK4 steps needed from t = 0.1") as err:
-            solve_pseudoparabolic(0.9 * np.cos(grid.x), eps, params, grid)
-        total, t = re.search(r"(\d+) RK4 steps needed from t = ([\d.]+);",
-                             str(err.value)).groups()
-        j = round(float(t) / grid.dt) + 1  # the first interval that needs RK4 ends at j
-        assert int(total) == int(np.ceil(grid.dt / (eps / 4))) * (grid.n_t - j)
+    def test_no_step_budget(self, params, grid):
+        # 0.9 cos x reaches c = 1 near t = 0.1; at eps = 1e-7 the RK4 stepper
+        # would have needed 2.8e7 steps from there and refused; exact steps
+        # do not depend on eps
+        assert_relaxes(solve_pseudoparabolic(0.9 * np.cos(grid.x), 1e-7, params, grid), params)
+
+    @settings(max_examples=25, deadline=None)
+    @given(amplitude=st.floats(0.5, 1.5), second=st.floats(-0.5, 0.5),
+           k=st.integers(2, 4), log_eps=st.floats(-6.0, -1.0))
+    @example(amplitude=0.9, second=0.0, k=2, log_eps=-3.0)
+    def test_two_mode_relaxation_invariants(self, params, amplitude, second, k, log_eps):
+        small = Grid(L, 0.5, 32, 33, 8)
+        u0 = amplitude * np.cos(small.x) + second * np.cos(k * small.x)
+        assert_relaxes(solve_pseudoparabolic(u0, 10.0 ** log_eps, params, small), params,
+                       strict=True, crosses=False)
+
+    def test_vanishing_eps_sweep_work_is_bounded(self, params, grid, frozen_patterns):
+        # 0.9 cos x at 128x256x32 takes 128-129 decompositions and 368-371
+        # certified sub-steps at each of these eps; no count grows as eps falls
+        for eps in (1e-4, 1e-5, 1e-6):
+            assert_relaxes(solve_pseudoparabolic(0.9 * np.cos(grid.x), eps, params, grid),
+                           params, strict=True)
+            work = {key: len(frozen_patterns[key]) for key in ("patterns", "anchors")}
+            assert work["patterns"] <= 200 and work["anchors"] <= 600, (eps, work)
+            frozen_patterns["patterns"].clear()
+            frozen_patterns["anchors"].clear()
 
     def test_bad_eps(self, params, grid):
         with pytest.raises(ConfigurationError):
