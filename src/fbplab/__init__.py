@@ -14,13 +14,11 @@ from .counterexample import (SolutionTriple, assemble_state, build_lambda,
 from .errors import (BoundaryConditionError, ConfigurationError,
                      DomainViolationError, FbpError, GridMismatchError,
                      InstabilityError, NearSingularError)
-from .phase_model import (EntropyFlux, PhaseParams, branch_gap,
-                          certificate_integrand, entropy_primitive, eval_beta,
-                          eval_phi)
+from .phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
 from .solvers import (BackwardBranchSolution, EpsSolution, SourcedSolution,
                       inverse_source_from_endpoints, solve_pseudoparabolic,
                       solve_sourced, solve_unstable_backward)
-from .spectral import CosineSeries, Field2D, Grid, cosine_analyze, propagate_heat
+from .spectral import CosineSeries, Field2D, Grid, cosine_analyze
 from .verifier import (VerificationReport, distinctness,
                        entropy_inequality_residual, monotonicity_report,
                        pointwise_certificate, run_triple_battery,

@@ -27,8 +27,7 @@ from .errors import (ConfigurationError, DomainViolationError,
 from .phase_model import (PhaseParams, beta0_extended, beta2_extended,
                           branch_gap_extended)
 from .solvers import SourcedSolution, solve_sourced, solve_unstable_backward
-from .spectral import (CosineSeries, Field2D, Grid, analyze_columns, constant_field,
-                       x_second_derivative_columns)
+from .spectral import CosineSeries, Field2D, Grid, constant_field
 
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
@@ -43,7 +42,9 @@ class SolutionTriple:
     The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
     certified horizon, ``binding`` the margin condition that ends it ("" when it
     is the whole window) and ``lam_t`` the analytic time derivative of the
-    weight.  All four fields live on one grid.
+    weight.  All four fields live on one grid.  ``source`` is the read-only
+    (n_x,) profile f(x) that drives v (zeros for a weight-zero triple): the
+    excess rate m = v_xx + |sigma| v_t equals it exactly, mode by mode.
     """
 
     u: Field2D
@@ -52,11 +53,18 @@ class SolutionTriple:
     t_bar: float
     provenance: str
     lam_t: Field2D
+    source: np.ndarray
     binding: str = ""
 
     def __post_init__(self):
         if any(f.grid != self.u.grid for f in (self.v, self.lam, self.lam_t)):
             raise GridMismatchError("u, v, lambda and lambda_t must share one grid")
+        source = np.array(self.source, dtype=float)
+        if source.shape != (self.grid.n_x,):
+            raise GridMismatchError(
+                f"source profile: expected {self.grid.n_x} samples, got shape {source.shape}")
+        source.flags.writeable = False
+        object.__setattr__(self, "source", source)
 
     @property
     def grid(self) -> Grid:
@@ -133,24 +141,16 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
     Conditions on the prefix rectangle: (i) gap(v) >= delta, (ii) m >= delta,
     (iii) lambda in [0, 1-delta], (iv) lambda_t >= -RATE_TOL, (v) A + delta < v <= B
     (a sample where v touches A + delta exactly is excluded).  Condition (ii)
+    reads the triple's source profile, since m = f holds exactly per mode; it
     certifies growth of the weight and is waived exactly when lambda = 0 on the
     whole window: a classical weight-zero solution, whose monotonicity clause
     holds identically.  The horizon is 0.0 when no positive time qualifies.
     """
     if delta <= 0:
         raise ConfigurationError("certification margin delta must be positive")
-    grid = triple.grid
     v = triple.v.values
     lam = triple.lam.values
-    rate_ok = np.ones(v.shape, dtype=bool)
-    if lam.any():
-        # excess rate m = v_xx + |sigma| v_t from the sampled flux alone; its
-        # projection of v is dropped after the scan (caching it on triple.v
-        # would hold it all run: the battery projects the restricted field)
-        v_t = np.gradient(v, grid.t, axis=1, edge_order=2)
-        v_xx = x_second_derivative_columns(analyze_columns(v, grid.L, grid.n_modes),
-                                           grid.L, grid.x)
-        rate_ok = v_xx + params.sigma_abs * v_t >= delta
+    rate_ok = np.broadcast_to((triple.source[:, None] >= delta) | (not lam.any()), v.shape)
     j, binding = _prefix_scan({
         "branch gap >= delta": branch_gap_extended(params, v) >= delta,
         "excess rate m >= delta": rate_ok,
@@ -158,7 +158,7 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
         "weight nondecreasing": triple.lam_t.values >= -RATE_TOL,
         "flux in (A+delta, B]": (v > params.A + delta) & (v <= params.B),
     })
-    return float(grid.t[j]), binding
+    return float(triple.grid.t[j]), binding
 
 
 def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
@@ -188,7 +188,8 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
     back = solve_unstable_backward(g_final, params, grid)
     zero = constant_field(grid, 0.0, "stable-phase weight")
     baseline = SolutionTriple(back.u_bar, back.v_bar, zero, 0.0, "baseline",
-                              lam_t=constant_field(grid, 0.0, "stable-phase weight rate"))
+                              lam_t=constant_field(grid, 0.0, "stable-phase weight rate"),
+                              source=np.zeros(grid.n_x))
     t_bar, binding = certify_horizon(baseline, params, delta)
     triples = [replace(baseline, t_bar=t_bar, binding=binding)]
 
@@ -207,7 +208,8 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         lam, lam_t = build_lambda(sol, params)
         u = assemble_state(sol.v, lam, params)
         coeffs = ", ".join(format(c, "g") for c in f.as_float())
-        triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t)
+        triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t,
+                                source=fx)
         t_bar, binding = certify_horizon(triple, params, delta)
         triples.append(replace(triple, t_bar=t_bar, binding=binding))
     return triples

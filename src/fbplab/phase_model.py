@@ -168,43 +168,10 @@ def beta2_extended(params: PhaseParams, v):
     return _scalar_like(v, (arr - params.gamma2) / params.alpha2)
 
 
-def _guard_domain(params: PhaseParams, v, what: str,
-                  lower: bool = True, upper: bool = True) -> np.ndarray:
-    """Finite ``v`` with A <= v (if ``lower``) and v <= B (if ``upper``), else raise."""
-    arr = _check_finite(v, f"{what} argument")
-    if (lower and np.any(arr < params.A)) or (upper and np.any(arr > params.B)):
-        rule = " <= ".join(["A"] * lower + ["v"] + ["B"] * upper)
-        raise DomainViolationError(f"{what} requires {rule}")
-    return arr
-
-
-def eval_beta(params: PhaseParams, branch: int, v):
-    """Evaluate the inverse of one monotone branch of the flux.
-
-    Branch 0 (decreasing) lives on A <= v <= B, branch 1 on v <= B and
-    branch 2 on v >= A; closed endpoints are admitted by continuity.
-    Values outside the branch domain raise ``DomainViolationError``.
-    """
-    if branch not in (0, 1, 2):
-        raise DomainViolationError(f"branch must be 0, 1 or 2, got {branch!r}")
-    arr = _guard_domain(params, v, f"branch {branch} inverse",
-                        lower=branch != 1, upper=branch != 2)
-    if branch == 1:
-        return _scalar_like(v, (arr - params.gamma1) / params.alpha1)
-    return (beta0_extended if branch == 0 else beta2_extended)(params, arr)
-
-
-def branch_gap(params: PhaseParams, v):
-    """Width beta2(v) - beta0(v) of the phase superposition, on A <= v <= B.
-
-    Zero exactly at v = A (where the branches meet at u = c) and strictly
-    increasing in v.
-    """
-    return branch_gap_extended(params, _guard_domain(params, v, "branch gap"))
-
-
 def branch_gap_extended(params: PhaseParams, v):
-    """beta2 - beta0 via the affine continuations, no domain check."""
+    """Width beta2(v) - beta0(v) of the phase superposition via the affine
+    continuations, no domain check.  Zero exactly at v = A (where the branches
+    meet at u = c) and strictly increasing in v."""
     return beta2_extended(params, v) - beta0_extended(params, v)
 
 
@@ -251,10 +218,6 @@ class EntropyFlux:
     @classmethod
     def saturating(cls, s: float) -> "EntropyFlux":
         return cls("tanh", s=s)
-
-    @classmethod
-    def constant(cls, kappa: float) -> "EntropyFlux":
-        return cls("clamp", p=kappa, q=kappa)
 
     def label(self) -> str:
         if self.kind == "identity":
@@ -355,18 +318,13 @@ def branch_image_primitives(params: PhaseParams, flux: EntropyFlux, v):
     return tuple(_scalar_like(v, gamma / slope[i] + (glue[i] - w0)) for i in (0, 2))
 
 
-def certificate_integrand(params: PhaseParams, flux: EntropyFlux, v):
-    """G(beta0(v)) - G(beta2(v)) + (beta2(v) - beta0(v)) * g(v), for A <= v <= B.
-
-    Equals int_{beta0(v)}^{beta2(v)} [g(v) - g(phi(s))] ds, hence >= 0 for every
-    nondecreasing g, with equality at v = A.
-    """
-    return certificate_integrand_extended(params, flux,
-                                          _guard_domain(params, v, "certificate integrand"))
-
-
 def certificate_integrand_extended(params: PhaseParams, flux: EntropyFlux, v):
-    """Certificate integrand through the affine continuations, no domain check."""
+    """G(beta0(v)) - G(beta2(v)) + (beta2(v) - beta0(v)) * g(v) through the
+    affine continuations, no domain check.
+
+    On A <= v <= B it equals int_{beta0(v)}^{beta2(v)} [g(v) - g(phi(s))] ds,
+    hence >= 0 for every nondecreasing g, with equality at v = A.
+    """
     arr = np.asarray(v, dtype=float)
     g0, g2 = branch_image_primitives(params, flux, arr)
     out = certificate_from_primitives(branch_gap_extended(params, arr), g0, g2,

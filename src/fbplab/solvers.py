@@ -78,10 +78,6 @@ class BackwardBranchSolution:
     u0: np.ndarray
     final_data: np.ndarray
 
-    @property
-    def grid(self) -> Grid:
-        return self.u_bar.grid
-
 
 def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranchSolution:
     """Solve u_t = phi0' u_xx with zero-flux sides and final data g.
@@ -141,10 +137,6 @@ class SourcedSolution:
 
     def vt_field(self) -> Field2D:
         return field_from_modes(self.grid, self.vt_modes, "sourced flux rate")
-
-    def vxx_field(self) -> Field2D:
-        return field_from_modes(self.grid, -self.grid.mu()[:, None] * self.v_modes,
-                                "sourced flux curvature")
 
 
 def _mp_precision(max_exponent: float) -> int:

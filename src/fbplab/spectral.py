@@ -5,13 +5,12 @@ eigenvalue or an analysis matrix.  Expansions use cos(k*pi*x/L), k = 0..N,
 whose members all have zero slope at x = 0 and x = L.  Collocation is uniform
 including both endpoints; analysis uses the trapezoid inner product, which is
 an exact projection for inputs band-limited to N <= (n_x - 1)/2 modes.
-Propagation of the heat kernel is exact per mode, which is the only way the
-backward (negative-diffusivity) flows in this package are ever advanced.
-Every exact per-mode flow of the package (heat propagation, the backward
-solve, the sourced solve and its inverse, the relaxation's exact steps) takes
-its factors from the one guarded exponential, ``mode_exponential``.  A sampled
-field is projected once (``Field2D.modes``), and its space derivatives, the
-zero-flux test ``boundary_slopes`` among them, read that projection.
+Backward (negative-diffusivity) flows are only ever advanced exactly per mode.
+Every exact per-mode flow of the package (the backward solve, the sourced
+solve and its inverse, the relaxation's exact steps) takes its factors from
+the one guarded exponential, ``mode_exponential``.  A sampled field is
+projected once (``Field2D.modes``), and its space derivatives, the zero-flux
+test ``boundary_slopes`` among them, read that projection.
 
 Field files hold Python's ``'%.17g'`` text of every sample, formatted in numpy
 by ``format_rows`` and byte-identical to ``format(v, '.17g')``.  For
@@ -213,12 +212,6 @@ def x_derivative_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarr
     return basis.T @ modes
 
 
-def x_second_derivative_columns(modes: np.ndarray, L: float, x: np.ndarray) -> np.ndarray:
-    """Second x-derivative of column-wise mode data on ``x``: a_k -> -(k*pi/L)^2 a_k."""
-    mu = cosine_eigenvalues(modes.shape[0] - 1, L)
-    return synthesize_columns(-(mu[:, None] * modes), L, x)
-
-
 def mode_exponential(exponents, active, what: str) -> np.ndarray:
     """exp(exponents) on the active modes and exactly 1 on the others, which so
     stay exactly zero; ``exponents`` has one value or one row per mode.  An
@@ -233,18 +226,6 @@ def mode_exponential(exponents, active, what: str) -> np.ndarray:
             f"{what}: mode {mode} exponent {peak[mode]:.1f} exceeds the overflow guard; "
             "the expansion needs stronger coefficient decay (summability) to get this far")
     return np.exp(np.where(act, expo, 0.0))
-
-
-def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
-    """Exact per-mode solution of w_t = kappa * w_xx over a step dt >= 0.
-
-    Negative ``kappa`` (backward flow) is allowed; growth is guarded by
-    ``mode_exponential``, and decay of any size is not refused.
-    """
-    if dt < 0:
-        raise ConfigurationError("propagation step must be nonnegative")
-    expo = -kappa * cosine_eigenvalues(s.n_modes, s.L) * dt
-    return CosineSeries(s.L, s.coeffs * mode_exponential(expo, s.active, "heat propagation"))
 
 
 def boundary_slopes(values: np.ndarray, modes: np.ndarray, L: float) -> np.ndarray:
@@ -300,8 +281,9 @@ def field_from_modes(grid: Grid, modes: np.ndarray, label: str = "") -> Field2D:
 
 
 def x_second_derivative(f: Field2D) -> np.ndarray:
-    """v_xx of a sampled field, from its kept projection ``f.modes``."""
-    return x_second_derivative_columns(f.modes, f.grid.L, f.grid.x)
+    """v_xx of a sampled field, from its kept projection ``f.modes``:
+    a_k -> -(k*pi/L)^2 a_k."""
+    return synthesize_columns(-(f.grid.mu()[:, None] * f.modes), f.grid.L, f.grid.x)
 
 
 def constant_field(grid: Grid, value: float, label: str = "") -> Field2D:

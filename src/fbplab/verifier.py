@@ -83,24 +83,8 @@ def _bump_prime(s: np.ndarray) -> np.ndarray:
     return out
 
 
-class _SeparableTest:
-    """A test function X(x) T(t); subclasses define ``factors(grid) -> (X, X', T, T')``."""
-
-    def psi(self, grid: Grid) -> np.ndarray:
-        xpart, _, tpart, _ = self.factors(grid)
-        return np.outer(xpart, tpart)
-
-    def psi_t(self, grid: Grid) -> np.ndarray:
-        xpart, _, _, tslope = self.factors(grid)
-        return np.outer(xpart, tslope)
-
-    def psi_x(self, grid: Grid) -> np.ndarray:
-        _, xslope, tpart, _ = self.factors(grid)
-        return np.outer(xslope, tpart)
-
-
 @dataclass(frozen=True)
-class BumpTest(_SeparableTest):
+class BumpTest:
     """Nonnegative C-infinity bump compactly supported inside the rectangle."""
 
     x0: float
@@ -125,7 +109,7 @@ class BumpTest(_SeparableTest):
 
 
 @dataclass(frozen=True)
-class ModeProductTest(_SeparableTest):
+class ModeProductTest:
     """(1 + cos(j pi x / L)) times a compactly supported smooth time window.
 
     Nonnegative; spans the full interval in x, which is admissible here because
@@ -153,7 +137,7 @@ class ModeProductTest(_SeparableTest):
 
 
 @dataclass(frozen=True)
-class FinalZeroTest(_SeparableTest):
+class FinalZeroTest:
     """cos(j pi x/L) (1 - t/T)^deg: smooth on the closed rectangle, zero at t = T.
 
     Used for the weak form of the evolution (not sign-constrained).  The j = 0,
@@ -655,7 +639,8 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     back = solve_unstable_backward(final, params, grid)
     u0, t = back.u0, grid.t[None, :]
     zero = constant_field(grid, 0.0)
-    base = SolutionTriple(back.u_bar, back.v_bar, zero, grid.T_end, "control", lam_t=zero)
+    base = SolutionTriple(back.u_bar, back.v_bar, zero, grid.T_end, "control", lam_t=zero,
+                          source=np.zeros(grid.n_x))
 
     def field(values) -> Field2D:
         return Field2D(grid, np.broadcast_to(values, (grid.n_x, grid.n_t)).copy(), "control")

@@ -6,11 +6,13 @@ gap(v) = 2(1 + v), weight = t/gap, and at the midpoint (vbar = 0, t = 0.1)
 weight = 0.1/2.2 and weight rate = 1/2.2 - 0.2/2.2^2.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
-from fbplab import counterexample
+from fbplab import spectral
 from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
                                    certify_horizon, construct_family)
 from fbplab.errors import DomainViolationError, GridMismatchError, NearSingularError
@@ -170,7 +172,7 @@ class TestCertifyHorizon:
         sol = solve_sourced(CosineSeries(L, [f0]), back.v_bar.values[:, 0], 1.0, grid)
         lam, rate = build_lambda(sol, params)
         return SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0,
-                              f"sourced(f=[{f0}])", lam_t=rate)
+                              f"sourced(f=[{f0}])", lam_t=rate, source=sol.source_values())
 
     def test_source_below_margin_fails_rate_margin(self, midpoint_setup, params,
                                                    midpoint_grid):
@@ -205,21 +207,27 @@ class TestCertifyHorizon:
         low = self.sourced_triple(0.01, back, params, midpoint_grid)
         assert certify_horizon(low, params, 0.05) == (0.0, "excess rate m >= delta")
 
-    def test_waived_source_margin_skips_excess_rate(self, final_datum, params, grid,
-                                                    monkeypatch):
-        # the baseline waives condition (ii), so m = v_xx + |sigma| v_t is never formed
+    def test_excess_rate_is_read_not_projected(self, family, params, monkeypatch):
+        # m = f exactly per mode, so condition (ii) reads the source profile: no
+        # fbplab module projects v while certifying any reference triple
         calls = []
-        original = counterexample.analyze_columns
-        monkeypatch.setattr(counterexample, "analyze_columns",
-                            lambda *args: calls.append(args) or original(*args))
-        family = construct_family(final_datum, [], params, grid)
-        assert len(family) == 1 and family[0].t_bar == pytest.approx(grid.T_end)
-        assert len(calls) == 0
+        original = spectral.analyze_columns
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fbplab") and getattr(module, "analyze_columns", None) is original:
+                monkeypatch.setattr(module, "analyze_columns", spy)
+        for triple in family:
+            assert certify_horizon(triple, params, 0.05) == (triple.t_bar, triple.binding)
+        assert calls == []
 
     def test_excess_rate_keeps_no_projection(self, final_datum, default_sources, params,
                                              grid):
-        # m is formed from a projection of the full-window v that is dropped
-        # after the scan: no triple of a fresh family carries a cached Field2D.modes
+        # certification reads the source profile, so no triple of a fresh
+        # family carries a cached Field2D.modes
         family = construct_family(final_datum, default_sources, params, grid)
         assert all("modes" not in vars(t.v) for t in family)
 
@@ -243,7 +251,22 @@ class TestSolutionTriple:
             SolutionTriple(base.u, base.v, base.lam, 0.5, "no rate")
         with pytest.raises(GridMismatchError):
             SolutionTriple(base.u, base.v, base.lam, 0.5, "short rate",
-                           lam_t=base.lam_t.restrict(2))
+                           lam_t=base.lam_t.restrict(2), source=base.source)
+
+    def test_source_profile_required_on_the_x_grid(self, family, grid):
+        base = family[0]
+        with pytest.raises(TypeError):
+            SolutionTriple(base.u, base.v, base.lam, 0.5, "no source", lam_t=base.lam_t)
+        with pytest.raises(GridMismatchError, match="source profile"):
+            SolutionTriple(base.u, base.v, base.lam, 0.5, "short source",
+                           lam_t=base.lam_t, source=np.zeros(grid.n_x - 1))
+
+    def test_source_profile_is_read_only(self, family, grid):
+        # the sourced triples carry the synthesized f(x); the baseline carries zeros
+        assert not family[0].source.any()
+        assert family[1].source == pytest.approx(np.ones(grid.n_x), abs=1e-14)
+        with pytest.raises(ValueError):
+            family[1].source[0] = 0.0
 
 
 class TestConstructFamily:

