@@ -144,6 +144,11 @@ class PhaseParams:
                 return i
         return None
 
+    def in_flux_range(self, v: np.ndarray) -> bool:
+        """Whether A <= v <= B at every sample (true for none, false at a NaN): the
+        certified range, where both branch images beta0(v) and beta2(v) exist."""
+        return not v.size or bool(self.A <= np.min(v) and np.max(v) <= self.B)
+
 
 def eval_phi(params: PhaseParams, u):
     """Evaluate the piecewise-linear flux at ``u`` (scalar or array)."""
@@ -305,11 +310,11 @@ def branch_image_primitives(params: PhaseParams, flux: EntropyFlux, v):
     Gamma(v)/slope[i] + (glue[i] Gamma(knot[i]) - W(0)) for i = 0 and 2.  At
     v = B, beta0 lands on b, which the index rule gives to branch 1; the
     gluing constant makes the two forms agree there, as at v = A.  A field
-    with any sample outside [A, B] (or not finite) goes whole through
+    outside that range (``PhaseParams.in_flux_range``) goes whole through
     ``entropy_primitive`` on the affine continuations.
     """
     arr = np.asarray(v, dtype=float)
-    if arr.size and not (params.A <= np.min(arr) and np.max(arr) <= params.B):
+    if not params.in_flux_range(arr):
         return (entropy_primitive(params, flux, beta0_extended(params, arr)),
                 entropy_primitive(params, flux, beta2_extended(params, arr)))
     glue, w0 = _gluing(params, flux)

@@ -8,10 +8,10 @@
   ``|sigma| v_t + v_xx = f(x)`` solved exactly per mode, and the closed-form
   recovery of a time-independent source from initial and final profiles.
   Because modes grow like exp(mu_k t / |sigma|), the endpoint/source relation
-  is exponentially ill-conditioned; the coefficient algebra therefore runs in
-  extended precision (mpmath) whenever the growth factors would eat double
-  precision, and the inverse constructor always returns extended-precision
-  coefficients.
+  is exponentially ill-conditioned: the inverse constructor returns
+  extended-precision (mpmath) coefficients, and the forward solve forms only
+  their cancelling sum a_k + f_k/mu_k in extended precision; every field is
+  evaluated in float64.
 * ``solve_pseudoparabolic``: the relaxation system u_t = v_xx, (I - eps d_xx) v =
   phi(u), advanced exactly in mode space and split at located branch crossings.
 """
@@ -33,8 +33,6 @@ from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
                        cosine_analyze, cosine_basis, cosine_eigenvalues,
                        field_from_modes, mode_exponential)
 
-#: growth exponent above which the float64 fast path is abandoned for mpmath
-_MP_EXPONENT_THRESHOLD = 16.0
 #: sample residual of a band-limited profile, relative to the profile
 _BAND_LIMIT_TOL = 1e-8
 #: how far past its breakpoint, relative to max(1, |b|, |c|), a node has crossed
@@ -152,10 +150,12 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     """Exact per-mode solution of |sigma| v_t + v_xx = f(x) from the profile v0.
 
     Mode k >= 1 evolves as v_k(t) = (v_k(0) + f_k/mu_k) e^{mu_k t/|sigma|} - f_k/mu_k
-    and mode 0 as v_0(0) + f_0 t / |sigma|.  Coefficient algebra switches to
-    extended precision when the growth exponents are large enough to make the
-    float64 evaluation lose the endpoint (this is what keeps the inverse-source
-    round trip exact); sampled fields are float64 either way.
+    and mode 0 as v_0(0) + f_0 t / |sigma|, evaluated in float64.  When v0 or f
+    holds extended-precision coefficients (a source from
+    ``inverse_source_from_endpoints``), the start v_k(0) + f_k/mu_k alone is formed
+    in mpmath and rounded once.  For a source that drives a to b in time T it is
+    (b_k - a_k)/(E_k - 1), the only sum that cancels, and f_k/mu_k is near -a_k, so
+    both float terms stay O(|a| + |b|) for t <= T and lose only ulps.
     """
     if sigma_abs <= 0:
         raise ConfigurationError("sigma_abs must be positive")
@@ -163,37 +163,21 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
         raise ConfigurationError("source has more modes than the grid resolves")
     fs = f.padded(grid.n_modes)
     a = _profile_to_series(v0, grid, "initial flux profile")
-    a_coeffs = a.coeffs
-    f_coeffs = fs.coeffs
 
     mu = grid.mu()
     active = a.active | fs.active
     expo = np.outer(mu, grid.t) / sigma_abs
     growth = mode_exponential(expo, active, "sourced solve")
-    max_exp = float(np.max(expo[:, -1], where=active, initial=0.0))
 
-    use_mp = (max_exp > _MP_EXPONENT_THRESHOLD
-              or a_coeffs.dtype == object or f_coeffs.dtype == object)
-    ff = fs.as_float()
-    if use_mp:
-        v_modes = np.zeros((grid.n_modes + 1, grid.n_t))
-        with mp.workprec(_mp_precision(max_exp)):
-            tgrid = [mp.mpf(tj) for tj in grid.t]
-            for k in np.flatnonzero(active):
-                ak = _to_mpf(a_coeffs[k])
-                fk = _to_mpf(f_coeffs[k])
-                if k == 0:
-                    row = [ak + fk * tj / sigma_abs for tj in tgrid]
-                else:
-                    muk = mp.mpf(mu[k])
-                    Fk = fk / muk
-                    row = [(ak + Fk) * mp.e**(muk * tj / sigma_abs) - Fk for tj in tgrid]
-                v_modes[k] = [float(r) for r in row]
-    else:
-        af = a.as_float()
-        F = np.divide(ff, mu, out=np.zeros_like(ff), where=mu > 0)
-        v_modes = (af + F)[:, None] * growth - F[:, None]
-        v_modes[0] = af[0] + ff[0] * grid.t / sigma_abs
+    af, ff = a.as_float(), fs.as_float()
+    F = np.divide(ff, mu, out=np.zeros_like(ff), where=mu > 0)
+    start = af + F
+    if a.coeffs.dtype == object or fs.coeffs.dtype == object:
+        with mp.workprec(_mp_precision(float(np.max(expo[:, -1], where=active, initial=0.0)))):
+            start[1:] = [float(_to_mpf(ak) + _to_mpf(fk) / mp.mpf(muk))
+                         for ak, fk, muk in zip(a.coeffs[1:], fs.coeffs[1:], mu[1:])]
+    v_modes = start[:, None] * growth - F[:, None]
+    v_modes[0] = af[0] + ff[0] * grid.t / sigma_abs
 
     # |sigma| v_t = f + mu v element-wise: computing vt from the rounded modes
     # keeps the identity v_xx + |sigma| v_t = f exact at the sample level
@@ -212,8 +196,8 @@ def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
         f_k = pi^2 k^2 (b_k - a_k E_k) / (L^2 (E_k - 1)).
 
     The returned coefficients are extended-precision reals: the forward solve
-    multiplies f_k/mu_k back by E_k - 1, so any double-precision rounding of
-    f_k would be amplified by the full growth factor.
+    forms a_k + f_k/mu_k = (b_k - a_k)/(E_k - 1) from them, so any
+    double-precision rounding of f_k would be amplified by the full growth factor.
     """
     if T_end <= 0 or sigma_abs <= 0:
         raise ConfigurationError("T_end and sigma_abs must be positive")

@@ -35,7 +35,7 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended, branch_gap_extended,
                           branch_image_primitives, certificate_from_primitives,
                           entropy_primitive, eval_phi)
-from .solvers import EpsSolution, solve_pseudoparabolic, solve_unstable_backward
+from .solvers import EpsSolution, solve_pseudoparabolic
 from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
                        boundary_slopes, constant_field, trapezoid_weights,
                        x_derivative_columns, x_second_derivative)
@@ -322,10 +322,10 @@ def _weighted_factors(tests, grid: Grid) -> list[tuple]:
 def _row_blocks(params: PhaseParams, v: np.ndarray) -> list[slice]:
     """Blocks of about ``_BLOCK_CELLS`` cells, 8k x-rows each but the last: BLAS
     groups a matrix-vector product's rows by four, so every row sums bitwise as
-    on the whole field.  A field with a sample outside [A, B] (or not finite) is
-    one block, so ``branch_image_primitives`` decides its path once."""
+    on the whole field.  A field outside ``PhaseParams.in_flux_range`` is one
+    block, so ``branch_image_primitives`` decides its path once."""
     n_x, n_t = v.shape
-    if not (v.size and params.A <= np.min(v) and np.max(v) <= params.B):
+    if not params.in_flux_range(v):
         return [slice(0, n_x)]
     rows = max(8, _BLOCK_CELLS // n_t // 8 * 8)
     return [slice(i, i + rows) for i in range(0, n_x, rows)]
@@ -636,10 +636,11 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     params = params or PhaseParams.default()
     grid = Grid(np.pi, 1.0, 64, 97, 16)
     final = CosineSeries(np.pi, [0.0, 0.1])
-    back = solve_unstable_backward(final, params, grid)
-    u0, t = back.u0, grid.t[None, :]
+    # one backward solve: the family's baseline carries its u and v
+    baseline, sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)
+    u0, t = baseline.u.values[:, 0], grid.t[None, :]
     zero = constant_field(grid, 0.0)
-    base = SolutionTriple(back.u_bar, back.v_bar, zero, grid.T_end, "control", lam_t=zero,
+    base = SolutionTriple(baseline.u, baseline.v, zero, grid.T_end, "control", lam_t=zero,
                           source=np.zeros(grid.n_x))
 
     def field(values) -> Field2D:
@@ -656,7 +657,7 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
                          lam_t=field(np.where(t < 0.2, -1.0, 0.0)))
     # a flux that dips below the lower critical value, and a flux ramp, whose
     # sides carry a nonzero flux
-    v_dip = back.v_bar.values.copy()
+    v_dip = base.v.values.copy()
     v_dip[:, grid.n_t // 2:] -= params.B - params.A
     v_ramp = (0.5 * grid.x / grid.L - 0.25)[:, None]
     # a non-conservative state (mass grows linearly)
@@ -665,10 +666,10 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     v_hi, lam_mid = field(params.B + 0.1), field(0.3)
     jump = replace(base, u=assemble_state(v_hi, lam_mid, params), v=v_hi, lam=lam_mid)
     # forward diffusion in the unstable branch: the baseline reversed in time
-    reversed_base = replace(base, u=field(back.u_bar.values[:, ::-1]),
-                            v=field(back.v_bar.values[:, ::-1]))
+    reversed_base = replace(base, u=field(base.u.values[:, ::-1]),
+                            v=field(base.v.values[:, ::-1]))
     # a certified sourced triple, and a relaxed solution in a stable branch
-    sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)[1].restricted()
+    sourced = sourced.restricted()
     lam_over, rate_under = sourced.lam.values.copy(), sourced.lam_t.values.copy()
     lam_over[17, 5], rate_under[17, 5] = 1.0 + 1e-3, -1e-3
     relaxed = solve_pseudoparabolic(2.5 + 0.25 * np.cos(grid.x), 0.05, params, grid)
@@ -676,7 +677,7 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
         ("decreasing-weight", ("lambda2-monotone", "pointwise-certificate"),
          (decreasing, u0)),
         ("broken-superposition", ("superposition-identity",),
-         (replace(base, u=field(back.u_bar.values + 1e-3)), u0)),
+         (replace(base, u=field(base.u.values + 1e-3)), u0)),
         ("flux-below-lower-critical", ("flux-above-lower-critical",), on_branch0(v_dip)),
         ("non-conservative-state", ("weak-form",),
          (replace(base, u=field(u_nc), v=field(eval_phi(params, u_nc))), u0)),
@@ -692,7 +693,7 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
         ("sloped-boundary-flux", ("boundary-flux",), on_branch0(v_ramp)),
         ("shifted-initial-datum", ("initial-trace",), (sourced, u0 + 1e-6)),
         ("drifting-state", ("state-evolution-identity",),
-         (replace(base, u=field(back.u_bar.values + 1e-3 * t * np.cos(grid.x)[:, None])),
+         (replace(base, u=field(base.u.values + 1e-3 * t * np.cos(grid.x)[:, None])),
           u0)),
         ("weight-above-one", ("weight-bounds",),
          (replace(sourced, lam=Field2D(sourced.grid, lam_over)), u0)),

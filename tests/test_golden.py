@@ -7,6 +7,9 @@ Python, numpy and mpmath versions that wrote it.  A change that alters an
 output on purpose regenerates the manifest in the same commit:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each path whose size or SHA-256 changed, that was added, or that
+went missing.
 """
 
 import contextlib
@@ -63,17 +66,22 @@ def read_manifest() -> tuple[str, dict[str, tuple[int, str]]]:
     return lines[0].removeprefix("# "), entries
 
 
-def write_manifest(out: Path) -> None:
+def write_manifest(entries: dict[str, tuple[int, str]]) -> None:
     MANIFEST.parent.mkdir(exist_ok=True)
-    rows = [f"{sha}  {size}  {path}" for path, (size, sha) in digest(out).items()]
+    rows = [f"{sha}  {size}  {path}" for path, (size, sha) in entries.items()]
     MANIFEST.write_text("\n".join([f"# {versions()}"] + rows) + "\n")
+
+
+def compare(want: dict, written: dict) -> tuple[list[str], list[str], list[str]]:
+    """(changed, missing, added) paths of ``written`` against ``want``."""
+    return (sorted(p for p in want.keys() & written.keys() if want[p] != written[p]),
+            sorted(want.keys() - written.keys()), sorted(written.keys() - want.keys()))
 
 
 def test_reference_outputs_match_manifest(tmp_path):
     run_reference(tmp_path)
     written, (wrote_with, want) = digest(tmp_path), read_manifest()
-    differ = sorted(p for p in want.keys() & written.keys() if want[p] != written[p])
-    missing, extra = sorted(want.keys() - written.keys()), sorted(written.keys() - want.keys())
+    differ, missing, extra = compare(want, written)
     assert not (differ or missing or extra), (
         f"differ: {differ}; missing: {missing}; not in the manifest: {extra} "
         f"(manifest written with {wrote_with}, this run {versions()})")
@@ -82,7 +90,11 @@ def test_reference_outputs_match_manifest(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    before = read_manifest()[1] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         run_reference(Path(tmp))
-        write_manifest(Path(tmp))
+        after = digest(Path(tmp))
+    write_manifest(after)
+    for label, paths in zip(("changed", "missing", "added"), compare(before, after)):
+        sys.stdout.writelines(f"{label}: {path}\n" for path in paths)
     sys.stdout.write(f"wrote {MANIFEST}\n")

@@ -199,6 +199,13 @@ class TestBranchTable:
         assert p.branch_holding(p.b - 0.1, p.b + 0.1) is None
         assert p.branch_holding(p.b, p.c + 1e-12) is None
 
+    def test_flux_range_is_the_closed_critical_interval(self):
+        p = self.NONUNIT
+        assert p.in_flux_range(np.array([p.A, p.B]))
+        assert p.in_flux_range(np.empty((3, 0)))
+        for stray in (np.nextafter(p.A, -np.inf), np.nextafter(p.B, np.inf), np.nan):
+            assert not p.in_flux_range(np.array([p.A, stray, p.B]))
+
     def test_gap_slope_is_the_rate_of_the_branch_gap(self):
         p = self.NONUNIT
         v = np.linspace(p.A, p.B, 7)

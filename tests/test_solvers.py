@@ -294,6 +294,29 @@ class TestSourcedSolve:
             expect = (a[k] + fk) * np.exp(mu[k] * short.t / 2.0) - fk if a[k] or f[k] else 0.0
             assert np.array_equal(sol.v_modes[k], np.broadcast_to(expect, short.t.shape)), k
 
+    def test_large_float_exponents_keep_the_float_closed_form(self):
+        # growth exponent 25 at mode 5: float coefficients still take the
+        # float64 closed form, bit for bit
+        grid = Grid(L, 1.0, 128, 33, 32)
+        a = np.zeros(grid.n_modes + 1)
+        f = np.zeros(grid.n_modes + 1)
+        a[[0, 1, 5]], f[[1, 2, 5]] = (0.1, 0.2, -0.01), (0.3, -0.5, 0.4)
+        sol = solve_sourced(CosineSeries(L, f), CosineSeries(L, a), 1.0, grid)
+        mu = grid.mu()
+        for k in (1, 2, 5):
+            fk = f[k] / mu[k]
+            assert np.array_equal(sol.v_modes[k], (a[k] + fk) * np.exp(mu[k] * grid.t) - fk), k
+
+    def test_round_trip_at_the_largest_guarded_exponent(self):
+        # mode 26 grows by e^676 over T = 1, just under the overflow guard
+        grid = Grid(L, 1.0, 128, 33, 32)
+        rng = np.random.default_rng(26)
+        a = CosineSeries(L, rng.uniform(-1, 1, 27))
+        b = CosineSeries(L, rng.uniform(-1, 1, 27))
+        f = inverse_source_from_endpoints(a, b, grid.T_end, 1.0)
+        sol = solve_sourced(f, a, 1.0, grid)
+        assert np.max(np.abs(sol.v.values[:, -1] - b.synthesize(grid.x))) <= 1e-13
+
 
 class TestPseudoparabolic:
     def test_exact_step_overflow_is_instability(self, params, grid):
