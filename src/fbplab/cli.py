@@ -170,12 +170,6 @@ def cmd_regularize(config: ScenarioConfig) -> int:
 
 def cmd_inverse(config: ScenarioConfig, a_coeffs, b_coeffs, t_end: float) -> int:
     """Recover the source between two cosine profiles and audit the round trip."""
-    a_coeffs = tuple(float(v) for v in a_coeffs)
-    b_coeffs = tuple(float(v) for v in b_coeffs)
-    if len(a_coeffs) != len(b_coeffs):
-        raise ConfigurationError("endpoint coefficient vectors must have equal length")
-    if t_end <= 0:
-        raise ConfigurationError("final time must be positive")
     out = Path(config.output_dir)
     params, grid = config.phase, config.grid
     a, b = CosineSeries(grid.L, a_coeffs), CosineSeries(grid.L, b_coeffs)

@@ -164,15 +164,16 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
 def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
     """Largest prefix (in samples) on which the weight formula stays usable.
 
-    Keeps v > A with gap above the build floor and the weight at most 1; the
-    certified horizon is always strictly inside this window.
+    Keeps v > A, the gap at least the build floor (> 0) and the weight t f / gap
+    at most 1, tested as t f <= gap; the certified horizon is always strictly
+    inside this window.
     """
     v = sol.v.values
     gap = branch_gap_extended(params, v)
-    lam = sol.grid.t[None, :] * sol.source_values()[:, None] / np.where(gap > 0, gap, np.inf)
+    tf = sol.grid.t[None, :] * sol.source_values()[:, None]
     j, _ = _prefix_scan({"flux above A": v > params.A,
                          "branch gap >= build floor": gap >= BUILD_GAP_FLOOR,
-                         "weight at most 1": lam <= 1.0})
+                         "weight at most 1": tf <= gap})
     return j + 1
 
 

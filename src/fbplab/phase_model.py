@@ -260,13 +260,9 @@ class EntropyFlux:
         if self.kind == "identity":
             out = 0.5 * arr * arr
         elif self.kind == "clamp":
-            out = np.where(
-                arr <= self.p,
-                self.p * arr - 0.5 * self.p * self.p,
-                np.where(arr >= self.q,
-                         self.q * arr - 0.5 * self.q * self.q,
-                         0.5 * arr * arr),
-            )
+            # inside [p, q], a*a - 0.5*a*a is 0.5*a*a exactly
+            c = np.clip(arr, self.p, self.q)
+            out = c * arr - 0.5 * c * c
         else:
             out = self.s * _log_cosh(arr / self.s)
         return _scalar_like(v, out)
@@ -286,21 +282,17 @@ def _gluing(params: PhaseParams, flux: EntropyFlux):
     return glue, _branch_piece(params, flux, glue, params.branch_index(0.0), 0.0)
 
 
-def _branch_primitive(params: PhaseParams, flux: EntropyFlux, u: np.ndarray) -> np.ndarray:
-    """W(u) - W(0), with W an antiderivative of g(phi(.)) continuous across the breakpoints.
-
-    On each affine piece phi(s) = m*s + q an antiderivative of g(phi(s)) is
-    Gamma(phi(s))/m plus the piece's gluing constant, with Gamma a primitive
-    of g; only the branch of each sample is evaluated.
-    """
-    glue, w0 = _gluing(params, flux)
-    return _branch_piece(params, flux, glue, params.branch_index(u), u) - w0
-
-
 def entropy_primitive(params: PhaseParams, flux: EntropyFlux, u):
-    """G(u) = int_0^u g(phi(s)) ds, in closed form (additive constant fixed to 0)."""
+    """G(u) = int_0^u g(phi(s)) ds = W(u) - W(0), in closed form.
+
+    W is an antiderivative of g(phi(.)) continuous across the breakpoints: on
+    each affine piece phi(s) = m*s + q it is Gamma(phi(s))/m plus the piece's
+    gluing constant, with Gamma a primitive of g; only the branch of each
+    sample is evaluated.
+    """
     arr = _check_finite(u, "entropy-primitive argument")
-    return _scalar_like(u, _branch_primitive(params, flux, arr))
+    glue, w0 = _gluing(params, flux)
+    return _scalar_like(u, _branch_piece(params, flux, glue, params.branch_index(arr), arr) - w0)
 
 
 def branch_image_primitives(params: PhaseParams, flux: EntropyFlux, v):

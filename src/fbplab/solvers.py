@@ -159,9 +159,7 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     """
     if sigma_abs <= 0:
         raise ConfigurationError("sigma_abs must be positive")
-    if f.n_modes > grid.n_modes:
-        raise ConfigurationError("source has more modes than the grid resolves")
-    fs = f.padded(grid.n_modes)
+    fs = _profile_to_series(f, grid, "source")
     a = _profile_to_series(v0, grid, "initial flux profile")
 
     mu = grid.mu()

@@ -37,7 +37,7 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           entropy_primitive, eval_phi)
 from .solvers import EpsSolution, solve_pseudoparabolic
 from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                       boundary_slopes, constant_field, trapezoid_weights,
+                       boundary_slopes, trapezoid_weights,
                        x_derivative_columns, x_second_derivative)
 
 # the verdict tolerances, fixed for every run; quadrature-based residuals halve
@@ -66,21 +66,15 @@ _BLOCK_CELLS = 32768
 # test functions
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si))
-    return out
-
-
-def _bump_prime(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s)
+def _bump(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bump exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside, and its slope."""
+    out, slope = np.zeros_like(s), np.zeros_like(s)
     inside = np.abs(s) < 1.0
     si = s[inside]
     one = 1.0 - si * si
-    out[inside] = np.exp(1.0 - 1.0 / one) * (-2.0 * si / (one * one))
-    return out
+    e = np.exp(1.0 - 1.0 / one)
+    out[inside], slope[inside] = e, e * (-2.0 * si / (one * one))
+    return out, slope
 
 
 @dataclass(frozen=True)
@@ -102,10 +96,9 @@ class BumpTest:
         return f"bump(x0={self.x0:.3g},t0={self.t0:.3g})"
 
     def factors(self, grid: Grid):
-        sx = (grid.x - self.x0) / self.rx
-        st = (grid.t - self.t0) / self.rt
-        return (_bump(sx), _bump_prime(sx) / self.rx,
-                _bump(st), _bump_prime(st) / self.rt)
+        bx, bx_s = _bump((grid.x - self.x0) / self.rx)
+        bt, bt_s = _bump((grid.t - self.t0) / self.rt)
+        return bx, bx_s / self.rx, bt, bt_s / self.rt
 
 
 @dataclass(frozen=True)
@@ -131,9 +124,9 @@ class ModeProductTest:
 
     def factors(self, grid: Grid):
         arg = self.j * np.pi * grid.x / grid.L
-        tau = (2.0 * grid.t - self.t0 - self.t1) / (self.t1 - self.t0)
+        bt, bt_s = _bump((2.0 * grid.t - self.t0 - self.t1) / (self.t1 - self.t0))
         return (1.0 + np.cos(arg), -(self.j * np.pi / grid.L) * np.sin(arg),
-                _bump(tau), _bump_prime(tau) * 2.0 / (self.t1 - self.t0))
+                bt, bt_s * 2.0 / (self.t1 - self.t0))
 
 
 @dataclass(frozen=True)
@@ -292,6 +285,13 @@ def _v_x(field: Field2D) -> np.ndarray:
     return x_derivative_columns(field.modes, field.grid.L, field.grid.x)
 
 
+def _initial_datum(triple: SolutionTriple, u0) -> np.ndarray:
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (triple.grid.n_x,):
+        raise GridMismatchError("initial datum does not match the triple's grid")
+    return u0
+
+
 def running_simpson(y: np.ndarray, dt: float) -> np.ndarray:
     """Running composite Simpson integral of y along its last axis, step dt.
 
@@ -402,9 +402,7 @@ def weak_residual(triple: SolutionTriple, u0: np.ndarray) -> float:
     integral is T'(t) (w X) @ u - T(t) (w X') @ v_x with trapezoid weights w.
     """
     grid = triple.grid
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (grid.n_x,):
-        raise GridMismatchError("initial datum does not match the triple's grid")
+    u0 = _initial_datum(triple, u0)
     vx = _v_x(triple.v)
     wx = trapezoid_weights(grid.n_x, grid.L)
     worst = 0.0
@@ -440,10 +438,8 @@ def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
 
     (G*)_t is centered-differenced, so the defect decays at second order under
     time refinement for C1 fluxes (first order on cells crossing a clamp
-    corner); interior time samples only.
+    corner) over interior time samples; NaN without one, as in the battery.
     """
-    if triple.grid.n_t < 3:
-        raise ConfigurationError("identity check needs at least three time samples")
     return _flux_pass(triple, params, [flux], [])[0][2]
 
 
@@ -482,7 +478,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     state-evolution identity integrates v_xx in time with ``running_simpson``."""
     grid = triple.grid
     u, v, lam = triple.u.values, triple.v.values, triple.lam.values
-    u0 = np.asarray(u0, dtype=float)
+    u0 = _initial_datum(triple, u0)
     # the endpoint slope of what the cosine projection misses, held to the
     # backward solve's bound on its final datum
     edge = boundary_slopes(v, triple.v.modes, grid.L)
@@ -639,9 +635,8 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     # one backward solve: the family's baseline carries its u and v
     baseline, sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)
     u0, t = baseline.u.values[:, 0], grid.t[None, :]
-    zero = constant_field(grid, 0.0)
-    base = SolutionTriple(baseline.u, baseline.v, zero, grid.T_end, "control", lam_t=zero,
-                          source=np.zeros(grid.n_x))
+    # the baseline carries zero lambda, lambda_t and source
+    base = replace(baseline, t_bar=grid.T_end, provenance="control")
 
     def field(values) -> Field2D:
         return Field2D(grid, np.broadcast_to(values, (grid.n_x, grid.n_t)).copy(), "control")

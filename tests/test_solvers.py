@@ -263,8 +263,8 @@ class TestSourcedSolve:
             assert sol.v.values[:, j] == pytest.approx(free.synthesize(grid.x), abs=1e-10)
 
     def test_float_and_extended_paths_agree(self, grid):
-        # growth exponent 9 stays on the float64 path; object coefficients
-        # force the extended path on the same data
+        # one evaluation path: object coefficients only form the start
+        # a_k + f_k/mu_k in extended precision; every field is float64
         a = np.zeros(4)
         a[3] = 0.2
         f = np.zeros(4)
@@ -273,6 +273,12 @@ class TestSourcedSolve:
         slow = solve_sourced(CosineSeries(L, np.asarray([mp.mpf(v) for v in f], dtype=object)),
                              CosineSeries(L, a), 1.0, grid)
         assert np.max(np.abs(fast.v.values - slow.v.values)) < 1e-10
+
+    def test_source_on_another_interval_is_refused(self, grid):
+        # v would evolve with the grid's eigenvalues while the source profile
+        # is synthesized on its own interval, so m = f would fail
+        with pytest.raises(ConfigurationError, match="source: series length"):
+            solve_sourced(CosineSeries(2.0 * L, [1.0, 0.2]), np.zeros(grid.n_x), 1.0, grid)
 
     def test_active_mode_overflow_guard(self, grid):
         coeffs = np.zeros(grid.n_modes + 1)

@@ -271,21 +271,23 @@ class TestFieldFileEdgeCases:
 
     def test_exponent_notation_field_is_not_slower(self, tmp_path):
         # every cell falls back to Python's '%.17g'; the fallback formats a
-        # chunk's cells with one format string, so it keeps the row template's pace.
-        # Each repetition times both writers back to back, so host drift hits both.
+        # chunk's cells with one format string, at about 1.2x the row template's
+        # time.  Each repetition times both writers back to back, so host drift
+        # hits both, and the median of the paired ratios ignores a drifting pair.
         grid = Grid(L=L, T_end=1.0, n_x=256, n_t=257, n_modes=16)
         f = Field2D(grid, 1e-7 * np.random.default_rng(6).normal(size=(256, 257)))
         writers = ((write_field_csv, tmp_path / "new.csv"),
                    (row_template_csv, tmp_path / "old.csv"))
-        best = [np.inf, np.inf]
-        for _ in range(5):
-            for i, (write, path) in enumerate(writers):
+        ratios = []
+        for _ in range(15):
+            times = []
+            for write, path in writers:
                 start = time.perf_counter()
                 write(f, path)
-                best[i] = min(best[i], time.perf_counter() - start)
-        new, old = best
+                times.append(time.perf_counter() - start)
+            ratios.append(times[0] / times[1])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        assert new <= 1.5 * old
+        assert np.median(ratios) <= 1.5
 
 
 class TestBoundarySlopes:

@@ -11,7 +11,7 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from fbplab import spectral
 from fbplab.counterexample import SolutionTriple, construct_family
-from fbplab.errors import ConfigurationError, DomainViolationError
+from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
 from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
                                 branch_gap_extended, branch_image_primitives,
                                 certificate_from_primitives, entropy_primitive)
@@ -60,9 +60,12 @@ class TestWeakResidual:
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 4 + 1e-12
 
-    def test_grid_mismatch(self, restricted_family):
+    def test_grid_mismatch(self, restricted_family, params):
         with pytest.raises(ConfigurationError):
             weak_residual(restricted_family[0], np.zeros(7))
+        # a 1-sample datum would broadcast against every row of u(., 0)
+        with pytest.raises(GridMismatchError):
+            structural_check(restricted_family[1], np.zeros(1), params)
 
 
 class TestEntropyInequality:
@@ -161,6 +164,13 @@ class TestOneEntropyPass:
         assert not entry.passed
         assert np.isnan(entry.residual)
         assert "three" in entry.note
+
+    def test_two_sample_window_identity_error_is_nan(self, restricted_family, params):
+        # the single check follows the battery's row: NaN, not a refusal
+        short = replace(restricted_family[1], t_bar=0.0).restricted()
+        assert short.grid.n_t == 2
+        for flux in (EntropyFlux.identity(), EntropyFlux.saturating(1.0)):
+            assert np.isnan(certificate_identity_error(short, flux, params))
 
 
 def whole_field_flux_pass(triple, params, fluxes, tests):
