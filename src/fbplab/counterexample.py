@@ -40,11 +40,12 @@ class SolutionTriple:
     """State u, flux v and stable-phase weight lambda of one candidate solution.
 
     The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
-    certified horizon, ``binding`` the margin condition that ends it ("" when it
-    is the whole window) and ``lam_t`` the analytic time derivative of the
-    weight.  All four fields live on one grid.  ``source`` is the read-only
-    (n_x,) profile f(x) that drives v (zeros for a weight-zero triple): the
-    excess rate m = v_xx + |sigma| v_t equals it exactly, mode by mode.
+    certified horizon, ``binding`` the condition that ends it, a margin or the end
+    of the construction window ("" when it is the whole grid), and ``lam_t`` the
+    analytic time derivative of the weight.  All four fields live on one grid.
+    ``source`` is the read-only (n_x,) profile f(x) that drives v (zeros for a
+    weight-zero triple): the excess rate m = v_xx + |sigma| v_t equals it
+    exactly, mode by mode.
     """
 
     u: Field2D
@@ -161,20 +162,20 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
     return float(triple.grid.t[j]), binding
 
 
-def _build_window(sol: SourcedSolution, params: PhaseParams) -> int:
-    """Largest prefix (in samples) on which the weight formula stays usable.
+def _build_window(sol: SourcedSolution, params: PhaseParams) -> tuple[int, str]:
+    """Largest prefix (in samples) on which the weight formula stays usable, and
+    the condition or conditions that end it ("" when it is the whole grid).
 
     Keeps v > A, the gap at least the build floor (> 0) and the weight t f / gap
-    at most 1, tested as t f <= gap; the certified horizon is always strictly
-    inside this window.
+    at most 1, tested as t f <= gap; the certified horizon never passes this window.
     """
     v = sol.v.values
     gap = branch_gap_extended(params, v)
     tf = sol.grid.t[None, :] * sol.source_values()[:, None]
-    j, _ = _prefix_scan({"flux above A": v > params.A,
-                         "branch gap >= build floor": gap >= BUILD_GAP_FLOOR,
-                         "weight at most 1": tf <= gap})
-    return j + 1
+    j, binding = _prefix_scan({"flux above A": v > params.A,
+                               "branch gap >= build floor": gap >= BUILD_GAP_FLOOR,
+                               "weight at most 1": tf <= gap})
+    return j + 1, binding
 
 
 def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
@@ -202,7 +203,7 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
                 f"source {idx} dips to {np.min(fx):.4g}, below the positivity margin "
                 f"c2 = {delta:g}")
         sol = solve_sourced(f, v0, params.sigma_abs, grid)
-        n_build = _build_window(sol, params)
+        n_build, window_end = _build_window(sol, params)
         if n_build < grid.n_t:
             sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
                           vt_modes=sol.vt_modes[:, :n_build])
@@ -212,5 +213,5 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t,
                                 source=fx)
         t_bar, binding = certify_horizon(triple, params, delta)
-        triples.append(replace(triple, t_bar=t_bar, binding=binding))
+        triples.append(replace(triple, t_bar=t_bar, binding=binding or window_end))
     return triples

@@ -13,7 +13,8 @@
   their cancelling sum a_k + f_k/mu_k in extended precision; every field is
   evaluated in float64.
 * ``solve_pseudoparabolic``: the relaxation system u_t = v_xx, (I - eps d_xx) v =
-  phi(u), advanced exactly in mode space and split at located branch crossings.
+  phi(u), advanced exactly in mode space and split at located branch crossings;
+  v is the projection of phi(u_eps) at every sample, divided by 1 + eps mu_k.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 
-from .errors import (BoundaryConditionError, ConfigurationError,
-                     DomainViolationError, InstabilityError)
+from .errors import BoundaryConditionError, ConfigurationError, DomainViolationError
 from .phase_model import PhaseParams, eval_phi
 from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
                        analysis_matrix, analyze_columns, boundary_slopes,
@@ -239,22 +239,6 @@ class EpsSolution:
         return self.u_eps.grid
 
 
-def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
-                basis: np.ndarray, analysis: np.ndarray) -> np.ndarray:
-    """Cosine modes of phi(u) for mode-vector state u_hat: on one affine branch an
-    exact affine image of the state modes, so inactive modes stay exactly zero and
-    no round-off seeds the growing high modes; else phi at the nodes, projected."""
-    vals = basis @ u_hat
-    if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e100:
-        raise InstabilityError("relaxation state overflowed")
-    k = params.branch_holding(vals.min(), vals.max())
-    if k is None:
-        return analysis @ eval_phi(params, vals)
-    out = params.branches.slope[k] * u_hat
-    out[0] += params.branches.intercept[k]
-    return out
-
-
 def _certified_branch(state: np.ndarray, params: PhaseParams, basis: np.ndarray,
                       exponents: np.ndarray) -> int | None:
     """The branch that every node provably keeps over the next sample interval, or None.
@@ -348,6 +332,7 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     the per-mode exponential from the first sample of its run when the nodes keep
     one branch (``_certified_branch``), which keeps zero modes zero, else under a
     node-branch pattern carried from crossing to crossing (``_FrozenPattern``).
+    The flux is not stepped: once u is known, v is phi(u) projected at every sample.
     """
     if eps <= 0:
         raise ConfigurationError("eps must be positive")
@@ -376,9 +361,8 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
                 (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step"), None
         u_modes[:, j] = state
 
-    v_modes = np.stack([resolvent * _flux_modes(u, params, basis, analysis)
-                        for u in u_modes.T], axis=1)
     u_field = field_from_modes(grid, u_modes, f"relaxed state eps={eps:g}")
+    v_modes = resolvent[:, None] * (analysis @ eval_phi(params, u_field.values))
     v_field = field_from_modes(grid, v_modes, f"relaxed flux eps={eps:g}")
     return EpsSolution(float(eps), u_field, v_field, u_modes, v_modes)
 

@@ -6,11 +6,13 @@ whose members all have zero slope at x = 0 and x = L.  Collocation is uniform
 including both endpoints; analysis uses the trapezoid inner product, which is
 an exact projection for inputs band-limited to N <= (n_x - 1)/2 modes.
 Backward (negative-diffusivity) flows are only ever advanced exactly per mode.
-Every exact per-mode flow of the package (the backward solve, the sourced
-solve and its inverse, the relaxation's exact steps) takes its factors from
-the one guarded exponential, ``mode_exponential``.  A sampled field is
-projected once (``Field2D.modes``), and its space derivatives, the zero-flux
-test ``boundary_slopes`` among them, read that projection.
+Every exact per-mode flow of the package passes the one overflow guard,
+``mode_exponential``; the backward and sourced solves and the relaxation's
+single-branch steps take their factors from it too, while the inverse source
+(mpmath E_k) and the frozen-pattern steps (``expm1``) only pass its guard.  A
+sampled field is projected once (``Field2D.modes``), and its space
+derivatives, the zero-flux test ``boundary_slopes`` among them, read that
+projection.
 
 Field files hold Python's ``'%.17g'`` text of every sample, formatted in numpy
 by ``format_rows`` and byte-identical to ``format(v, '.17g')``.  For

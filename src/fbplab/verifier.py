@@ -630,8 +630,9 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     relaxed solution, checked by ``relaxation_report``.
     """
     params = params or PhaseParams.default()
-    grid = Grid(np.pi, 1.0, 64, 97, 16)
-    final = CosineSeries(np.pi, [0.0, 0.1])
+    grid, b, c = Grid(np.pi, 1.0, 64, 97, 16), params.b, params.c
+    # the datum centred in the decreasing branch (b, c), scaled to its width
+    final = CosineSeries(np.pi, [(b + c) / 2, 0.05 * (c - b)])
     # one backward solve: the family's baseline carries its u and v
     baseline, sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)
     u0, t = baseline.u.values[:, 0], grid.t[None, :]
@@ -667,7 +668,8 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     sourced = sourced.restricted()
     lam_over, rate_under = sourced.lam.values.copy(), sourced.lam_t.values.copy()
     lam_over[17, 5], rate_under[17, 5] = 1.0 + 1e-3, -1e-3
-    relaxed = solve_pseudoparabolic(2.5 + 0.25 * np.cos(grid.x), 0.05, params, grid)
+    relaxed = solve_pseudoparabolic(c + 0.75 * (c - b) + 0.125 * (c - b) * np.cos(grid.x),
+                                    0.05, params, grid)
     return [
         ("decreasing-weight", ("lambda2-monotone", "pointwise-certificate"),
          (decreasing, u0)),

@@ -9,9 +9,9 @@ fast paths to it.
 
 import numpy as np
 
-from fbplab.errors import ConfigurationError, DomainViolationError
+from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
-                                branch_gap_extended, certificate_integrand_extended)
+                                branch_gap_extended, certificate_integrand_extended, eval_phi)
 from fbplab.spectral import (CosineSeries, Field2D, cosine_eigenvalues, field_from_modes,
                              mode_exponential)
 
@@ -74,6 +74,23 @@ def propagate_heat(s: CosineSeries, kappa: float, dt: float) -> CosineSeries:
         raise ConfigurationError("propagation step must be nonnegative")
     expo = -kappa * cosine_eigenvalues(s.n_modes, s.L) * dt
     return CosineSeries(s.L, s.coeffs * mode_exponential(expo, s.active, "heat propagation"))
+
+
+def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
+                basis: np.ndarray, analysis: np.ndarray) -> np.ndarray:
+    """Cosine modes of phi(u) for mode-vector state u_hat, the right-hand side of
+    the RK4 relaxation oracle: on one affine branch an exact affine image of the
+    state modes, so inactive modes stay exactly zero and no round-off seeds the
+    growing high modes; else phi at the nodes, projected."""
+    vals = basis @ u_hat
+    if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e100:
+        raise InstabilityError("relaxation state overflowed")
+    k = params.branch_holding(vals.min(), vals.max())
+    if k is None:
+        return analysis @ eval_phi(params, vals)
+    out = params.branches.slope[k] * u_hat
+    out[0] += params.branches.intercept[k]
+    return out
 
 
 def vxx_field(sol) -> Field2D:

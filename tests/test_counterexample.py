@@ -16,7 +16,8 @@ from fbplab import spectral
 from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
                                    certify_horizon, construct_family)
 from fbplab.errors import DomainViolationError, GridMismatchError, NearSingularError
-from fbplab.phase_model import branch_gap_extended, beta0_extended, beta2_extended
+from fbplab.phase_model import (PhaseParams, branch_gap_extended, beta0_extended,
+                                beta2_extended)
 from fbplab.solvers import solve_sourced, solve_unstable_backward
 from fbplab.spectral import CosineSeries, Field2D, Grid, analyze_columns, synthesize_columns
 
@@ -27,6 +28,19 @@ L = np.pi
 def midpoint_grid():
     # x = pi/2 is node 64 and t = 0.1 is sample 25 on this grid
     return Grid(L=L, T_end=1.0, n_x=129, n_t=251, n_modes=32)
+
+
+@pytest.fixture(scope="module")
+def cut_window_case():
+    """A family on a non-unit diagram whose second sourced triple stops early:
+    its v dips below A at t = 0.2, so the construction keeps samples 0..2."""
+    params = PhaseParams(-0.8694236187043056, 0.13392635882708182, -0.2525825676231057,
+                         2.198107496694716, 0.6621014715338207, 0.5496900706021547)
+    grid, s = Grid(L, 1.0, 64, 16, 16), 0.9612559724376797
+    family = construct_family(CosineSeries(L, [-0.36774863, 0.04446508]),
+                              [CosineSeries(L, [s]), CosineSeries(L, [s, 0.0, 0.0, 0.3 * s])],
+                              params, grid, delta=0.05)
+    return family, grid
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +298,21 @@ class TestConstructFamily:
         expect = [1.0, 231 / 255, 190 / 255, 124 / 255]
         for triple, want in zip(family, expect):
             assert triple.t_bar == pytest.approx(want, abs=1e-12)
+
+    def test_window_end_binds_a_horizon_that_holds_on_all_of_it(self, cut_window_case):
+        # every margin holds on the three kept samples, so the horizon is the end
+        # of the construction window, which names what stopped it
+        family, grid = cut_window_case
+        cut = family[2]
+        assert cut.v.grid.n_t == 3 and cut.t_bar == grid.t[2] < grid.T_end
+        assert cut.binding == "flux above A; branch gap >= build floor; weight at most 1"
+
+    @pytest.mark.parametrize("case", ["reference", "cut window"])
+    def test_binding_empty_exactly_on_the_whole_grid(self, case, family, grid,
+                                                      cut_window_case):
+        triples, on = (family, grid) if case == "reference" else cut_window_case
+        for triple in triples:
+            assert (triple.binding == "") == (triple.t_bar == on.T_end), triple.provenance
 
     def test_empty_sources_gives_baseline_only(self, final_datum, params, grid):
         fam = construct_family(final_datum, [], params, grid)

@@ -90,6 +90,11 @@ def test_reference_outputs_match_manifest(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    if len(sys.argv) > 1:  # it takes no options: refuse before the manifest is touched
+        sys.stderr.write(f"usage: PYTHONPATH=src python {sys.argv[0]}\n"
+                         "  rewrites the manifest from a fresh run of the reference "
+                         "commands; takes no arguments\n")
+        sys.exit(2)
     before = read_manifest()[1] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         run_reference(Path(tmp))

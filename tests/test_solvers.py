@@ -14,8 +14,8 @@ from fbplab.errors import (BoundaryConditionError, ConfigurationError,
 from fbplab.phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
 from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic,
                             solve_sourced, solve_unstable_backward)
-from fbplab.spectral import (CosineSeries, Grid, analysis_matrix, cosine_basis,
-                             mode_exponential)
+from fbplab.spectral import (CosineSeries, Grid, analysis_matrix, analyze_columns,
+                             cosine_basis, mode_exponential)
 from oracles import propagate_heat, vxx_field
 
 L = np.pi
@@ -42,7 +42,8 @@ def rk4_relaxation_oracle(u0, eps, params, grid, refine=1):
     replaced: an interval certified to one branch takes the per-mode closed form,
     any other one refine * ceil(dt/(eps/4)) classic RK4 steps on the nonlinear
     system, with phi evaluated at the nodes."""
-    from fbplab.solvers import _certified_branch, _flux_modes, _profile_to_series
+    from fbplab.solvers import _certified_branch, _profile_to_series
+    from oracles import _flux_modes
 
     mu = grid.mu()
     resolvent = 1.0 / (1.0 + eps * mu)
@@ -370,6 +371,17 @@ class TestPseudoparabolic:
         rhs = analyze_columns(eval_phi(params, sol.u_eps.values), grid.L, grid.n_modes)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    @pytest.mark.parametrize("amplitude", [0.1, 0.9])
+    def test_flux_is_the_projection_of_phi_at_every_sample(self, params, grid, amplitude):
+        # 0.1 cos x keeps the middle branch, 0.9 cos x crosses into both stable
+        # ones: either way v is phi(u) at the nodes, projected, bit for bit
+        eps = 0.01
+        sol = solve_pseudoparabolic(amplitude * np.cos(grid.x), eps, params, grid)
+        resolvent = 1.0 / (1.0 + eps * grid.mu())
+        expect = resolvent[:, None] * analyze_columns(eval_phi(params, sol.u_eps.values),
+                                                      grid.L, grid.n_modes)
+        assert np.array_equal(sol.v_modes, expect)
+
     def test_eps_consistency_single_branch(self, params, grid):
         # distance to the eps = 0 heat flow shrinks monotonically with eps
         u0 = 2.5 + 0.25 * np.cos(grid.x)
@@ -446,7 +458,7 @@ class TestPseudoparabolic:
         one_step = Grid(L, 0.5, 64, 2, 16)
         sol = solve_pseudoparabolic(amplitude * np.cos(one_step.x), 1e-2, params, one_step)
         assert bool(patterns) is not exact
-        assert bool(pointwise) is not exact  # only the flux at the crossed end sample
+        assert len(pointwise) == 1  # v: one projection of phi(u) over every sample
         assert (sol.u_eps.values.max() > params.c) is not exact
         if not exact:
             # the run starts all-middle and ends with nodes in both stable branches

@@ -12,7 +12,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from fbplab import spectral
 from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
-from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
+from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
                                 branch_gap_extended, branch_image_primitives,
                                 certificate_from_primitives, entropy_primitive)
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
@@ -439,7 +439,32 @@ class TestDistinctness:
             distinctness(family[0], family[3], 0.6)
 
 
+def random_diagrams(n: int, seed: int = 1) -> list[PhaseParams]:
+    """ROADMAP item 17's diagrams: b ~ U(-2, 1), c = b + U(0.2, 3), A ~ U(-2, 1),
+    B = A + U(0.2, 3) and alpha1, alpha2 log-uniform in [1/4, 4], in that order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        b = rng.uniform(-2.0, 1.0)
+        c = b + rng.uniform(0.2, 3.0)
+        A = rng.uniform(-2.0, 1.0)
+        B = A + rng.uniform(0.2, 3.0)
+        alpha1, alpha2 = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 2))
+        out.append(PhaseParams(b, c, A, B, alpha1, alpha2))
+    return out
+
+
 class TestNegativeControls:
+    @pytest.mark.parametrize("diagram", random_diagrams(20),
+                             ids=[f"draw{i:02d}" for i in range(20)])
+    def test_every_control_rejected_on_a_random_diagram(self, diagram):
+        # the control data follow the diagram, so no draw is left out or re-seeded;
+        # a draw that misses a control is pinned as a strict xfail naming it
+        results = negative_controls(diagram)
+        assert len(results) == 14
+        for name, rejected, detail in results:
+            assert rejected, f"{name} slipped through ({detail})"
+
     def test_every_check_rejects_its_violator(self, params):
         results = negative_controls(params)
         assert len(results) == 14
