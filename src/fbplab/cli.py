@@ -89,7 +89,7 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
         worst = report.worst()
         lines.append(f"{tag}: provenance={triple.provenance}")
         lines.append(f"  certified horizon T_bar = {triple.t_bar:.6g} "
-                     + (f"(binding: {triple.binding})" if triple.binding else "(whole window)"))
+                     + (f"(binding: {binding})" if triple.binding else f"({binding})"))
         lines.append(f"  battery: {'pass' if report.passed else 'FAIL'} (least headroom "
                      f"{worst.headroom:.3f} of its bound in {worst.name}, "
                      f"residual {worst.residual:.3e})")

@@ -136,13 +136,14 @@ class PhaseParams:
         """Branch of each sample: 1 where u <= b, 2 where u >= c, else 0."""
         return (u <= self.b) + 2 * (u >= self.c)
 
-    def branch_holding(self, lo: float, hi: float) -> int | None:
-        """A branch whose closed interval holds [lo, hi], outer branches first."""
-        for i in (1, 2, 0):
+    def branch_holding(self, lo, hi) -> np.ndarray:
+        """Per pair, a branch whose closed interval holds [lo, hi], outer branches
+        first, or -1 where none does."""
+        held = -1
+        for i in (0, 2, 1):  # a later branch overrides: the outer ones win
             left, right = self.branches.closed[i]
-            if left <= lo and hi <= right:
-                return i
-        return None
+            held = np.where((left <= lo) & (hi <= right), i, held)
+        return held
 
     def in_flux_range(self, v: np.ndarray) -> bool:
         """Whether A <= v <= B at every sample (true for none, false at a NaN): the

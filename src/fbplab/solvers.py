@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import BoundaryConditionError, ConfigurationError, DomainViolationError
 from .phase_model import PhaseParams, eval_phi
-from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                       analysis_matrix, analyze_columns, boundary_slopes,
+from .spectral import (BOUNDARY_SLOPE_TOL, OVERFLOW_EXPONENT, CosineSeries, Field2D,
+                       Grid, analysis_matrix, analyze_columns, boundary_slopes,
                        cosine_analyze, cosine_basis, cosine_eigenvalues,
                        field_from_modes, mode_exponential)
 
@@ -37,6 +37,10 @@ from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
 _BAND_LIMIT_TOL = 1e-8
 #: how far past its breakpoint, relative to max(1, |b|, |c|), a node has crossed
 _CROSSING_TOL = 1e-13
+#: the sub-steps a frozen pattern tries, as fractions of what is left of its interval
+_SUB_STEPS = np.r_[2.0 ** -np.arange(25), 0.0]
+#: the points 1..16 of a round that locates a crossing, in sixteenths of its bracket
+_SECTIONS = np.arange(1.0, 17.0)
 
 
 def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
@@ -239,21 +243,24 @@ class EpsSolution:
         return self.u_eps.grid
 
 
-def _certified_branch(state: np.ndarray, params: PhaseParams, basis: np.ndarray,
-                      exponents: np.ndarray) -> int | None:
-    """The branch that every node provably keeps over the next sample interval, or None.
+def _certified_branch(states: np.ndarray, params: PhaseParams, basis: np.ndarray,
+                      exponents: np.ndarray, branch=None):
+    """``branch`` and, per column of ``states``, whether every node provably keeps it
+    over the next sample interval; one state is a window of one.  By default the
+    branch is the one that holds the first column, -1 if none does.
 
     On branch i, over one interval, mode k is multiplied by exp(exponents[i, k])
     and moves monotonically, so no node drifts by more than sum_k |a_k| |e^{r_k dt} - 1|.
+    The columns are one closed-form run: they share the nonzero modes of the first.
     """
-    vals = basis @ state
-    lo, hi = vals.min(), vals.max()
-    i = params.branch_holding(lo, hi)
-    if i is None:
-        return None
-    factors = mode_exponential(exponents[i], state != 0, "relaxation step")
-    drift = np.abs(state) @ np.abs(factors - 1.0)
-    return i if params.branch_holding(lo - drift, hi + drift) == i else None
+    vals = basis @ states
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    i = int(params.branch_holding(lo[0], hi[0]) if branch is None else branch)
+    if i < 0:
+        return i, np.zeros(states.shape[1], dtype=bool)
+    factors = mode_exponential(exponents[i], states[:, 0] != 0, "relaxation step")
+    drift = np.abs(factors - 1.0) @ np.abs(states)
+    return i, params.branch_holding(lo - drift, hi + drift) == i
 
 
 class _FrozenPattern:
@@ -306,15 +313,16 @@ class _FrozenPattern:
         while left > 0.0:
             nodes = flow.basis @ state
             rates = flow.forcing - flow.lam * (flow.from_modes @ state[1:])
-            ok = flow._certified(nodes, rates, taus := left * np.r_[2.0 ** -np.arange(25), 0.0])
+            ok = flow._certified(nodes, rates, taus := left * _SUB_STEPS)
             k = int(np.argmax(ok))
             lo, hi = taus[k], taus[max(k - 1, 0)]
             rows = np.flatnonzero(flow._past(nodes, rates, [hi], flow.tol)[0])
             hi = hi if len(rows) else lo or hi  # no crossing yet, or too short to certify
             while len(rows) and hi - lo > 1e-15 * left:
-                ts = np.linspace(lo, hi, 17)[1:]
+                ts = _SECTIONS * ((hi - lo) / 16) + lo  # np.linspace(lo, hi, 17)[1:]
+                ts[-1] = hi
                 i = int(np.argmax(flow._past(nodes, rates, ts, flow.tol, rows)[0].any(0)))
-                lo, hi = np.r_[lo, ts][i], ts[i]
+                lo, hi = ts[i - 1] if i else lo, ts[i]
             state = state + np.r_[0.0, flow.to_modes @ (rates * flow._F([hi])[:, 0])]
             if len(rows):  # flip at tol 0, so that partners a round-off behind flip too
                 crossed, vals = flow._past(nodes, rates, [hi], 0.0)
@@ -328,10 +336,12 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     """Integrate u_t = v_xx with (I - eps d_xx) v = phi(u), zero-flux sides.
 
     The elliptic solve is diagonal in mode space (v_k = [phi(u)]_k/(1 + eps mu_k))
-    and phi is affine per branch, so each sample interval is advanced exactly: by
-    the per-mode exponential from the first sample of its run when the nodes keep
-    one branch (``_certified_branch``), which keeps zero modes zero, else under a
-    node-branch pattern carried from crossing to crossing (``_FrozenPattern``).
+    and phi is affine per branch, so each sample interval is advanced exactly.  While
+    the nodes provably keep one branch (``_certified_branch``), a run of samples takes
+    the per-mode exponential from its first sample, which keeps zero modes zero; the
+    run is formed and certified a window of 8, 16, 32, ... samples at a time, and
+    ends at its first sample that is not certified.  Any other interval is stepped
+    under a node-branch pattern carried from crossing to crossing (``_FrozenPattern``).
     The flux is not stepped: once u is known, v is phi(u) projected at every sample.
     """
     if eps <= 0:
@@ -347,19 +357,34 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     # row i: exponent of each mode over one sample interval on branch i
     exponents = -np.outer(params.branches.slope, mu * resolvent) * grid.dt
     u_modes, state = np.repeat(u_hat[:, None], grid.n_t, axis=1), u_hat
-    start, run, flow = 0, None, None  # single-branch run: first sample, branch; else pattern
-    for j in range(1, grid.n_t):
-        i = _certified_branch(state, params, basis, exponents)
-        if i is None:
-            flow = flow or _FrozenPattern(params.branch_index(basis @ state), state[0], params,
-                                          basis, analysis, mu * resolvent, grid.dt)
-            run, (state, flow) = None, flow.step(state, grid.dt)
-        else:
-            start, run = (j - 1, i) if i != run else (start, run)
-            # the closed form from the run's first sample: rounding does not compound
-            state, flow = u_modes[:, start] * mode_exponential(
-                (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step"), None
-        u_modes[:, j] = state
+    # a run: the samples from ``start`` on, each certified to keep the branch ``run``
+    # over its next interval (-1: none); ``held`` is whether sample j - 1 is one of them
+    j, start, run, held, flow = 1, 0, -1, False, None
+    while j < grid.n_t:
+        if not held:
+            i, (held,) = _certified_branch(state[:, None], params, basis, exponents)
+            if not held:
+                flow = flow or _FrozenPattern(params.branch_index(basis @ state), state[0],
+                                              params, basis, analysis, mu * resolvent, grid.dt)
+                run, (state, flow) = -1, flow.step(state, grid.dt)
+                u_modes[:, j], j = state, j + 1
+                continue
+            if i != run:
+                start, run, width = j - 1, i, 8
+            flow = None
+        # a window of samples j, j+1, ... by the closed form from the run's first sample,
+        # so that rounding does not compound; it ends before the first sample whose
+        # exponential overflows, unless that is sample j, which then raises
+        active = u_modes[:, start] != 0
+        expo = np.outer(exponents[run], np.arange(j, min(j + width, grid.n_t)) - start)
+        over = np.flatnonzero(np.any(expo[active] > OVERFLOW_EXPONENT, axis=0))
+        expo = expo[:, :max(over[0], 1)] if over.size else expo
+        window = u_modes[:, start, None] * mode_exponential(expo, active, "relaxation step")
+        # each sample of the window that keeps the run's branch admits the next one
+        _, keeps = _certified_branch(window, params, basis, exponents, run)
+        n = keeps.size if keeps.all() else int(np.argmin(keeps)) + 1
+        u_modes[:, j:j + n], state = window[:, :n], window[:, n - 1].copy()
+        j, held, width = j + n, bool(keeps[n - 1]), 2 * width
 
     u_field = field_from_modes(grid, u_modes, f"relaxed state eps={eps:g}")
     v_modes = resolvent[:, None] * (analysis @ eval_phi(params, u_field.values))

@@ -12,8 +12,8 @@ import numpy as np
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
                                 branch_gap_extended, certificate_integrand_extended, eval_phi)
-from fbplab.spectral import (CosineSeries, Field2D, cosine_eigenvalues, field_from_modes,
-                             mode_exponential)
+from fbplab.spectral import (CosineSeries, Field2D, analysis_matrix, cosine_basis,
+                             cosine_eigenvalues, field_from_modes, mode_exponential)
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +86,39 @@ def _flux_modes(u_hat: np.ndarray, params: PhaseParams,
     if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > 1e100:
         raise InstabilityError("relaxation state overflowed")
     k = params.branch_holding(vals.min(), vals.max())
-    if k is None:
+    if k < 0:
         return analysis @ eval_phi(params, vals)
     out = params.branches.slope[k] * u_hat
     out[0] += params.branches.intercept[k]
     return out
+
+
+def sequential_relaxation_oracle(u0, eps: float, params: PhaseParams, grid) -> np.ndarray:
+    """Mode history of the relaxation stepper that certifies and forms one sample
+    at a time: each interval's start is certified alone, a certified one takes the
+    closed form from its run's first sample and any other one a frozen-pattern step."""
+    from fbplab.solvers import _certified_branch, _FrozenPattern, _profile_to_series
+
+    mu = grid.mu()
+    rate = mu * (1.0 / (1.0 + eps * mu))
+    basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
+    analysis = analysis_matrix(grid.n_modes, grid.L, grid.n_x)
+    exponents = -np.outer(params.branches.slope, rate) * grid.dt
+    u_hat = _profile_to_series(u0, grid, "initial state").as_float()
+    u_modes, state = np.repeat(u_hat[:, None], grid.n_t, axis=1), u_hat
+    start, run, flow = 0, None, None
+    for j in range(1, grid.n_t):
+        i, (held,) = _certified_branch(state[:, None], params, basis, exponents)
+        if not held:
+            flow = flow or _FrozenPattern(params.branch_index(basis @ state), state[0], params,
+                                          basis, analysis, rate, grid.dt)
+            run, (state, flow) = None, flow.step(state, grid.dt)
+        else:
+            start, run = (j - 1, i) if i != run else (start, run)
+            state, flow = u_modes[:, start] * mode_exponential(
+                (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step"), None
+        u_modes[:, j] = state
+    return u_modes
 
 
 def vxx_field(sol) -> Field2D:

@@ -196,8 +196,17 @@ class TestBranchTable:
         assert p.branch_holding(p.b, p.b) == 1
         assert p.branch_holding(-5.0, p.b) == 1
         assert p.branch_holding(p.c, 9.0) == 2
-        assert p.branch_holding(p.b - 0.1, p.b + 0.1) is None
-        assert p.branch_holding(p.b, p.c + 1e-12) is None
+        assert p.branch_holding(p.b - 0.1, p.b + 0.1) == -1
+        assert p.branch_holding(p.b, p.c + 1e-12) == -1
+
+    def test_single_branch_test_is_elementwise(self):
+        # each pair is judged as a scalar pair is, outer branches first
+        p = self.NONUNIT
+        pairs = [(p.b, p.c), (p.b, p.b), (-5.0, p.b), (p.c, 9.0), (p.c, p.c),
+                 (p.b - 0.1, p.b + 0.1), (p.b, p.c + 1e-12)]
+        lo, hi = np.array(pairs).T
+        assert p.branch_holding(lo, hi).tolist() == [0, 1, 1, 2, 2, -1, -1]
+        assert p.branch_holding(lo, hi).tolist() == [p.branch_holding(*pq) for pq in pairs]
 
     def test_flux_range_is_the_closed_critical_interval(self):
         p = self.NONUNIT

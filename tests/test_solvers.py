@@ -14,9 +14,9 @@ from fbplab.errors import (BoundaryConditionError, ConfigurationError,
 from fbplab.phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
 from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic,
                             solve_sourced, solve_unstable_backward)
-from fbplab.spectral import (CosineSeries, Grid, analysis_matrix, analyze_columns,
-                             cosine_basis, mode_exponential)
-from oracles import propagate_heat, vxx_field
+from fbplab.spectral import (OVERFLOW_EXPONENT, CosineSeries, Grid, analysis_matrix,
+                             analyze_columns, cosine_basis, mode_exponential)
+from oracles import propagate_heat, sequential_relaxation_oracle, vxx_field
 
 L = np.pi
 
@@ -60,10 +60,10 @@ def rk4_relaxation_oracle(u0, eps, params, grid, refine=1):
     u_modes[:, 0] = state = _profile_to_series(u0, grid, "initial state").as_float()
     start, run = 0, None
     for j in range(1, grid.n_t):
-        i = _certified_branch(state, params, basis, exponents)
-        if i is not None and i != run:
+        i, (held,) = _certified_branch(state[:, None], params, basis, exponents)
+        if held and i != run:
             start, run = j - 1, i
-        if i is not None:
+        if held:
             state = u_modes[:, start] * mode_exponential(
                 (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step")
         else:
@@ -110,6 +110,22 @@ def frozen_patterns(monkeypatch):
             return certified(self, nodes, rates, taus)
 
     monkeypatch.setattr(solvers, "_FrozenPattern", Recording)
+    return log
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Records each single-branch certificate the relaxation asks for: its number of
+    columns and, per column, whether it was certified."""
+    import fbplab.solvers as solvers
+    log, certify = [], solvers._certified_branch
+
+    def recording(states, *args):
+        branch, held = certify(states, *args)
+        log.append((states.shape[1], held.copy()))
+        return branch, held
+
+    monkeypatch.setattr(solvers, "_certified_branch", recording)
     return log
 
 
@@ -333,6 +349,62 @@ class TestPseudoparabolic:
         with pytest.raises(InstabilityError, match="relaxation step: mode 32"):
             solve_pseudoparabolic(u0, 1e-4, params, grid)
 
+    @pytest.mark.parametrize("case", ["backward-0.1", "backward-0.01", "backward-0.001",
+                                      "backward-0.0001", "crossing", "nonunit",
+                                      "run-after-crossings", "overflow-past-the-run"])
+    def test_windows_match_the_sequential_oracle(self, params, grid, backward, case):
+        # the u modes are those of the loop that certifies and forms one sample at
+        # a time, bit for bit: from the backward datum (one run), 0.9 cos x (a run
+        # that ends inside a window, then frozen patterns), 0.5 + 0.6 cos x on a
+        # non-unit diagram (no run), 2 + 1.02 cos x (a branch-2 run after frozen
+        # patterns), and a run that ends before its overflowing sample
+        small, short = Grid(L, 1.0, 64, 40, 32), Grid(L, 0.3, 64, 65, 16)
+        steep = PhaseParams(b=0.0, c=1.0, A=0.0, B=3.0, alpha1=4.0, alpha2=4.0)
+        if case.startswith("backward"):
+            args = (backward.u0, float(case.split("-")[1]), params, grid)
+        else:
+            args = {"crossing": (0.9 * np.cos(grid.x), 1e-3, params, grid),
+                    "nonunit": (0.5 + 0.6 * np.cos(short.x), 1e-2, steep, short),
+                    "run-after-crossings": (2.0 + 1.02 * np.cos(grid.x), 1e-2, params, grid),
+                    "overflow-past-the-run": (CosineSeries(L, [0.0, 0.45] + [0.0] * 30 + [1e-310]),
+                                              3.6e-4, params, small)}[case]
+        if case == "overflow-past-the-run":
+            # mode 32 would pass the guard at sample 37; the run ends at sample 31
+            rate = abs(params.phi0_slope) * 1024.0 / (1.0 + 3.6e-4 * 1024.0)
+            assert 36 * small.dt * rate < OVERFLOW_EXPONENT < 37 * small.dt * rate
+        sol = solve_pseudoparabolic(*args)
+        oracle = sequential_relaxation_oracle(*args)
+        assert np.array_equal(sol.u_modes.view(np.int64), oracle.view(np.int64))
+
+    def test_a_run_ends_inside_a_window(self, params, grid, certificates):
+        # 0.9 cos x keeps the middle branch until it nears c = 1: windows of 8 and
+        # 16 samples hold, the window of 32 loses the branch part-way
+        solve_pseudoparabolic(0.9 * np.cos(grid.x), 1e-3, params, grid)
+        windows = [held for columns, held in certificates if columns > 1]
+        assert [held.size for held in windows] == [8, 16, 32]
+        assert windows[0].all() and windows[1].all() and 0 < windows[2].sum() < 32
+        assert not windows[2][int(np.argmin(windows[2])):].any()
+
+    def test_overflow_raises_at_the_sequential_sample(self, params, grid):
+        # mode 32 at 1e-310 passes the guard inside a window: the error names the
+        # same mode and exponent, hence the same sample, as the one-sample loop
+        u0 = CosineSeries(L, [0.0] * 32 + [1e-310])
+        messages = []
+        for solve in (solve_pseudoparabolic, sequential_relaxation_oracle):
+            with pytest.raises(InstabilityError) as raised:
+                solve(u0, 1e-4, params, grid)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert "relaxation step: mode 32 exponent 703.0" in messages[0]
+
+    def test_certificates_grow_with_log_n_t(self, params, grid, backward, certificates):
+        # one backward-datum run over 255 intervals: one certificate of the first
+        # sample, then windows of 8, 16, ..., 128 samples and the 7 that are left
+        solve_pseudoparabolic(backward.u0, 1e-3, params, grid)
+        assert len(certificates) <= np.log2(grid.n_t) + 4
+        assert sum(columns for columns, _ in certificates) == grid.n_t
+        assert all(held.all() for _, held in certificates)
+
     def test_equilibrium(self, params, grid):
         sol = solve_pseudoparabolic(np.full(grid.n_x, 0.4), 0.1, params, grid)
         assert np.max(np.abs(sol.u_eps.values - 0.4)) < 1e-13
@@ -393,22 +465,14 @@ class TestPseudoparabolic:
         assert dists[0] > dists[1] > dists[2]
         assert dists[1] < 0.2 * dists[0]
 
-    def test_mixed_branch_relaxation(self, params, monkeypatch):
+    def test_mixed_branch_relaxation(self, params, frozen_patterns):
         # 0.9 cos x starts in the unstable branch and spreads into both stable
-        # ones, so the flux modes come from pointwise evaluation; the energy
-        # int Phi(u) dx, Phi' = phi, decays by -int v_x^2 + eps v_xx^2 <= 0
-        import fbplab.solvers as solvers
-        pointwise = []
-
-        def counting(p, u):
-            pointwise.append(u.size)
-            return eval_phi(p, u)
-
-        monkeypatch.setattr(solvers, "eval_phi", counting)
+        # ones, so its crossings are stepped under frozen node-branch patterns; the
+        # energy int Phi(u) dx, Phi' = phi, decays by -int v_x^2 + eps v_xx^2 <= 0
         small = Grid(L, 0.5, 64, 65, 16)
         sol = solve_pseudoparabolic(0.9 * np.cos(small.x), 1e-2, params, small)
         u = sol.u_eps.values
-        assert pointwise
+        assert len(frozen_patterns["patterns"]) > 0
         assert u.min() < params.b and u.max() > params.c
         mass = np.trapezoid(u, small.x, axis=0)
         assert np.max(np.abs(mass - mass[0])) <= 1e-12
@@ -419,8 +483,8 @@ class TestPseudoparabolic:
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001, 1e-6, 1e-7])
     def test_exact_stepping_matches_closed_form(self, params, grid, backward, eps):
         # the backward datum keeps the middle branch, where mode 1 grows as
-        # exp(|phi0'| t/(1 + eps)) and every other mode stays put; at eps 1e-6
-        # and 1e-7 RK4 everywhere would pass the step budget, but no step needs it
+        # exp(|phi0'| t/(1 + eps)) and every other mode stays put: one run of
+        # closed-form windows at every eps, down to 1e-7
         sol = solve_pseudoparabolic(backward.u0, eps, params, grid)
         a0, a1 = sol.u_modes[:2, 0]
         exact = a0 + (a1 * np.exp(abs(params.phi0_slope) * grid.t / (1.0 + eps))[None, :]
