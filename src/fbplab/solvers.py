@@ -78,7 +78,6 @@ class BackwardBranchSolution:
     u_bar: Field2D
     v_bar: Field2D
     u0: np.ndarray
-    final_data: np.ndarray
 
 
 def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranchSolution:
@@ -112,8 +111,7 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
     u_modes = series.as_float()[:, None] * decay
     u_field = field_from_modes(grid, u_modes, "backward-branch state")
     v_field = Field2D(grid, eval_phi(params, u_field.values), "backward-branch flux")
-    return BackwardBranchSolution(u_field, v_field, u_field.values[:, 0].copy(),
-                                  g_vals.copy())
+    return BackwardBranchSolution(u_field, v_field, u_field.values[:, 0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +124,6 @@ class SourcedSolution:
 
     v: Field2D
     f: CosineSeries
-    sigma_abs: float
     v_modes: np.ndarray
     vt_modes: np.ndarray
 
@@ -185,7 +182,7 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     # keeps the identity v_xx + |sigma| v_t = f exact at the sample level
     vt_modes = (ff[:, None] + mu[:, None] * v_modes) / sigma_abs
     v_field = field_from_modes(grid, v_modes, "sourced flux")
-    return SourcedSolution(v_field, fs, float(sigma_abs), v_modes, vt_modes)
+    return SourcedSolution(v_field, fs, v_modes, vt_modes)
 
 
 def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
@@ -244,10 +241,11 @@ class EpsSolution:
 
 
 def _certified_branch(states: np.ndarray, params: PhaseParams, basis: np.ndarray,
-                      exponents: np.ndarray, branch=None):
-    """``branch`` and, per column of ``states``, whether every node provably keeps it
-    over the next sample interval; one state is a window of one.  By default the
-    branch is the one that holds the first column, -1 if none does.
+                      exponents: np.ndarray):
+    """The branch that holds the first column of ``states`` (-1 if none does) and, per
+    column, whether every node provably keeps it over the next sample interval.  A
+    window's first column is certified to keep its run's branch; another holds it only
+    if it is constant on a breakpoint, where every branch gives mode 0 the factor 1.
 
     On branch i, over one interval, mode k is multiplied by exp(exponents[i, k])
     and moves monotonically, so no node drifts by more than sum_k |a_k| |e^{r_k dt} - 1|.
@@ -255,7 +253,7 @@ def _certified_branch(states: np.ndarray, params: PhaseParams, basis: np.ndarray
     """
     vals = basis @ states
     lo, hi = vals.min(axis=0), vals.max(axis=0)
-    i = int(params.branch_holding(lo[0], hi[0]) if branch is None else branch)
+    i = int(params.branch_holding(lo[0], hi[0]))
     if i < 0:
         return i, np.zeros(states.shape[1], dtype=bool)
     factors = mode_exponential(exponents[i], states[:, 0] != 0, "relaxation step")
@@ -284,19 +282,19 @@ class _FrozenPattern:
         self.tol = _CROSSING_TOL * max(1.0, abs(params.b), abs(params.c))
 
     def _F(self, taus) -> np.ndarray:
-        taus, lam = np.asarray(taus, dtype=float), self.lam[:, None]
+        lam = self.lam[:, None]
         return np.divide(-np.expm1(-lam * taus), lam, out=taus + 0.0 * lam, where=lam != 0)
 
-    def _past(self, nodes, rates, taus, tol: float, rows=slice(None)):
-        vals = nodes[rows, None] + self.nodes[rows] @ (rates[:, None] * self._F(taus))
+    def _past(self, nodes, rates, F, tol: float, rows=slice(None)):
+        vals = nodes[rows, None] + self.nodes[rows] @ (rates[:, None] * F)
         return (vals < self.lo[rows] - tol) | (vals > self.hi[rows] + tol), vals
 
-    def _certified(self, nodes, rates, taus) -> np.ndarray:
-        """Per step tau, whether every node provably keeps its branch over [0, tau]: node j
-        falls by at most sum_k max(0, -c_jk) F_k(tau), and by at most max(0, R_j(tau) -
-        tau v_j) with v_j = sum_k c_jk and the convex R_j(t) = sum_k |c_jk| |F_k(t) - t|,
-        which certifies a node that just crossed; it rises likewise."""
-        c, F = self.nodes * rates, self._F(taus)
+    def _certified(self, nodes, rates, taus, F) -> np.ndarray:
+        """Per step tau, with F its column of ``_F``, whether every node provably keeps its
+        branch over [0, tau]: node j falls by at most sum_k max(0, -c_jk) F_k(tau), and by
+        at most max(0, R_j(tau) - tau v_j) with v_j = sum_k c_jk and the convex R_j(t) =
+        sum_k |c_jk| |F_k(t) - t|, which certifies a node that just crossed; it rises likewise."""
+        c = self.nodes * rates
         rise, fall = np.maximum(c, 0.0), np.maximum(-c, 0.0)
         bend, slope = (rise + fall) @ np.abs(F - taus), c.sum(axis=1)[:, None] * taus
         low = nodes[:, None] - np.minimum(fall @ F, np.maximum(0.0, bend - slope))
@@ -308,24 +306,26 @@ class _FrozenPattern:
         of the steps 1, 1/2, ..., 2^-24, 0 of what is left (0 is certified for a finite
         state) the longest certified one is taken, unless the next longer one has nodes
         past their breakpoints; then their first crossing is located to round-off, 16
-        sections a round, and the nodes past there flip, each to the branch it entered."""
+        sections a round, and the nodes past there flip, each to the branch it entered.
+        Each anchor and each round forms ``_F`` once; the step taken reads its column."""
         flow = self
         while left > 0.0:
             nodes = flow.basis @ state
             rates = flow.forcing - flow.lam * (flow.from_modes @ state[1:])
-            ok = flow._certified(nodes, rates, taus := left * _SUB_STEPS)
-            k = int(np.argmax(ok))
-            lo, hi = taus[k], taus[max(k - 1, 0)]
-            rows = np.flatnonzero(flow._past(nodes, rates, [hi], flow.tol)[0])
-            hi = hi if len(rows) else lo or hi  # no crossing yet, or too short to certify
+            F = flow._F(taus := left * _SUB_STEPS)
+            k = int(np.argmax(flow._certified(nodes, rates, taus, F)))
+            rows = np.flatnonzero(flow._past(nodes, rates, F[:, [max(k - 1, 0)]], flow.tol)[0])
+            up = max(k - 1, 0) if len(rows) or not taus[k] else k  # no crossing: step k, if not 0
+            lo, hi, F = taus[k], taus[up], F[:, [up]]
             while len(rows) and hi - lo > 1e-15 * left:
                 ts = _SECTIONS * ((hi - lo) / 16) + lo  # np.linspace(lo, hi, 17)[1:]
                 ts[-1] = hi
-                i = int(np.argmax(flow._past(nodes, rates, ts, flow.tol, rows)[0].any(0)))
-                lo, hi = ts[i - 1] if i else lo, ts[i]
-            state = state + np.r_[0.0, flow.to_modes @ (rates * flow._F([hi])[:, 0])]
+                Fs = flow._F(ts)
+                i = int(np.argmax(flow._past(nodes, rates, Fs, flow.tol, rows)[0].any(0)))
+                lo, hi, F = ts[i - 1] if i else lo, ts[i], Fs[:, [i]]
+            state = state + np.r_[0.0, flow.to_modes @ (rates * F[:, 0])]
             if len(rows):  # flip at tol 0, so that partners a round-off behind flip too
-                crossed, vals = flow._past(nodes, rates, [hi], 0.0)
+                crossed, vals = flow._past(nodes, rates, F, 0.0)
                 pattern = np.where(crossed, flow.args[1].branch_index(vals), flow.pattern[:, None])
                 flow = _FrozenPattern(pattern[:, 0], *flow.args)
             left -= hi
@@ -381,7 +381,7 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
         expo = expo[:, :max(over[0], 1)] if over.size else expo
         window = u_modes[:, start, None] * mode_exponential(expo, active, "relaxation step")
         # each sample of the window that keeps the run's branch admits the next one
-        _, keeps = _certified_branch(window, params, basis, exponents, run)
+        _, keeps = _certified_branch(window, params, basis, exponents)
         n = keeps.size if keeps.all() else int(np.argmin(keeps)) + 1
         u_modes[:, j:j + n], state = window[:, :n], window[:, n - 1].copy()
         j, held, width = j + n, bool(keeps[n - 1]), 2 * width

@@ -443,8 +443,7 @@ def certificate_identity_error(triple: SolutionTriple, flux: EntropyFlux,
     return _flux_pass(triple, params, [flux], [])[0][2]
 
 
-def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
-                        tol: float = MONOTONE_TOL) -> VerificationReport:
+def monotonicity_report(triple: SolutionTriple, params: PhaseParams) -> VerificationReport:
     """Stable-phase weights must not decrease while the flux avoids the critical values.
 
     For each grid x, the upper weight lambda2 = lambda is checked on maximal
@@ -463,7 +462,7 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams,
     tv = np.abs(dlam).sum(axis=1)
     i_tv = int(np.argmax(tv))
     checks = [
-        CheckResult("lambda2-monotone", *_extreme(viol2, grid, np.argmin), lower=-tol,
+        CheckResult("lambda2-monotone", *_extreme(viol2, grid, np.argmin), lower=-MONOTONE_TOL,
                     note="min increment on v > A intervals"),
         CheckResult("lambda2-total-variation", float(tv[i_tv]),
                     float(grid.x[i_tv]), float(grid.T_end),

@@ -276,7 +276,7 @@ class TestCriterion7:
         worst = np.inf
         tvs = []
         for triple in restricted:
-            rep = monotonicity_report(triple, params, tol=1e-8)
+            rep = monotonicity_report(triple, params)
             entry = rep.entry("lambda2-monotone")
             worst = min(worst, entry.residual)
             assert entry.passed

@@ -57,7 +57,7 @@ def lambda_oracle(sol, params):
     grid = sol.grid
     modes = analyze_columns(sol.v.values, grid.L, grid.n_modes)
     vxx = synthesize_columns(-(grid.mu()[:, None] * modes), grid.L, grid.x)
-    m = vxx + sol.sigma_abs * sol.vt_field().values
+    m = vxx + params.sigma_abs * sol.vt_field().values
     integral = np.concatenate(
         [np.zeros((grid.n_x, 1)),
          np.cumsum((m[:, 1:] + m[:, :-1]) * 0.5 * grid.dt, axis=1)], axis=1)

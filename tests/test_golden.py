@@ -9,7 +9,10 @@ output on purpose regenerates the manifest in the same commit:
     PYTHONPATH=src python tests/test_golden.py
 
 which prints each path whose size or SHA-256 changed, that was added, or that
-went missing.
+went missing.  The reference commands relax on one branch only, so the
+SHA-256 of one branch-crossing relaxation, which takes the frozen-pattern
+steps, is pinned here as well; a change that alters it on purpose edits
+``CROSSING``.
 """
 
 import contextlib
@@ -23,6 +26,9 @@ import mpmath
 import numpy as np
 
 from fbplab import cli
+from fbplab.phase_model import PhaseParams
+from fbplab.solvers import solve_pseudoparabolic
+from fbplab.spectral import Grid
 
 MANIFEST = Path(__file__).parent / "golden" / "reference.sha256"
 COMMANDS = {
@@ -32,6 +38,9 @@ COMMANDS = {
                 "--T", "0.5"],
 }
 SEED_CHECK = "seed-check.stdout"
+#: SHA-256 of u_modes and v_modes of 0.9 cos x relaxed at eps 1e-3 on 128x256x32
+CROSSING = {"u_modes": "63f4f75086dc59afc41654ab31362ff197908afa07dd1fb41d5a65a3b4953f18",
+            "v_modes": "8de85ded5b84e02fd9899597ee2f71206e4512775290e484e053a02de4cfacf2"}
 
 
 def versions() -> str:
@@ -85,6 +94,13 @@ def test_reference_outputs_match_manifest(tmp_path):
     assert not (differ or missing or extra), (
         f"differ: {differ}; missing: {missing}; not in the manifest: {extra} "
         f"(manifest written with {wrote_with}, this run {versions()})")
+
+
+def test_crossing_relaxation_keeps_its_bits():
+    grid = Grid(L=np.pi, T_end=1.0, n_x=128, n_t=256, n_modes=32)
+    sol = solve_pseudoparabolic(0.9 * np.cos(grid.x), 1e-3, PhaseParams.default(), grid)
+    got = {name: hashlib.sha256(getattr(sol, name).tobytes()).hexdigest() for name in CROSSING}
+    assert got == CROSSING, f"this run {versions()}"
 
 
 if __name__ == "__main__":

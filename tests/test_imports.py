@@ -1,16 +1,22 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and no package code
+is reached only from the tests.
 
-No linter is a dependency of the project, so the check walks each module's
-syntax tree with the standard library's ``ast``.  ``__init__.py`` is left out:
-it imports names to re-export them.
+No linter is a dependency of the project, so the checks walk each module's
+syntax tree with the standard library's ``ast``.  The import check leaves
+``__init__.py`` out: it imports names to re-export them.  The reach check counts
+those re-exports, which are the public interface, and the benchmark's sources
+under ``perfbench/``, which time package functions by name.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fbplab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fbplab"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -43,3 +49,43 @@ def test_the_check_flags_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _named(tree: ast.AST) -> Counter:
+    """How often each name is read, looked up as an attribute or imported in ``tree``."""
+    named = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    return named
+
+
+def unreached(sources: dict[str, str], elsewhere: str) -> list[str]:
+    """``module.name`` of each function and class of ``sources`` ({file name: source})
+    that no line of ``sources`` outside its own definition names, nor any word of
+    ``elsewhere``; dunder methods are called implicitly and are left out."""
+    trees = {name.removesuffix(".py"): ast.parse(text) for name, text in sources.items()}
+    named, words = sum(map(_named, trees.values()), Counter()), set(re.findall(r"\w+", elsewhere))
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("__") and node.name not in words
+            and named[node.name] == _named(node)[node.name]]
+
+
+def test_the_check_flags_code_only_tests_reach():
+    sources = {"a.py": "def used():\n    return 1\n\ndef planted():\n    return used()\n\n"
+                       "def recursive(n):\n    return recursive(n - 1) if n else 0\n",
+               "b.py": "from .a import used\n\nclass Timed:\n    def method(self):\n"
+                       "        return 2\n\n    def __len__(self):\n        return 0\n"}
+    assert unreached(sources, "SPANS = [('b', 'Timed'), ('b', 'method')]") == [
+        "a.planted", "a.recursive"]
+
+
+def test_package_code_is_reached_outside_the_tests():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    assert unreached(sources, bench) == []

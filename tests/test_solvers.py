@@ -105,9 +105,9 @@ def frozen_patterns(monkeypatch):
             log["patterns"].append(pattern.copy())
             super().__init__(pattern, *args)
 
-        def _certified(self, nodes, rates, taus):
+        def _certified(self, nodes, rates, taus, F):
             log["anchors"].append((self, taus[0]))
-            return certified(self, nodes, rates, taus)
+            return certified(self, nodes, rates, taus, F)
 
     monkeypatch.setattr(solvers, "_FrozenPattern", Recording)
     return log
@@ -136,8 +136,8 @@ class TestBackwardSolve:
         assert np.max(np.abs(backward.u_bar.values - expect)) < 1e-13
         assert backward.u0.max() == pytest.approx(0.1 * np.exp(-1.0), abs=1e-14)
 
-    def test_initial_datum_against_fd_oracle(self, backward, grid, params):
-        w = heat_fd_oracle(backward.final_data, grid.x,
+    def test_initial_datum_against_fd_oracle(self, backward, final_datum, grid, params):
+        w = heat_fd_oracle(final_datum.synthesize(grid.x), grid.x,
                            abs(params.phi0_slope), grid.T_end, 40_000)
         assert np.max(np.abs(w - backward.u0)) < 5e-5
 
@@ -145,13 +145,13 @@ class TestBackwardSolve:
         sol = solve_unstable_backward(np.full(grid.n_x, 0.15), params, grid)
         assert np.max(np.abs(sol.u_bar.values - 0.15)) < 1e-13
 
-    def test_mass_conserved_in_time(self, backward, grid):
+    def test_mass_conserved_in_time(self, backward, final_datum, grid):
         mass = np.trapezoid(backward.u_bar.values, grid.x, axis=0)
-        target = np.trapezoid(backward.final_data, grid.x)
+        target = np.trapezoid(final_datum.synthesize(grid.x), grid.x)
         assert np.max(np.abs(mass - target)) < 1e-12
 
-    def test_maximum_principle(self, backward):
-        g = backward.final_data
+    def test_maximum_principle(self, backward, final_datum, grid):
+        g = final_datum.synthesize(grid.x)
         assert backward.u_bar.values.min() >= g.min() - 1e-12
         assert backward.u_bar.values.max() <= g.max() + 1e-12
 
@@ -159,11 +159,12 @@ class TestBackwardSolve:
         expect = eval_phi(params, backward.u_bar.values)
         assert np.max(np.abs(backward.v_bar.values - expect)) == 0.0
 
-    def test_duality_forward_reproduces_final_datum(self, backward, grid, params):
+    def test_duality_forward_reproduces_final_datum(self, backward, final_datum, grid,
+                                                    params):
         # re-propagate u0 forward under the decreasing-branch flow
         series = CosineSeries(grid.L, [0.0, float(backward.u0.max())])
         fwd = propagate_heat(series, params.phi0_slope, grid.T_end)
-        assert fwd.synthesize(grid.x) == pytest.approx(backward.final_data, abs=1e-8)
+        assert fwd.synthesize(grid.x) == pytest.approx(final_datum.synthesize(grid.x), abs=1e-8)
 
     def test_range_outside_branch_rejected(self, params, grid):
         with pytest.raises(DomainViolationError):
@@ -634,6 +635,30 @@ class TestPseudoparabolic:
             assert work["patterns"] <= 200 and work["anchors"] <= 600, (eps, work)
             frozen_patterns["patterns"].clear()
             frozen_patterns["anchors"].clear()
+
+    def test_flow_factors_once_per_certificate_and_round(self, params, grid, monkeypatch,
+                                                         frozen_patterns):
+        # 0.9 cos x at eps 1e-3 (391 certificates, 1482 locate rounds): each anchor
+        # forms the factors of all its sub-steps once and each round those of its 16
+        # sections once; the crossing test, the update and the flip reuse a column
+        import fbplab.solvers as solvers
+        flow, calls = solvers._FrozenPattern, {"factors": 0, "rounds": 0}
+        factors, past = flow._F, flow._past
+
+        def counting_factors(self, taus):
+            calls["factors"] += 1
+            return factors(self, taus)
+
+        def counting_past(self, nodes, rates, F, tol, rows=slice(None)):
+            calls["rounds"] += not isinstance(rows, slice)
+            return past(self, nodes, rates, F, tol, rows)
+
+        monkeypatch.setattr(flow, "_F", counting_factors)
+        monkeypatch.setattr(flow, "_past", counting_past)
+        solve_pseudoparabolic(0.9 * np.cos(grid.x), 1e-3, params, grid)
+        certificates = len(frozen_patterns["anchors"])
+        assert certificates and calls["rounds"]
+        assert calls["factors"] == certificates + calls["rounds"]
 
     def test_bad_eps(self, params, grid):
         with pytest.raises(ConfigurationError):
