@@ -72,7 +72,8 @@ class SolutionTriple:
         return self.u.grid
 
     def restricted(self) -> "SolutionTriple":
-        """The triple truncated to its certified horizon."""
+        """The triple truncated to its certified horizon, viewing this triple's
+        samples (``Field2D.restrict``)."""
         n_keep = int(round(self.t_bar / self.grid.dt)) + 1
         n_keep = max(2, min(n_keep, self.grid.n_t))
         return replace(self, u=self.u.restrict(n_keep), v=self.v.restrict(n_keep),

@@ -11,7 +11,8 @@
   is exponentially ill-conditioned: the inverse constructor returns
   extended-precision (mpmath) coefficients, and the forward solve forms only
   their cancelling sum a_k + f_k/mu_k in extended precision; every field is
-  evaluated in float64.
+  evaluated in float64.  mpmath is imported by these extended-precision steps
+  only, so a run whose coefficients are all float never loads it.
 * ``solve_pseudoparabolic``: the relaxation system u_t = v_xx, (I - eps d_xx) v =
   phi(u), advanced exactly in mode space and split at located branch crossings;
   v is the projection of phi(u_eps) at every sample, divided by 1 + eps mu_k.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from math import log2
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 
 from .errors import BoundaryConditionError, ConfigurationError, DomainViolationError
@@ -144,6 +144,8 @@ def _mp_precision(max_exponent: float) -> int:
 
 
 def _to_mpf(x) -> "mp.mpf":
+    import mpmath as mp
+
     return x if isinstance(x, mp.mpf) else mp.mpf(float(x))
 
 
@@ -172,6 +174,8 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     F = np.divide(ff, mu, out=np.zeros_like(ff), where=mu > 0)
     start = af + F
     if a.coeffs.dtype == object or fs.coeffs.dtype == object:
+        import mpmath as mp
+
         with mp.workprec(_mp_precision(float(np.max(expo[:, -1], where=active, initial=0.0)))):
             start[1:] = [float(_to_mpf(ak) + _to_mpf(fk) / mp.mpf(muk))
                          for ak, fk, muk in zip(a.coeffs[1:], fs.coeffs[1:], mu[1:])]
@@ -208,6 +212,8 @@ def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
     active, expo = a.active | b_series.active, mu * T_end / sigma_abs
     mode_exponential(expo, active, "inverse source")  # the guard; mpmath forms E_k
     max_exp = float(np.max(expo, where=active, initial=0.0))
+
+    import mpmath as mp
 
     out = np.empty(len(mu), dtype=object)
     with mp.workprec(_mp_precision(max_exp)):

@@ -238,7 +238,8 @@ def boundary_slopes(values: np.ndarray, modes: np.ndarray, L: float) -> np.ndarr
     projection: every mode has zero slope at both ends, so the stencil's own
     truncation error on band-limited data is not read as flux.
     """
-    rest = values - synthesize_columns(modes, L, np.linspace(0.0, L, len(values)))
+    ends = [0, 1, 2, -3, -2, -1]    # the stencil's rows, read off one synthesis
+    rest = values[ends] - synthesize_columns(modes, L, np.linspace(0.0, L, len(values)))[ends]
     left = -3.0 * rest[0] + 4.0 * rest[1] - rest[2]
     right = 3.0 * rest[-1] - 4.0 * rest[-2] + rest[-3]
     return np.abs([left, right]) / (2.0 * L / (len(values) - 1))
@@ -247,7 +248,12 @@ def boundary_slopes(values: np.ndarray, modes: np.ndarray, L: float) -> np.ndarr
 @dataclass(frozen=True)
 class Field2D:
     """A scalar function sampled on a grid, with provenance in ``label``; its
-    cosine projection ``modes`` is formed on first use and kept."""
+    cosine projection ``modes`` is formed on first use and kept.
+
+    ``values`` is read-only and finite.  It is a private copy of the samples
+    given, a view of another field's samples (``restrict``), or one float64
+    broadcast to the grid's shape (``constant_field``).
+    """
 
     grid: Grid
     values: np.ndarray
@@ -259,21 +265,41 @@ class Field2D:
             raise ConfigurationError(
                 f"field shape {vals.shape} does not match grid "
                 f"{(self.grid.n_x, self.grid.n_t)}")
-        if not np.all(np.isfinite(vals)):
-            raise DomainViolationError(f"field {self.label!r} contains non-finite values")
+        _require_finite(vals, self.label)
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _frozen(cls, grid: Grid, values: np.ndarray, label: str) -> "Field2D":
+        """Wrap ``values``, already read-only, finite and of the grid's shape,
+        without a copy."""
+        field = object.__new__(cls)
+        for name, value in (("grid", grid), ("values", values), ("label", label)):
+            object.__setattr__(field, name, value)
+        return field
+
     @cached_property
     def modes(self) -> np.ndarray:
         """The cosine projection of the samples, one column per time sample."""
-        modes = analyze_columns(self.values, self.grid.L, self.grid.n_modes)
+        values = self.values
+        if values.strides[1] == 0:
+            # BLAS takes no zero stride, and numpy's own loop sums in another
+            # order: a broadcast value is projected from its samples laid out
+            values = np.ascontiguousarray(values)
+        modes = analyze_columns(values, self.grid.L, self.grid.n_modes)
         modes.flags.writeable = False
         return modes
 
     def restrict(self, n_keep: int) -> "Field2D":
-        return Field2D(self.grid.with_time(n_keep), self.values[:, :n_keep], self.label)
+        """The field on its first ``n_keep`` time samples, a view of its values."""
+        return Field2D._frozen(self.grid.with_time(n_keep), self.values[:, :n_keep],
+                               self.label)
+
+
+def _require_finite(values: np.ndarray, label: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainViolationError(f"field {label!r} contains non-finite values")
 
 
 def field_from_modes(grid: Grid, modes: np.ndarray, label: str = "") -> Field2D:
@@ -289,7 +315,10 @@ def x_second_derivative(f: Field2D) -> np.ndarray:
 
 
 def constant_field(grid: Grid, value: float, label: str = "") -> Field2D:
-    return Field2D(grid, np.full((grid.n_x, grid.n_t), float(value)), label)
+    """The field equal to ``value`` everywhere, held as one float64."""
+    value = float(value)
+    _require_finite(value, label)
+    return Field2D._frozen(grid, np.broadcast_to(value, (grid.n_x, grid.n_t)), label)
 
 
 def write_field_csv(f: Field2D, path) -> None:
@@ -301,6 +330,10 @@ def write_field_csv(f: Field2D, path) -> None:
     rows = np.empty((min(step, g.n_t), g.n_x + 1))
     with path.open("wb") as fh:
         fh.write(b"x\t" + format_rows(g.x[None, :]))
+        if not any(f.values.strides):    # one value: one row body after each time cell
+            body = b"\t" + format_rows(f.values[:, :1].T)
+            fh.writelines(t + body for t in format_rows(g.t[:, None]).splitlines())
+            return
         for j in range(0, g.n_t, step):
             block = rows[:min(step, g.n_t - j)]
             block[:, 0] = g.t[j:j + step]

@@ -298,17 +298,27 @@ def running_simpson(y: np.ndarray, dt: float) -> np.ndarray:
     Even interval i: dt/12 (5 y_i + 8 y_(i+1) - y_(i+2)); odd ones and always
     the last: dt/12 (-y_(i-1) + 8 y_i + 5 y_(i+1)); two samples: the trapezoid.
     So entry j is scipy's cumulative_simpson(initial=0), the last its simpson.
+    The interval sums are formed in the result, with one scratch array.
     """
     y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    parts = out[..., 1:]                       # interval i, from y_i to y_(i+1)
     if y.shape[-1] < 3:
-        parts = 0.5 * dt * (y[..., :-1] + y[..., 1:])
+        np.add(y[..., :-1], y[..., 1:], out=parts)
+        parts *= 0.5 * dt
     else:
-        ahead = 5.0 * y[..., :-2] + 8.0 * y[..., 1:-1] - y[..., 2:]
-        behind = -y[..., :-2] + 8.0 * y[..., 1:-1] + 5.0 * y[..., 2:]
-        parts = np.concatenate([ahead[..., :1], behind], axis=-1)  # odd and last
-        parts[..., :-1:2] = ahead[..., ::2]                         # other even ones
+        scratch = np.empty(y.shape[:-1] + (y.shape[-1] - 2,))
+        behind = parts[..., 1:]                # every interval but the first
+        np.multiply(y[..., 1:-1], 8.0, out=behind)
+        behind -= y[..., :-2]
+        behind += np.multiply(y[..., 2:], 5.0, out=scratch)
+        ahead = parts[..., :-1:2]              # the even ones but the last
+        np.multiply(y[..., :-2:2], 5.0, out=ahead)
+        ahead += np.multiply(y[..., 1:-1:2], 8.0, out=scratch[..., :ahead.shape[-1]])
+        ahead -= y[..., 2::2]
         parts *= dt / 12.0
-    return np.concatenate([np.zeros_like(y[..., :1]), np.cumsum(parts, axis=-1)], axis=-1)
+    np.cumsum(parts, axis=-1, out=parts)
+    return out
 
 
 def _weighted_factors(tests, grid: Grid) -> list[tuple]:
@@ -360,6 +370,14 @@ def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndar
     return float(np.max(np.abs(defect, out=defect)))
 
 
+def _block(values: np.ndarray, rows: slice) -> np.ndarray:
+    """``values[rows]`` laid out contiguously, unless it is one broadcast value:
+    the rows of a restricted field lie a whole parent row apart, and the
+    twelve fluxes would each read them strided."""
+    block = values[rows]
+    return block if block.strides[1] == 0 else np.ascontiguousarray(block)
+
+
 def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[EntropyFlux],
                tests) -> list[tuple[list[float], float, float]]:
     """Per flux: the entropy integrals over ``tests``, min lambda_t * certificate
@@ -373,13 +391,14 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[Entropy
     acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
     certs, defects = np.full(len(fluxes), np.inf), np.full(len(fluxes), -np.inf)
     for rows in _row_blocks(params, v):
-        vb, lb, rest = v[rows], lam[rows], 1.0 - lam[rows]
+        vb, lb, rb = (_block(f, rows) for f in (v, lam, rate))
+        rest = 1.0 - lb
         gap = branch_gap_extended(params, vb)
         for i, flux in enumerate(fluxes):
             g0, g2 = branch_image_primitives(params, flux, vb)
             gv = flux.value(vb)
             gstar = rest * g0 + lb * g2
-            rate_cert = rate[rows] * certificate_from_primitives(gap, g0, g2, gv)
+            rate_cert = rb * certificate_from_primitives(gap, g0, g2, gv)
             _row_contractions(acc[i], rows, gstar, gv, flux.derivative(vb, gv), vx[rows],
                               weighted)
             certs[i] = np.minimum(certs[i], np.min(rate_cert))
@@ -451,18 +470,23 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams) -> Verifica
     construction, so its clause cannot fail and has no row.  Discrete total
     variation along time is reported, not asserted.
     """
-    grid = triple.grid
-    v = triple.v.values
-    lam = triple.lam.values
-    dlam = np.diff(lam, axis=1)
-
-    interior2 = (v[:, 1:] > params.A) & (v[:, :-1] > params.A)
-    viol2 = np.pad(np.where(interior2, dlam, 0.0), ((0, 0), (1, 0)))
-
-    tv = np.abs(dlam).sum(axis=1)
+    grid, v = triple.grid, triple.v.values
+    dlam = np.diff(triple.lam.values, axis=1)
+    # steps with v > A at both ends; the least increment on them is reported
+    # where it first occurs, and a window with no decrease reports 0.0 at the
+    # first sample (x_0, t_0)
+    on = v[:, 1:] > params.A
+    on &= v[:, :-1] > params.A
+    least = float(np.min(dlam, where=on, initial=0.0))
+    if least < 0.0:
+        i, j = np.unravel_index(int(np.argmax(on & (dlam == least))), dlam.shape)
+        at = (float(grid.x[i]), float(grid.t[j + 1]))
+    else:
+        least, at = 0.0, (float(grid.x[0]), float(grid.t[0]))
+    tv = np.abs(dlam, out=dlam).sum(axis=1)
     i_tv = int(np.argmax(tv))
     checks = [
-        CheckResult("lambda2-monotone", *_extreme(viol2, grid, np.argmin), lower=-MONOTONE_TOL,
+        CheckResult("lambda2-monotone", least, *at, lower=-MONOTONE_TOL,
                     note="min increment on v > A intervals"),
         CheckResult("lambda2-total-variation", float(tv[i_tv]),
                     float(grid.x[i_tv]), float(grid.T_end),
@@ -482,8 +506,7 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     # backward solve's bound on its final datum
     edge = boundary_slopes(v, triple.v.modes, grid.L)
     j = int(np.argmax(edge.max(axis=0)))
-    sup = u - ((1.0 - lam) * beta0_extended(params, v) + lam * beta2_extended(params, v))
-    evo = u - u[:, [0]] - running_simpson(x_second_derivative(triple.v), grid.dt)
+    # each row's field is formed, reduced to its extreme and dropped in turn
     checks = [
         CheckResult("initial-trace", *_extreme(np.abs(u[:, :1] - u0[:, None]), grid),
                     upper=INITIAL_TRACE_TOL),
@@ -498,9 +521,10 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
         CheckResult("upper-jump-clause",
                     *_extreme(np.where(v > params.B + JUMP_TOL, 1.0 - lam, 0.0), grid),
                     upper=WEIGHT_DEFICIT_TOL, note="1 - lambda where v > B"),
-        CheckResult("superposition-identity", *_extreme(np.abs(sup), grid),
+        CheckResult("superposition-identity",
+                    *_extreme(_superposition_defect(u, v, lam, params), grid),
                     upper=ALGEBRAIC_TOL),
-        CheckResult("state-evolution-identity", *_extreme(np.abs(evo), grid),
+        CheckResult("state-evolution-identity", *_extreme(_evolution_defect(triple), grid),
                     upper=WEAK_TOL, note="u - u(.,0) - time integral of v_xx"),
         CheckResult("weight-bounds", *_extreme(np.maximum(-lam, lam - 1.0), grid),
                     upper=WEIGHT_BOUND_TOL),
@@ -508,6 +532,27 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
                     lower=-MONOTONE_TOL),
     ]
     return VerificationReport(checks, grid_summary(grid))
+
+
+def _superposition_defect(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
+                          params: PhaseParams) -> np.ndarray:
+    """|u - ((1 - lambda) beta0(v) + lambda beta2(v))|, formed in place."""
+    defect = beta0_extended(params, v)
+    defect *= 1.0 - lam
+    upper = beta2_extended(params, v)
+    upper *= lam
+    defect += upper
+    np.subtract(u, defect, out=defect)
+    return np.abs(defect, out=defect)
+
+
+def _evolution_defect(triple: SolutionTriple) -> np.ndarray:
+    """|u - u(.,0) - running_simpson(v_xx)|, formed in place."""
+    integral = running_simpson(x_second_derivative(triple.v), triple.grid.dt)
+    u = triple.u.values
+    defect = u - u[:, :1]
+    defect -= integral
+    return np.abs(defect, out=defect)
 
 
 def viscous_entropy_audit(eps_sol: EpsSolution, params: PhaseParams,

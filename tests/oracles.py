@@ -127,6 +127,21 @@ def vxx_field(sol) -> Field2D:
                             "sourced flux curvature")
 
 
+def running_simpson_oracle(y: np.ndarray, dt: float) -> np.ndarray:
+    """``verifier.running_simpson`` as it was written before it formed its
+    interval sums in place: each stencil as a whole array, then concatenated."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] < 3:
+        parts = 0.5 * dt * (y[..., :-1] + y[..., 1:])
+    else:
+        ahead = 5.0 * y[..., :-2] + 8.0 * y[..., 1:-1] - y[..., 2:]
+        behind = -y[..., :-2] + 8.0 * y[..., 1:-1] + 5.0 * y[..., 2:]
+        parts = np.concatenate([ahead[..., :1], behind], axis=-1)  # odd and last
+        parts[..., :-1:2] = ahead[..., ::2]                         # other even ones
+        parts *= dt / 12.0
+    return np.concatenate([np.zeros_like(y[..., :1]), np.cumsum(parts, axis=-1)], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # dense test functions from separable factors (X, X', T, T')
 

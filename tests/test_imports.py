@@ -1,5 +1,6 @@
-"""Every module of the package reads each name it imports, and no package code
-is reached only from the tests.
+"""Every module of the package reads each name it imports, no package code is
+reached only from the tests, and mpmath is loaded only by the steps that run
+in extended precision.
 
 No linter is a dependency of the project, so the checks walk each module's
 syntax tree with the standard library's ``ast``.  The import check leaves
@@ -9,7 +10,10 @@ under ``perfbench/``, which time package functions by name.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +93,42 @@ def test_package_code_is_reached_outside_the_tests():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     assert unreached(sources, bench) == []
+
+
+def import_time_modules(source: str) -> list[str]:
+    """Top-level names of the modules that ``source`` imports when it is itself
+    imported: every import outside a function body."""
+    found, pending = [], list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module.split(".")[0])
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_the_check_finds_import_time_imports():
+    source = ("import numpy as np\nfrom os import path\nfrom .spectral import Grid\n"
+              "if np:\n    import json\n\nclass C:\n    import re\n\n"
+              "def f():\n    import mpmath as mp\n    return mp\n")
+    assert import_time_modules(source) == ["json", "numpy", "os", "re"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_mpmath_at_import_time(module):
+    assert "mpmath" not in import_time_modules((PACKAGE / module).read_text())
+
+
+def test_float_runs_never_load_mpmath(tmp_path):
+    # a fresh interpreter: this test process has imported mpmath already
+    code = ("import sys\nimport fbplab.cli\n"
+            f"status = fbplab.cli.main(['counterexample', '--out', {str(tmp_path)!r}])\n"
+            "print(status, 'mpmath' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"

@@ -212,6 +212,52 @@ class TestField2D:
         assert r.grid.dt == pytest.approx(small_grid.dt)
         assert r.grid.T_end == pytest.approx(small_grid.t[32])
 
+    def test_restrict_is_a_read_only_view(self, small_grid):
+        vals = np.random.default_rng(7).normal(size=(small_grid.n_x, small_grid.n_t))
+        f = Field2D(small_grid, vals)
+        r = f.restrict(33)
+        assert np.shares_memory(r.values, f.values)
+        assert r.values.tobytes() == vals[:, :33].tobytes()
+        assert r.modes.tobytes() == analyze_columns(vals[:, :33].copy(), L,
+                                                    small_grid.n_modes).tobytes()
+        with pytest.raises(ValueError):
+            r.values[0, 0] = 1.0
+
+    def test_constant_field_rejects_non_finite(self, small_grid):
+        with pytest.raises(DomainViolationError):
+            constant_field(small_grid, np.nan)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 1.5, 1e-7, 5e-324],
+                         ids=["zero", "negative-zero", "fixed", "fallback", "subnormal"])
+class TestConstantField:
+    """A constant field holds one float64 and reads as the field it stands for."""
+
+    def test_holds_one_element(self, small_grid, value):
+        f = constant_field(small_grid, value)
+        assert f.values.shape == (small_grid.n_x, small_grid.n_t)
+        assert f.values.strides == (0, 0)
+        low, high = np.lib.array_utils.byte_bounds(f.values)
+        assert high - low == f.values.itemsize
+        with pytest.raises(ValueError):
+            f.values[0, 0] = 2.0
+
+    def test_matches_a_materialized_field(self, small_grid, tmp_path, value):
+        f = constant_field(small_grid, value, "c")
+        full = Field2D(small_grid, np.full((small_grid.n_x, small_grid.n_t), value), "c")
+        assert f.values.tobytes() == full.values.tobytes()
+        assert f.modes.tobytes() == full.modes.tobytes()
+        r, r_full = f.restrict(33), full.restrict(33)
+        assert r.values.strides == (0, 0)
+        assert r.values.tobytes() == r_full.values.tobytes()
+        assert r.modes.tobytes() == r_full.modes.tobytes()
+        for name, field in (("one", f), ("full", full)):
+            write_field_csv(field, tmp_path / f"{name}.csv")
+        row_template_csv(full, tmp_path / "template.csv")
+        one = (tmp_path / "one.csv").read_bytes()
+        assert one == (tmp_path / "full.csv").read_bytes()
+        assert one == (tmp_path / "template.csv").read_bytes()
+
 
 def per_value_rows(values) -> bytes:
     """The oracle: format(v, '.17g') per cell, tab-separated rows."""

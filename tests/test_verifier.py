@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import cumulative_simpson, simpson
 
 from fbplab import spectral
@@ -29,7 +32,7 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
                              weak_residual, _flux_pass, _row_blocks, _weighted_factors)
-from oracles import psi, psi_t, psi_x
+from oracles import psi, psi_t, psi_x, running_simpson_oracle
 
 L = np.pi
 
@@ -271,6 +274,34 @@ class TestBlockedFluxPass:
         assert peak <= 5 * triple.v.values.nbytes
 
 
+class TestBatteryFootprint:
+    """A restricted triple views the family's fields, and the battery reduces
+    each field-sized temporary as soon as it is formed."""
+
+    def test_restricted_triples_view_the_family_fields(self, family):
+        for triple in family:
+            short = triple.restricted()
+            for name in ("u", "v", "lam", "lam_t"):
+                assert np.shares_memory(getattr(short, name).values,
+                                        getattr(triple, name).values), name
+
+    def test_battery_peaks_below_six_fields(self, params, final_datum, default_sources):
+        # before the views and the in-place checks the baseline peaked at 12.3
+        grid = Grid(L, 1.0, 128, 1024, 32)
+        family = construct_family(final_datum, default_sources, params, grid)
+        u0, peaks = family[0].u.values[:, 0], []
+        tracemalloc.start()
+        try:
+            for triple in family:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert run_triple_battery(triple.restricted(), u0, params).passed
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 6 * grid.n_x * grid.n_t * 8, peaks
+
+
 class TestQuadratureResolution:
     """The exactly admissible classical baseline on diagram (b, c, A, B) =
     (0, 1, 0, 3) with slopes 4 and final datum 0.5 + 0.1 cos x: the entropy
@@ -370,6 +401,32 @@ class TestMonotonicity:
         assert not entry.passed
         assert entry.residual < -1e-3
         assert 0.0 < entry.t <= 0.21
+
+    @staticmethod
+    def padded_extreme(triple, params):
+        """The row as the report formed it before it reduced in place: the
+        masked increments, padded with a zero column for sample 0, and their
+        first minimum."""
+        v, lam, grid = triple.v.values, triple.lam.values, triple.grid
+        on = (v[:, 1:] > params.A) & (v[:, :-1] > params.A)
+        viol = np.pad(np.where(on, np.diff(lam, axis=1), 0.0), ((0, 0), (1, 0)))
+        i, j = np.unravel_index(int(np.argmin(viol)), viol.shape)
+        return float(viol[i, j]), float(grid.x[i]), float(grid.t[j])
+
+    def test_least_increment_is_located_as_on_the_padded_array(self, family, params, grid):
+        rng = np.random.default_rng(9)
+        ramp = np.maximum(0.0, 0.2 - grid.t)[None, :] * np.ones((grid.n_x, 1))
+        noisy = np.round(rng.normal(size=(grid.n_x, grid.n_t)), 1)   # many ties
+        v_low = family[0].v.values.copy()
+        v_low[:64] = params.A - 0.1          # half the rows never qualify
+        triples = [t.restricted() for t in family] + [
+            replace(family[0], lam=Field2D(grid, lam), v=Field2D(grid, v))
+            for lam in (ramp, noisy, -ramp) for v in (family[0].v.values, v_low)]
+        for triple in triples:
+            entry = monotonicity_report(triple, params).entry("lambda2-monotone")
+            got = (entry.residual, entry.x, entry.t)
+            want = self.padded_extreme(triple, params)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestStructural:
@@ -676,7 +733,25 @@ class TestSeparableContraction:
 
 
 class TestRunningSimpson:
-    """The numpy time quadrature against scipy's rules, which it replaces."""
+    """The numpy time quadrature against scipy's rules, which it replaces, and
+    bit for bit against its concatenating form."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bits_of_the_concatenating_form(self, n):
+        y = np.random.default_rng(n).normal(size=(3, 4, n))
+        ours = running_simpson(y, 0.37)
+        assert ours.shape == y.shape
+        assert ours.tobytes() == running_simpson_oracle(y, 0.37).tobytes()
+        strided = y[:, ::2, :]
+        assert (running_simpson(strided, 0.37).tobytes()
+                == running_simpson_oracle(strided, 0.37).tobytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=9),
+                  elements=st.floats(-1e6, 1e6)),
+           st.floats(1e-6, 10.0))
+    def test_bits_of_the_concatenating_form_on_any_shape(self, y, dt):
+        assert running_simpson(y, dt).tobytes() == running_simpson_oracle(y, dt).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 256])
     def test_matches_scipy(self, n):
