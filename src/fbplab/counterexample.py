@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, DomainViolationError,
 from .phase_model import (PhaseParams, beta0_extended, beta2_extended,
                           branch_gap_extended)
 from .solvers import SourcedSolution, solve_sourced, solve_unstable_backward
-from .spectral import CosineSeries, Field2D, Grid, constant_field
+from .spectral import CosineSeries, Field2D, Grid, constant_field, read_only, synthesize_columns
 
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
@@ -43,9 +43,9 @@ class SolutionTriple:
     certified horizon, ``binding`` the condition that ends it, a margin or the end
     of the construction window ("" when it is the whole grid), and ``lam_t`` the
     analytic time derivative of the weight.  All four fields live on one grid.
-    ``source`` is the read-only (n_x,) profile f(x) that drives v (zeros for a
-    weight-zero triple): the excess rate m = v_xx + |sigma| v_t equals it
-    exactly, mode by mode.
+    ``source`` is the (n_x,) profile f(x) that drives v (zeros for a weight-zero
+    triple), held or copied read-only like a field's samples: the excess rate
+    m = v_xx + |sigma| v_t equals it exactly, mode by mode.
     """
 
     u: Field2D
@@ -60,11 +60,10 @@ class SolutionTriple:
     def __post_init__(self):
         if any(f.grid != self.u.grid for f in (self.v, self.lam, self.lam_t)):
             raise GridMismatchError("u, v, lambda and lambda_t must share one grid")
-        source = np.array(self.source, dtype=float)
+        source = read_only(self.source)
         if source.shape != (self.grid.n_x,):
             raise GridMismatchError(
                 f"source profile: expected {self.grid.n_x} samples, got shape {source.shape}")
-        source.flags.writeable = False
         object.__setattr__(self, "source", source)
 
     @property
@@ -97,12 +96,13 @@ def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Fi
     if np.min(gap) < GAP_FLOOR:
         raise NearSingularError(
             f"branch gap {np.min(gap):.2e} below {GAP_FLOOR:g}; weight formula degenerates")
-    fx = sol.source_values()
-    numer = sol.grid.t[None, :] * fx[:, None]
-    gap_t = params.gap_slope * sol.vt_field().values
-    return (Field2D(sol.grid, numer / gap, "stable-phase weight"),
-            Field2D(sol.grid, fx[:, None] / gap - gap_t * numer / gap**2,
-                    "stable-phase weight rate"))
+    grid, fx = sol.grid, sol.source[:, None]
+    numer = grid.t[None, :] * fx
+    gap_t = params.gap_slope * synthesize_columns(sol.vt_modes, grid.L, grid.x)
+    lam, lam_t = numer / gap, fx / gap - gap_t * numer / gap**2
+    lam.flags.writeable = lam_t.flags.writeable = False
+    return (Field2D(grid, lam, "stable-phase weight"),
+            Field2D(grid, lam_t, "stable-phase weight rate"))
 
 
 def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
@@ -121,6 +121,7 @@ def assemble_state(v: Field2D, lam: Field2D, params: PhaseParams) -> Field2D:
         raise DomainViolationError("flux field touches or crosses the lower critical value")
     u = (1.0 - lv) * beta0_extended(params, v.values) \
         + lv * beta2_extended(params, v.values)
+    u.flags.writeable = False
     return Field2D(v.grid, u, "assembled state")
 
 
@@ -172,7 +173,7 @@ def _build_window(sol: SourcedSolution, params: PhaseParams) -> tuple[int, str]:
     """
     v = sol.v.values
     gap = branch_gap_extended(params, v)
-    tf = sol.grid.t[None, :] * sol.source_values()[:, None]
+    tf = sol.grid.t[None, :] * sol.source[:, None]
     j, binding = _prefix_scan({"flux above A": v > params.A,
                                "branch gap >= build floor": gap >= BUILD_GAP_FLOOR,
                                "weight at most 1": tf <= gap})
@@ -198,12 +199,11 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
 
     v0 = back.v_bar.values[:, 0]
     for idx, f in enumerate(sources):
-        fx = f.synthesize(grid.x)
-        if np.min(fx) < delta:
-            raise DomainViolationError(
-                f"source {idx} dips to {np.min(fx):.4g}, below the positivity margin "
-                f"c2 = {delta:g}")
         sol = solve_sourced(f, v0, params.sigma_abs, grid)
+        if np.min(sol.source) < delta:
+            raise DomainViolationError(
+                f"source {idx} dips to {np.min(sol.source):.4g}, below the positivity "
+                f"margin c2 = {delta:g}")
         n_build, window_end = _build_window(sol, params)
         if n_build < grid.n_t:
             sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
@@ -212,7 +212,7 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
         u = assemble_state(sol.v, lam, params)
         coeffs = ", ".join(format(c, "g") for c in f.as_float())
         triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t,
-                                source=fx)
+                                source=sol.source)
         t_bar, binding = certify_horizon(triple, params, delta)
         triples.append(replace(triple, t_bar=t_bar, binding=binding or window_end))
     return triples

@@ -110,7 +110,9 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
                              series.active, "backward solve")
     u_modes = series.as_float()[:, None] * decay
     u_field = field_from_modes(grid, u_modes, "backward-branch state")
-    v_field = Field2D(grid, eval_phi(params, u_field.values), "backward-branch flux")
+    v_bar = eval_phi(params, u_field.values)
+    v_bar.flags.writeable = False
+    v_field = Field2D(grid, v_bar, "backward-branch flux")
     return BackwardBranchSolution(u_field, v_field, u_field.values[:, 0].copy())
 
 
@@ -120,22 +122,18 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
 
 @dataclass(frozen=True)
 class SourcedSolution:
-    """Exact mode solution of the sourced flow, with analytic time derivative."""
+    """Exact mode solution of the sourced flow, with analytic time derivative;
+    ``source`` is the read-only profile f on the grid's nodes, synthesized once."""
 
     v: Field2D
     f: CosineSeries
     v_modes: np.ndarray
     vt_modes: np.ndarray
+    source: np.ndarray
 
     @property
     def grid(self) -> Grid:
         return self.v.grid
-
-    def source_values(self) -> np.ndarray:
-        return self.f.synthesize(self.grid.x)
-
-    def vt_field(self) -> Field2D:
-        return field_from_modes(self.grid, self.vt_modes, "sourced flux rate")
 
 
 def _mp_precision(max_exponent: float) -> int:
@@ -185,8 +183,10 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     # |sigma| v_t = f + mu v element-wise: computing vt from the rounded modes
     # keeps the identity v_xx + |sigma| v_t = f exact at the sample level
     vt_modes = (ff[:, None] + mu[:, None] * v_modes) / sigma_abs
-    v_field = field_from_modes(grid, v_modes, "sourced flux")
-    return SourcedSolution(v_field, fs, v_modes, vt_modes)
+    source = fs.synthesize(grid.x)
+    source.flags.writeable = False
+    return SourcedSolution(field_from_modes(grid, v_modes, "sourced flux"), fs, v_modes,
+                           vt_modes, source)
 
 
 def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,

@@ -10,9 +10,11 @@ Every exact per-mode flow of the package passes the one overflow guard,
 ``mode_exponential``; the backward and sourced solves and the relaxation's
 single-branch steps take their factors from it too, while the inverse source
 (mpmath E_k) and the frozen-pattern steps (``expm1``) only pass its guard.  A
-sampled field is projected once (``Field2D.modes``), and its space
-derivatives, the zero-flux test ``boundary_slopes`` among them, read that
-projection.
+sampled field is projected once (``Field2D.modes``) and keeps its second
+derivative beside that projection (``Field2D.xx``); its space derivatives, the
+zero-flux test ``boundary_slopes`` among them, read the projection.  Samples
+are held read-only as given and copied only when given writeable
+(``read_only``), so a producer hands its fresh array over read-only.
 
 Field files hold Python's ``'%.17g'`` text of every sample, formatted in numpy
 by ``format_rows`` and byte-identical to ``format(v, '.17g')``.  For
@@ -245,14 +247,25 @@ def boundary_slopes(values: np.ndarray, modes: np.ndarray, L: float) -> np.ndarr
     return np.abs([left, right]) / (2.0 * L / (len(values) - 1))
 
 
+def read_only(values) -> np.ndarray:
+    """float64 ``values``, read-only: a read-only array as given, else a copy."""
+    vals = np.asarray(values, dtype=float)
+    if vals.flags.writeable:
+        vals = vals.copy()
+        vals.flags.writeable = False
+    return vals
+
+
 @dataclass(frozen=True)
 class Field2D:
     """A scalar function sampled on a grid, with provenance in ``label``; its
-    cosine projection ``modes`` is formed on first use and kept.
+    cosine projection ``modes`` and second x-derivative ``xx`` are formed on
+    first use and kept.
 
-    ``values`` is read-only and finite.  It is a private copy of the samples
-    given, a view of another field's samples (``restrict``), or one float64
-    broadcast to the grid's shape (``constant_field``).
+    ``values`` is read-only and finite.  A read-only array is held as given (a
+    producer's fresh samples, a view of another field's samples from
+    ``restrict``, one float64 broadcast by ``constant_field``); a writeable one
+    is copied (``read_only``).
     """
 
     grid: Grid
@@ -260,65 +273,52 @@ class Field2D:
     label: str = ""
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = read_only(self.values)
         if vals.shape != (self.grid.n_x, self.grid.n_t):
             raise ConfigurationError(
                 f"field shape {vals.shape} does not match grid "
                 f"{(self.grid.n_x, self.grid.n_t)}")
-        _require_finite(vals, self.label)
-        vals = vals.copy()
-        vals.flags.writeable = False
+        if not np.all(np.isfinite(vals)):
+            raise DomainViolationError(f"field {self.label!r} contains non-finite values")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def _frozen(cls, grid: Grid, values: np.ndarray, label: str) -> "Field2D":
-        """Wrap ``values``, already read-only, finite and of the grid's shape,
-        without a copy."""
-        field = object.__new__(cls)
-        for name, value in (("grid", grid), ("values", values), ("label", label)):
-            object.__setattr__(field, name, value)
-        return field
 
     @cached_property
     def modes(self) -> np.ndarray:
         """The cosine projection of the samples, one column per time sample."""
         values = self.values
-        if values.strides[1] == 0:
-            # BLAS takes no zero stride, and numpy's own loop sums in another
-            # order: a broadcast value is projected from its samples laid out
+        row, cell = values.strides
+        if cell != values.itemsize or row < cell * values.shape[1]:
+            # samples BLAS cannot read in place as rows of adjacent cells (a broadcast,
+            # reversed or column-major view) project laid out, as their contiguous copy
             values = np.ascontiguousarray(values)
         modes = analyze_columns(values, self.grid.L, self.grid.n_modes)
         modes.flags.writeable = False
         return modes
 
+    @cached_property
+    def xx(self) -> np.ndarray:
+        """The second x-derivative of the samples from ``modes``: a_k -> -(k*pi/L)^2 a_k."""
+        xx = synthesize_columns(-(self.grid.mu()[:, None] * self.modes), self.grid.L,
+                                self.grid.x)
+        xx.flags.writeable = False
+        return xx
+
     def restrict(self, n_keep: int) -> "Field2D":
         """The field on its first ``n_keep`` time samples, a view of its values."""
-        return Field2D._frozen(self.grid.with_time(n_keep), self.values[:, :n_keep],
-                               self.label)
-
-
-def _require_finite(values: np.ndarray, label: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DomainViolationError(f"field {label!r} contains non-finite values")
+        return Field2D(self.grid.with_time(n_keep), self.values[:, :n_keep], self.label)
 
 
 def field_from_modes(grid: Grid, modes: np.ndarray, label: str = "") -> Field2D:
     if modes.shape != (grid.n_modes + 1, grid.n_t):
         raise ConfigurationError("mode array shape does not match grid")
-    return Field2D(grid, synthesize_columns(modes, grid.L, grid.x), label)
-
-
-def x_second_derivative(f: Field2D) -> np.ndarray:
-    """v_xx of a sampled field, from its kept projection ``f.modes``:
-    a_k -> -(k*pi/L)^2 a_k."""
-    return synthesize_columns(-(f.grid.mu()[:, None] * f.modes), f.grid.L, f.grid.x)
+    values = synthesize_columns(modes, grid.L, grid.x)
+    values.flags.writeable = False
+    return Field2D(grid, values, label)
 
 
 def constant_field(grid: Grid, value: float, label: str = "") -> Field2D:
     """The field equal to ``value`` everywhere, held as one float64."""
-    value = float(value)
-    _require_finite(value, label)
-    return Field2D._frozen(grid, np.broadcast_to(value, (grid.n_x, grid.n_t)), label)
+    return Field2D(grid, np.broadcast_to(float(value), (grid.n_x, grid.n_t)), label)
 
 
 def write_field_csv(f: Field2D, path) -> None:

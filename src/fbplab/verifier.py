@@ -37,8 +37,7 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           entropy_primitive, eval_phi)
 from .solvers import EpsSolution, solve_pseudoparabolic
 from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                       boundary_slopes, trapezoid_weights,
-                       x_derivative_columns, x_second_derivative)
+                       boundary_slopes, trapezoid_weights, x_derivative_columns)
 
 # the verdict tolerances, fixed for every run; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
@@ -386,7 +385,7 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[Entropy
     g, g', G*, the certificate and the defect on its rows only.  The running min
     and max are exact (a zero minimum's sign follows numpy's reduction order)."""
     grid, v, lam, rate = triple.grid, triple.v.values, triple.lam.values, triple.lam_t.values
-    vx, vxx = _v_x(triple.v), x_second_derivative(triple.v)
+    vx, vxx = _v_x(triple.v), triple.v.xx
     weighted = _weighted_factors(tests, grid)
     acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
     certs, defects = np.full(len(fluxes), np.inf), np.full(len(fluxes), -np.inf)
@@ -548,7 +547,7 @@ def _superposition_defect(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
 
 def _evolution_defect(triple: SolutionTriple) -> np.ndarray:
     """|u - u(.,0) - running_simpson(v_xx)|, formed in place."""
-    integral = running_simpson(x_second_derivative(triple.v), triple.grid.dt)
+    integral = running_simpson(triple.v.xx, triple.grid.dt)
     u = triple.u.values
     defect = u - u[:, :1]
     defect -= integral

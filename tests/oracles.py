@@ -127,6 +127,11 @@ def vxx_field(sol) -> Field2D:
                             "sourced flux curvature")
 
 
+def vt_field(sol) -> Field2D:
+    """v_t of a sourced solution from its exact rate modes."""
+    return field_from_modes(sol.grid, sol.vt_modes, "sourced flux rate")
+
+
 def running_simpson_oracle(y: np.ndarray, dt: float) -> np.ndarray:
     """``verifier.running_simpson`` as it was written before it formed its
     interval sums in place: each stencil as a whole array, then concatenated."""

@@ -30,6 +30,7 @@ from fbplab.verifier import (certificate_identity_error, default_entropy_tests,
                              entropy_inequality_residual, monotonicity_report,
                              negative_controls, pointwise_certificate,
                              run_triple_battery, viscous_entropy_residual)
+from oracles import vt_field
 
 L = np.pi
 
@@ -166,9 +167,9 @@ class TestCriterion3:
                                 params.sigma_abs, grid)
             modes = analyze_columns(sol.v.values, grid.L, grid.n_modes)
             vxx = synthesize_columns(-(grid.mu()[:, None] * modes), grid.L, grid.x)
-            m = vxx + params.sigma_abs * sol.vt_field().values
+            m = vxx + params.sigma_abs * vt_field(sol).values
             worst_identity = max(worst_identity, np.max(np.abs(
-                m - sol.source_values()[:, None])))
+                m - sol.source[:, None])))
             cum = np.concatenate(
                 [np.zeros((grid.n_x, 1)),
                  np.cumsum(0.5 * (m[:, 1:] + m[:, :-1]) * grid.dt, axis=1)], axis=1)

@@ -20,6 +20,7 @@ from fbplab.phase_model import (PhaseParams, branch_gap_extended, beta0_extended
                                 beta2_extended)
 from fbplab.solvers import solve_sourced, solve_unstable_backward
 from fbplab.spectral import CosineSeries, Field2D, Grid, analyze_columns, synthesize_columns
+from oracles import vt_field
 
 L = np.pi
 
@@ -57,7 +58,7 @@ def lambda_oracle(sol, params):
     grid = sol.grid
     modes = analyze_columns(sol.v.values, grid.L, grid.n_modes)
     vxx = synthesize_columns(-(grid.mu()[:, None] * modes), grid.L, grid.x)
-    m = vxx + params.sigma_abs * sol.vt_field().values
+    m = vxx + params.sigma_abs * vt_field(sol).values
     integral = np.concatenate(
         [np.zeros((grid.n_x, 1)),
          np.cumsum((m[:, 1:] + m[:, :-1]) * 0.5 * grid.dt, axis=1)], axis=1)
@@ -102,7 +103,7 @@ class TestLambdaRate:
     def test_initial_value_is_rate_over_gap(self, midpoint_setup, params):
         _, sol = midpoint_setup
         lam, rate = build_lambda(sol, params)
-        expect = sol.source_values() / branch_gap_extended(params, sol.v.values[:, 0])
+        expect = sol.source / branch_gap_extended(params, sol.v.values[:, 0])
         assert rate.values[:, 0] == pytest.approx(expect, abs=1e-12)
         assert np.all(rate.values[:, 0] > 0)
 
@@ -186,7 +187,7 @@ class TestCertifyHorizon:
         sol = solve_sourced(CosineSeries(L, [f0]), back.v_bar.values[:, 0], 1.0, grid)
         lam, rate = build_lambda(sol, params)
         return SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0,
-                              f"sourced(f=[{f0}])", lam_t=rate, source=sol.source_values())
+                              f"sourced(f=[{f0}])", lam_t=rate, source=sol.source)
 
     def test_source_below_margin_fails_rate_margin(self, midpoint_setup, params,
                                                    midpoint_grid):
@@ -274,6 +275,25 @@ class TestSolutionTriple:
         with pytest.raises(GridMismatchError, match="source profile"):
             SolutionTriple(base.u, base.v, base.lam, 0.5, "short source",
                            lam_t=base.lam_t, source=np.zeros(grid.n_x - 1))
+
+    def test_sourced_triples_hold_the_source_their_weight_divides(
+            self, final_datum, default_sources, params, grid, backward, monkeypatch):
+        # f is synthesized once per sourced solve; the triple holds that array
+        solves = []
+
+        def recording(*args):
+            solves.append(solve_sourced(*args))
+            return solves[-1]
+
+        monkeypatch.setattr("fbplab.counterexample.solve_sourced", recording)
+        family = construct_family(final_datum, default_sources, params, grid)
+        for triple, f, sol in zip(family[1:], default_sources, solves, strict=True):
+            assert triple.source is sol.source
+            fresh = solve_sourced(f, backward.v_bar.values[:, 0], params.sigma_abs, grid)
+            assert triple.source.tobytes() == fresh.source.tobytes()
+            numer = triple.grid.t[None, :] * fresh.source[:, None]
+            weight = numer / branch_gap_extended(params, triple.v.values)
+            assert triple.lam.values.tobytes() == weight.tobytes()
 
     def test_source_profile_is_read_only(self, family, grid):
         # the sourced triples carry the synthesized f(x); the baseline carries zeros

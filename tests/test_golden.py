@@ -18,7 +18,9 @@ steps, is pinned here as well; a change that alters it on purpose edits
 import contextlib
 import hashlib
 import io
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,6 +103,18 @@ def test_crossing_relaxation_keeps_its_bits():
     sol = solve_pseudoparabolic(0.9 * np.cos(grid.x), 1e-3, PhaseParams.default(), grid)
     got = {name: hashlib.sha256(getattr(sol, name).tobytes()).hexdigest() for name in CROSSING}
     assert got == CROSSING, f"this run {versions()}"
+
+
+def test_outputs_keep_their_bits_on_one_blas_thread():
+    # the checks above, rerun in a fresh interpreter whose OpenBLAS is pinned to
+    # one thread before numpy loads; -k keeps this test out of that run
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not one_blas_thread"],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0 and "2 passed, 1 deselected" in run.stdout, run.stdout + run.stderr
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic
                             solve_sourced, solve_unstable_backward)
 from fbplab.spectral import (OVERFLOW_EXPONENT, CosineSeries, Grid, analysis_matrix,
                              analyze_columns, cosine_basis, mode_exponential)
-from oracles import propagate_heat, sequential_relaxation_oracle, vxx_field
+from oracles import propagate_heat, sequential_relaxation_oracle, vt_field, vxx_field
 
 L = np.pi
 
@@ -254,23 +254,23 @@ class TestSourcedSolve:
     def test_equation_residual_spectral(self, backward, grid):
         sol = solve_sourced(CosineSeries(L, [1.0, 0.3]), backward.v_bar.values[:, 0],
                             1.0, grid)
-        resid = vxx_field(sol).values + 1.0 * sol.vt_field().values \
-            - sol.source_values()[:, None]
+        resid = vxx_field(sol).values + 1.0 * vt_field(sol).values \
+            - sol.source[:, None]
         assert np.max(np.abs(resid)) < 1e-8
 
     def test_excess_rate_equals_source_exactly(self, backward, grid, params):
         # m = v_xx - (beta0(v))_t = v_xx + |sigma| v_t = f, exact given sigma < 0
         sol = solve_sourced(CosineSeries(L, [1.0, 0.0, 0.3]),
                             backward.v_bar.values[:, 0], params.sigma_abs, grid)
-        m = vxx_field(sol).values + params.sigma_abs * sol.vt_field().values
-        assert np.max(np.abs(m - sol.source_values()[:, None])) < 1e-12
+        m = vxx_field(sol).values + params.sigma_abs * vt_field(sol).values
+        assert np.max(np.abs(m - sol.source[:, None])) < 1e-12
 
     def test_beta0_rate_matches_difference_quotient(self, backward, grid, params):
         sol = solve_sourced(CosineSeries(L, [1.0]), backward.v_bar.values[:, 0],
                             params.sigma_abs, grid)
         beta0 = params.b + params.sigma * (sol.v.values - params.B)
         fd = np.gradient(beta0, grid.t, axis=1, edge_order=2)
-        analytic = params.sigma * sol.vt_field().values
+        analytic = params.sigma * vt_field(sol).values
         assert np.max(np.abs(fd - analytic)) < 5e-5
 
     def test_zero_source_matches_free_propagation(self, grid):

@@ -1,6 +1,7 @@
 """Cosine basis machinery: analysis, differentiation, propagation, quadrature."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
                              analyze_columns, boundary_slopes, cosine_analyze,
-                             constant_field, format_rows, mode_exponential,
-                             write_field_csv, x_second_derivative)
+                             constant_field, field_from_modes, format_rows, mode_exponential,
+                             write_field_csv)
 from oracles import propagate_heat
 
 L = np.pi
@@ -89,7 +90,7 @@ class TestAnalyze:
 
 
 class TestSecondDerivative:
-    """``x_second_derivative``: v_xx of a sampled field, as every check uses it."""
+    """``Field2D.xx``: v_xx of a sampled field, as every check uses it."""
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -97,7 +98,7 @@ class TestSecondDerivative:
         g = Grid(L=L, T_end=1.0, n_x=4001, n_t=2, n_modes=16)
         vals = series.synthesize(g.x)
         fd = np.gradient(np.gradient(vals, g.x), g.x)
-        spectral = x_second_derivative(Field2D(g, np.repeat(vals[:, None], 2, axis=1)))
+        spectral = Field2D(g, np.repeat(vals[:, None], 2, axis=1)).xx
         interior = slice(40, -40)
         assert np.max(np.abs(fd[interior, None] - spectral[interior])) < 5e-4
 
@@ -222,6 +223,40 @@ class TestField2D:
                                                     small_grid.n_modes).tobytes()
         with pytest.raises(ValueError):
             r.values[0, 0] = 1.0
+
+    def test_holds_a_read_only_array_and_copies_a_writeable_one(self, small_grid):
+        vals = np.random.default_rng(8).normal(size=(small_grid.n_x, small_grid.n_t))
+        copied = Field2D(small_grid, vals)
+        assert not np.shares_memory(copied.values, vals)
+        assert copied.values.tobytes() == vals.tobytes()
+        vals.flags.writeable = False
+        assert Field2D(small_grid, vals).values is vals
+
+    @pytest.mark.parametrize("layout", [
+        lambda a: a[::-1],
+        lambda a: np.broadcast_to(a[:1], a.shape),
+        np.asfortranarray,
+        lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+    ], ids=["reversed", "broadcast-row", "column-major", "strided-columns"])
+    def test_held_samples_project_as_their_contiguous_copy(self, small_grid, layout):
+        view = layout(np.random.default_rng(9).normal(size=(small_grid.n_x, small_grid.n_t)))
+        view.flags.writeable = False
+        f = Field2D(small_grid, view)
+        assert f.values is view
+        laid_out = Field2D(small_grid, np.ascontiguousarray(view))
+        assert f.modes.tobytes() == laid_out.modes.tobytes()
+
+    def test_field_from_modes_forms_its_samples_once(self):
+        grid = Grid(L=L, T_end=1.0, n_x=128, n_t=1024, n_modes=32)
+        modes = np.random.default_rng(10).normal(size=(grid.n_modes + 1, grid.n_t))
+        grid.x  # the nodes are kept by the grid, outside the trace
+        tracemalloc.start()
+        try:
+            field_from_modes(grid, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * grid.n_x * grid.n_t * 8
 
     def test_constant_field_rejects_non_finite(self, small_grid):
         with pytest.raises(DomainViolationError):

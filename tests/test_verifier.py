@@ -20,7 +20,7 @@ from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_
                                 certificate_from_primitives, entropy_primitive)
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
 from fbplab.spectral import (CosineSeries, Field2D, Grid, analyze_columns,
-                             constant_field, x_derivative_columns, x_second_derivative)
+                             constant_field, x_derivative_columns)
 from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              VerificationReport, CheckResult,
                              certificate_identity_error, default_entropy_tests,
@@ -181,7 +181,7 @@ def whole_field_flux_pass(triple, params, fluxes, tests):
     whole field, and g'(v) evaluates tanh(v/s) a second time."""
     grid, v, lam = triple.grid, triple.v.values, triple.lam.values
     vx = x_derivative_columns(triple.v.modes, grid.L, grid.x)
-    vxx = x_second_derivative(triple.v)
+    vxx = triple.v.xx
     gap = branch_gap_extended(params, v)
     weighted = _weighted_factors(tests, grid)
     out = []
@@ -356,24 +356,40 @@ class TestHighModeBaselineResolution:
         assert report.entry("certificate-identity").residual < 1e-2
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """The first argument's shape of each call of ``spectral.<name>``, through one
+    wrapper in every fbplab module that binds it."""
+    original, calls = getattr(spectral, name), []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name == "fbplab" or module_name.startswith("fbplab.")) \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestOneProjection:
     def test_battery_projects_v_once(self, family, backward, params, monkeypatch):
-        # every fbplab module that binds analyze_columns counts through one wrapper
-        original, calls = spectral.analyze_columns, []
-
-        def counting(*args):
-            calls.append(args[0].shape)
-            return original(*args)
-
-        for name, module in list(sys.modules.items()):
-            if (name == "fbplab" or name.startswith("fbplab.")) \
-                    and getattr(module, "analyze_columns", None) is original:
-                monkeypatch.setattr(module, "analyze_columns", counting)
+        calls = count_calls(monkeypatch, "analyze_columns")
         for triple in family:
             fresh = triple.restricted()
             calls.clear()
             run_triple_battery(fresh, backward.u0, params)
             assert calls == [fresh.v.values.shape]
+
+    def test_battery_synthesizes_twice(self, family, backward, params, monkeypatch):
+        # v_xx, kept beside the projection for the evolution identity and the
+        # flux pass, and the zero-flux test's synthesis of the projection
+        calls = count_calls(monkeypatch, "synthesize_columns")
+        for triple in family:
+            fresh = triple.restricted()
+            calls.clear()
+            run_triple_battery(fresh, backward.u0, params)
+            assert len(calls) == 2, calls
 
 
 class TestMonotonicity:
