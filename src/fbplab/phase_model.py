@@ -193,11 +193,12 @@ def _log_cosh(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntropyFlux:
-    """One member of the built-in family of nondecreasing fluxes.
+    """One member of the two built-in families of nondecreasing fluxes.
 
-    Kinds: ``identity`` (g(v) = v), ``clamp`` (g(v) = min(max(v, p), q)) and
-    ``tanh`` (g(v) = tanh(v/s), an odd saturating ramp of scale s > 0).
-    A constant flux is the degenerate clamp with p = q.
+    Kinds: ``clamp`` (g(v) = min(max(v, p), q)) and ``tanh`` (g(v) = tanh(v/s),
+    an odd saturating ramp of scale s > 0).  The identity g(v) = v is the
+    unbounded clamp p = -inf, q = inf, labelled ``identity``; a constant flux is
+    the degenerate clamp with p = q.
     """
 
     kind: str
@@ -206,7 +207,7 @@ class EntropyFlux:
     s: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "clamp", "tanh"):
+        if self.kind not in ("clamp", "tanh"):
             raise DomainViolationError(f"unknown flux kind {self.kind!r}")
         if self.kind == "clamp" and self.p > self.q:
             raise DomainViolationError("clamp flux requires p <= q")
@@ -215,7 +216,7 @@ class EntropyFlux:
 
     @classmethod
     def identity(cls) -> "EntropyFlux":
-        return cls("identity")
+        return cls.clamp(-np.inf, np.inf)
 
     @classmethod
     def clamp(cls, p: float, q: float) -> "EntropyFlux":
@@ -226,28 +227,21 @@ class EntropyFlux:
         return cls("tanh", s=s)
 
     def label(self) -> str:
-        if self.kind == "identity":
+        if self.kind == "tanh":
+            return f"tanh[s={self.s:g}]"
+        if (self.p, self.q) == (-np.inf, np.inf):
             return "identity"
-        if self.kind == "clamp":
-            return f"clamp[{self.p:g},{self.q:g}]"
-        return f"tanh[s={self.s:g}]"
+        return f"clamp[{self.p:g},{self.q:g}]"
 
     def value(self, v):
         arr = np.asarray(v, dtype=float)
-        if self.kind == "identity":
-            out = arr
-        elif self.kind == "clamp":
-            out = np.clip(arr, self.p, self.q)
-        else:
-            out = np.tanh(arr / self.s)
+        out = np.clip(arr, self.p, self.q) if self.kind == "clamp" else np.tanh(arr / self.s)
         return _scalar_like(v, np.asarray(out))
 
     def derivative(self, v, value=None):
         """g'(v); a tanh flux takes (1 - g^2)/s from ``value`` = g(v) when given."""
         arr = np.asarray(v, dtype=float)
-        if self.kind == "identity":
-            out = np.ones_like(arr)
-        elif self.kind == "clamp":
+        if self.kind == "clamp":
             # a constant flux (p = q) has zero slope even at v = p
             out = ((arr >= self.p) & (arr <= self.q) & (self.p < self.q)).astype(float)
         else:
@@ -258,9 +252,7 @@ class EntropyFlux:
     def antiderivative(self, v):
         """A primitive of g, used to integrate g(phi(s)) in closed form."""
         arr = np.asarray(v, dtype=float)
-        if self.kind == "identity":
-            out = 0.5 * arr * arr
-        elif self.kind == "clamp":
+        if self.kind == "clamp":
             # inside [p, q], a*a - 0.5*a*a is 0.5*a*a exactly
             c = np.clip(arr, self.p, self.q)
             out = c * arr - 0.5 * c * c

@@ -123,10 +123,10 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
 @dataclass(frozen=True)
 class SourcedSolution:
     """Exact mode solution of the sourced flow, with analytic time derivative;
-    ``source`` is the read-only profile f on the grid's nodes, synthesized once."""
+    ``source`` is the read-only profile f on the grid's nodes, synthesized once
+    from the padded series, which the solve does not keep."""
 
     v: Field2D
-    f: CosineSeries
     v_modes: np.ndarray
     vt_modes: np.ndarray
     source: np.ndarray
@@ -185,8 +185,8 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     vt_modes = (ff[:, None] + mu[:, None] * v_modes) / sigma_abs
     source = fs.synthesize(grid.x)
     source.flags.writeable = False
-    return SourcedSolution(field_from_modes(grid, v_modes, "sourced flux"), fs, v_modes,
-                           vt_modes, source)
+    return SourcedSolution(field_from_modes(grid, v_modes, "sourced flux"), v_modes, vt_modes,
+                           source)
 
 
 def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,

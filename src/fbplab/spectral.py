@@ -265,7 +265,9 @@ class Field2D:
     ``values`` is read-only and finite.  A read-only array is held as given (a
     producer's fresh samples, a view of another field's samples from
     ``restrict``, one float64 broadcast by ``constant_field``); a writeable one
-    is copied (``read_only``).
+    is copied (``read_only``).  Finiteness is checked on the distinct samples:
+    a broadcast axis is read at its first index, so a one-value field checks
+    its one value.
     """
 
     grid: Grid
@@ -278,7 +280,8 @@ class Field2D:
             raise ConfigurationError(
                 f"field shape {vals.shape} does not match grid "
                 f"{(self.grid.n_x, self.grid.n_t)}")
-        if not np.all(np.isfinite(vals)):
+        distinct = vals[tuple(slice(None) if step else slice(1) for step in vals.strides)]
+        if not np.all(np.isfinite(distinct)):
             raise DomainViolationError(f"field {self.label!r} contains non-finite values")
         object.__setattr__(self, "values", vals)
 

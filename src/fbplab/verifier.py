@@ -143,9 +143,6 @@ class FinalZeroTest:
         if self.j < 0 or self.deg < 1:
             raise ConfigurationError("need j >= 0 and deg >= 1")
 
-    def label(self) -> str:
-        return f"final-zero(j={self.j},deg={self.deg})"
-
     def factors(self, grid: Grid):
         arg = self.j * np.pi * grid.x / grid.L
         return (np.cos(arg), -(self.j * np.pi / grid.L) * np.sin(arg),
@@ -154,7 +151,8 @@ class FinalZeroTest:
 
 
 def default_flux_battery() -> list[EntropyFlux]:
-    """Twelve nondecreasing fluxes spanning the three built-in families."""
+    """Twelve nondecreasing fluxes from the two built-in families: five clamps
+    plus the unbounded clamp (the identity), and six tanh ramps."""
     return [
         EntropyFlux.identity(),
         EntropyFlux.clamp(-0.5, 0.5),
@@ -369,28 +367,22 @@ def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndar
     return float(np.max(np.abs(defect, out=defect)))
 
 
-def _block(values: np.ndarray, rows: slice) -> np.ndarray:
-    """``values[rows]`` laid out contiguously, unless it is one broadcast value:
-    the rows of a restricted field lie a whole parent row apart, and the
-    twelve fluxes would each read them strided."""
-    block = values[rows]
-    return block if block.strides[1] == 0 else np.ascontiguousarray(block)
-
-
 def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[EntropyFlux],
                tests) -> list[tuple[list[float], float, float]]:
     """Per flux: the entropy integrals over ``tests``, min lambda_t * certificate
     and the identity defect.  Each row block (``_row_blocks``) reads v, v_x,
     v_xx, lambda, lambda_t and the gap once for all fluxes, which form Gamma(v),
-    g, g', G*, the certificate and the defect on its rows only.  The running min
-    and max are exact (a zero minimum's sign follows numpy's reduction order)."""
+    g, g', G*, the certificate and the defect on its rows only, from contiguous
+    copies of v, lambda and lambda_t (a restricted field's rows lie a parent row
+    apart).  The running min and max are exact (a zero minimum's sign follows
+    numpy's reduction order)."""
     grid, v, lam, rate = triple.grid, triple.v.values, triple.lam.values, triple.lam_t.values
     vx, vxx = _v_x(triple.v), triple.v.xx
     weighted = _weighted_factors(tests, grid)
     acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
     certs, defects = np.full(len(fluxes), np.inf), np.full(len(fluxes), -np.inf)
     for rows in _row_blocks(params, v):
-        vb, lb, rb = (_block(f, rows) for f in (v, lam, rate))
+        vb, lb, rb = (np.ascontiguousarray(f[rows]) for f in (v, lam, rate))
         rest = 1.0 - lb
         gap = branch_gap_extended(params, vb)
         for i, flux in enumerate(fluxes):

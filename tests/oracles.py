@@ -4,7 +4,8 @@ The package never calls these: the construction and the verifier read the
 affine continuations and the separable factors directly.  Each helper states
 a definition in its textbook form, with the domain guard or the dense outer
 product that the package leaves out, so the tests can hold the package's
-fast paths to it.
+fast paths to it.  The random phase diagrams that several test modules run
+on are drawn here too.
 """
 
 import numpy as np
@@ -14,6 +15,40 @@ from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_
                                 branch_gap_extended, certificate_integrand_extended, eval_phi)
 from fbplab.spectral import (CosineSeries, Field2D, analysis_matrix, cosine_basis,
                              cosine_eigenvalues, field_from_modes, mode_exponential)
+
+
+# ---------------------------------------------------------------------------
+# random diagrams and the identity flux as its own formula
+
+
+def random_diagrams(n: int, seed: int = 1) -> list[PhaseParams]:
+    """ROADMAP item 17's diagrams: b ~ U(-2, 1), c = b + U(0.2, 3), A ~ U(-2, 1),
+    B = A + U(0.2, 3) and alpha1, alpha2 log-uniform in [1/4, 4], in that order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        b = rng.uniform(-2.0, 1.0)
+        c = b + rng.uniform(0.2, 3.0)
+        A = rng.uniform(-2.0, 1.0)
+        B = A + rng.uniform(0.2, 3.0)
+        alpha1, alpha2 = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 2))
+        out.append(PhaseParams(b, c, A, B, alpha1, alpha2))
+    return out
+
+
+class IdentityFormulas:
+    """g(v) = v written out, g' = 1 and the primitive v^2/2: the formulas that
+    the unbounded clamp must reproduce bit for bit."""
+
+    def value(self, v):
+        return np.asarray(v, dtype=float)
+
+    def derivative(self, v):
+        return np.ones_like(np.asarray(v, dtype=float))
+
+    def antiderivative(self, v):
+        arr = np.asarray(v, dtype=float)
+        return 0.5 * arr * arr
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,25 @@ class TestConstructFamily:
                    - beta0_extended(params, r.v.values[:, [0]]) - cum)
             assert np.max(np.abs(lhs)) < 1e-6
 
+    def test_state_gap_is_its_closed_form(self, family, default_sources, params):
+        # u - ubar = sigma (v - vbar) + t f, and |sigma| w_t + w_xx = f from w = 0 gives
+        # mode k >= 1 of it as f_k t (1 - (e^z - 1)/z), z = mu_k t/|sigma|, and mode 0 as 0
+        worst = 0.0
+        for triple, f in zip(family[1:], default_sources):
+            g = triple.grid
+            gap = analyze_columns(triple.u.values - family[0].u.values[:, :g.n_t], g.L,
+                                  g.n_modes)
+            fk = f.padded(g.n_modes).as_float()
+            on = fk != 0                   # e^z overflows on the high modes, where f_k = 0
+            z = np.outer(g.mu()[on], g.t) / params.sigma_abs
+            # (e^z - 1)/z -> 1 as z -> 0: mode 0 and t = 0
+            ratio = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z > 0)
+            want = np.zeros_like(gap)
+            want[on] = fk[on, None] * g.t * (1.0 - ratio)
+            assert np.max(np.abs(gap - want)) <= 1e-13
+            worst = max(worst, np.max(np.abs(gap)))
+        assert worst > 1.0
+
     def test_unit_source_witness(self, family, grid):
         # same u, v shifted by exactly t, weight strictly positive for t > 0
         base, unit = family[0], family[1]

@@ -1,6 +1,6 @@
 """Every module of the package reads each name it imports, no package code is
-reached only from the tests, and mpmath is loaded only by the steps that run
-in extended precision.
+reached only from the tests, every dataclass field is read, and mpmath is
+loaded only by the steps that run in extended precision.
 
 No linter is a dependency of the project, so the checks walk each module's
 syntax tree with the standard library's ``ast``.  The import check leaves
@@ -93,6 +93,33 @@ def test_package_code_is_reached_outside_the_tests():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     assert unreached(sources, bench) == []
+
+
+def unread_fields(sources: dict[str, str], elsewhere: str) -> list[str]:
+    """``module.Class.field`` of each annotated field of a dataclass in ``sources``
+    that no attribute read of ``sources`` or of the Python source ``elsewhere`` names."""
+    trees = {name.removesuffix(".py"): ast.parse(text) for name, text in sources.items()}
+    read = {node.attr for tree in [*trees.values(), ast.parse(elsewhere)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{cls.name}.{field.target.id}"
+            for module, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+            for field in cls.body
+            if isinstance(field, ast.AnnAssign) and field.target.id not in read]
+
+
+def test_the_check_flags_an_unread_field():
+    sources = {"a.py": "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int = 0\n\n"
+                       "class Q:\n    z: int\n\ndef f(p):\n    p.w = 1\n    return p.x\n"}
+    assert unread_fields(sources, "def g(p):\n    return p.w\n") == ["a.P.y"]
+
+
+def test_dataclass_fields_are_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    assert unread_fields(sources, bench) == []
 
 
 def import_time_modules(source: str) -> list[str]:

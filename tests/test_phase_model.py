@@ -17,7 +17,8 @@ from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended,
                                 beta2_extended, branch_gap_extended,
                                 branch_image_primitives, entropy_primitive, eval_phi)
 from fbplab.verifier import default_flux_battery
-from oracles import branch_gap, certificate_integrand, eval_beta
+from oracles import (IdentityFormulas, branch_gap, certificate_integrand, eval_beta,
+                     random_diagrams)
 
 FLUXES = [EntropyFlux.identity(), EntropyFlux.clamp(-0.4, 0.7),
           EntropyFlux.saturating(0.5), EntropyFlux.clamp(2.0, 2.0)]
@@ -395,3 +396,27 @@ class TestFluxFamily:
             EntropyFlux.clamp(1.0, 0.0)
         with pytest.raises(DomainViolationError):
             EntropyFlux.saturating(0.0)
+
+    def test_identity_is_the_unbounded_clamp(self):
+        assert EntropyFlux.identity() == EntropyFlux.clamp(-np.inf, np.inf)
+        assert EntropyFlux.identity().label() == "identity"
+        with pytest.raises(DomainViolationError, match="unknown flux kind"):
+            EntropyFlux("identity")
+
+    @pytest.mark.parametrize("p", [PhaseParams.default(), *random_diagrams(2)],
+                             ids=["unit", "draw00", "draw01"])
+    def test_identity_keeps_the_bits_of_its_formulas(self, p):
+        flux, formulas = EntropyFlux.identity(), IdentityFormulas()
+        inside = np.linspace(p.A, p.B, 1001)
+        v = np.concatenate([[0.0, -0.0, 1e-12, -3e-9, p.A, p.B], inside,
+                            np.linspace(-6.0, 6.0, 997)])
+        u = np.linspace(p.b - 2.0, p.c + 2.0, 1001)
+        pairs = [(method(v), getattr(formulas, method.__name__)(v))
+                 for method in (flux.value, flux.derivative, flux.antiderivative)]
+        pairs += [(entropy_primitive(p, flux, u), entropy_primitive(p, formulas, u))]
+        pairs += list(zip(branch_image_primitives(p, flux, inside),
+                          branch_image_primitives(p, formulas, inside)))
+        pairs += list(zip(branch_image_primitives(p, flux, v),      # outside [A, B]
+                          branch_image_primitives(p, formulas, v)))
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()

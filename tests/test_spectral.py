@@ -262,6 +262,25 @@ class TestField2D:
         with pytest.raises(DomainViolationError):
             constant_field(small_grid, np.nan)
 
+    def test_broadcast_samples_are_checked(self, small_grid):
+        shape = (small_grid.n_x, small_grid.n_t)
+        row, column = np.zeros(small_grid.n_t), np.zeros((small_grid.n_x, 1))
+        row[3], column[5] = np.inf, np.nan
+        for held in (np.broadcast_to(np.nan, shape), np.broadcast_to(row, shape),
+                     np.broadcast_to(column, shape)):
+            with pytest.raises(DomainViolationError):
+                Field2D(small_grid, held)
+
+    def test_constant_field_checks_its_one_value(self):
+        grid = Grid(L=L, T_end=1.0, n_x=512, n_t=2048, n_modes=128)
+        tracemalloc.start()
+        try:
+            constant_field(grid, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024     # a boolean mask of every sample takes 1 MB
+
 
 @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, 1e-7, 5e-324],
                          ids=["zero", "negative-zero", "fixed", "fallback", "subnormal"])

@@ -15,7 +15,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from fbplab import spectral
 from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
-from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
+from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
                                 branch_gap_extended, branch_image_primitives,
                                 certificate_from_primitives, entropy_primitive)
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
@@ -32,7 +32,7 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
                              weak_residual, _flux_pass, _row_blocks, _weighted_factors)
-from oracles import psi, psi_t, psi_x, running_simpson_oracle
+from oracles import psi, psi_t, psi_x, random_diagrams, running_simpson_oracle
 
 L = np.pi
 
@@ -510,21 +510,6 @@ class TestDistinctness:
     def test_probe_beyond_horizon_rejected(self, family):
         with pytest.raises(DomainViolationError):
             distinctness(family[0], family[3], 0.6)
-
-
-def random_diagrams(n: int, seed: int = 1) -> list[PhaseParams]:
-    """ROADMAP item 17's diagrams: b ~ U(-2, 1), c = b + U(0.2, 3), A ~ U(-2, 1),
-    B = A + U(0.2, 3) and alpha1, alpha2 log-uniform in [1/4, 4], in that order."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        b = rng.uniform(-2.0, 1.0)
-        c = b + rng.uniform(0.2, 3.0)
-        A = rng.uniform(-2.0, 1.0)
-        B = A + rng.uniform(0.2, 3.0)
-        alpha1, alpha2 = np.exp(rng.uniform(np.log(0.25), np.log(4.0), 2))
-        out.append(PhaseParams(b, c, A, B, alpha1, alpha2))
-    return out
 
 
 class TestNegativeControls:
