@@ -4,7 +4,7 @@ Subcommands::
 
     fbplab counterexample [--config FILE] [--out DIR]
         backward solve -> family construction -> full verifier battery on each
-        certified triple -> pairwise distinctness; SUCCESS needs at least two
+        triple's certified window -> pairwise distinctness; SUCCESS needs at least two
         triples passing everything and pairwise distinct, except that a family
         of one (no sources) succeeds when its baseline passes.
 
@@ -25,7 +25,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical instability.  Outputs are plain text and tab-separated CSV and are
-bit-reproducible from the config alone.
+bit-reproducible from the config and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
     for i, triple in enumerate(family):
         tag = _triple_tag(i, triple.provenance)
         binding = triple.binding or "whole window"
-        report = verifier.run_triple_battery(triple.restricted(), u0, params)
+        report = verifier.run_triple_battery(triple, u0, params)
         reports.append(report)
 
         for name, fld in (("u", triple.u), ("v", triple.v), ("lam", triple.lam)):

@@ -42,10 +42,10 @@ class SolutionTriple:
     The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
     certified horizon, ``binding`` the condition that ends it, a margin or the end
     of the construction window ("" when it is the whole grid), and ``lam_t`` the
-    analytic time derivative of the weight.  All four fields live on one grid.
-    ``source`` is the (n_x,) profile f(x) that drives v (zeros for a weight-zero
-    triple), held or copied read-only like a field's samples: the excess rate
-    m = v_xx + |sigma| v_t equals it exactly, mode by mode.
+    analytic weight rate.  All four fields live on one grid: [0, t_bar] for a triple
+    of ``construct_family``.  ``source`` is the (n_x,) profile f(x) driving v (zeros
+    for a weight-zero triple), held or copied read-only like a field's samples:
+    the excess rate m = v_xx + |sigma| v_t equals it exactly, mode by mode.
     """
 
     u: Field2D
@@ -71,10 +71,9 @@ class SolutionTriple:
         return self.u.grid
 
     def restricted(self) -> "SolutionTriple":
-        """The triple truncated to its certified horizon, viewing this triple's
-        samples (``Field2D.restrict``)."""
-        n_keep = int(round(self.t_bar / self.grid.dt)) + 1
-        n_keep = max(2, min(n_keep, self.grid.n_t))
+        """The triple on its certified window [0, t_bar], viewing this triple's
+        samples (``Field2D.restrict``); a ``construct_family`` triple keeps every sample."""
+        n_keep = max(2, min(int(round(self.t_bar / self.grid.dt)) + 1, self.grid.n_t))
         return replace(self, u=self.u.restrict(n_keep), v=self.v.restrict(n_keep),
                        lam=self.lam.restrict(n_keep), lam_t=self.lam_t.restrict(n_keep))
 
@@ -186,8 +185,9 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
 
     Sources must synthesize to values >= delta (the certification margin c2);
     a violating source aborts the construction naming its index.  Each sourced
-    triple is built on the largest usable prefix of the grid and carries its
-    own certified horizon.
+    triple is built on the largest usable prefix of the grid.  Every triple is
+    returned on its certified window [0, t_bar]: its first round(t_bar/dt) + 1
+    samples, at least two, as read-only views of the construction arrays.
     """
     back = solve_unstable_backward(g_final, params, grid)
     zero = constant_field(grid, 0.0, "stable-phase weight")
@@ -215,4 +215,4 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
                                 source=sol.source)
         t_bar, binding = certify_horizon(triple, params, delta)
         triples.append(replace(triple, t_bar=t_bar, binding=binding or window_end))
-    return triples
+    return [triple.restricted() for triple in triples]

@@ -35,9 +35,9 @@ from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended, branch_gap_extended,
                           branch_image_primitives, certificate_from_primitives,
                           entropy_primitive, eval_phi)
-from .solvers import EpsSolution, solve_pseudoparabolic
-from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid,
-                       boundary_slopes, trapezoid_weights, x_derivative_columns)
+from .solvers import EpsSolution, solve_pseudoparabolic, solve_unstable_backward
+from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid, boundary_slopes,
+                       constant_field, trapezoid_weights, x_derivative_columns)
 
 # the verdict tolerances, fixed for every run; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
@@ -624,10 +624,8 @@ def grid_summary(grid: Grid) -> str:
 def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
                        params: PhaseParams) -> VerificationReport:
     """All admissibility checks for one triple, on the grid it carries, against
-    the default fluxes and test functions and the module's fixed tolerances.
-
-    Callers verifying a certified construction should pass the restricted
-    triple; sweeps past the horizon are expected to flag the range clauses.
+    the default fluxes and test functions and the module's fixed tolerances; a
+    triple carried past its certified horizon is expected to fail the range clauses.
     """
     grid = triple.grid
     fluxes = default_flux_battery()
@@ -668,11 +666,11 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     grid, b, c = Grid(np.pi, 1.0, 64, 97, 16), params.b, params.c
     # the datum centred in the decreasing branch (b, c), scaled to its width
     final = CosineSeries(np.pi, [(b + c) / 2, 0.05 * (c - b)])
-    # one backward solve: the family's baseline carries its u and v
-    baseline, sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)
-    u0, t = baseline.u.values[:, 0], grid.t[None, :]
-    # the baseline carries zero lambda, lambda_t and source
-    base = replace(baseline, t_bar=grid.T_end, provenance="control")
+    # the classical solution on the whole grid, with zero lambda, lambda_t and source
+    back, zero = solve_unstable_backward(final, params, grid), constant_field(grid, 0.0)
+    base = SolutionTriple(back.u_bar, back.v_bar, zero, grid.T_end, "control", lam_t=zero,
+                          source=np.zeros(grid.n_x))
+    u0, t = back.u0, grid.t[None, :]
 
     def field(values) -> Field2D:
         return Field2D(grid, np.broadcast_to(values, (grid.n_x, grid.n_t)).copy(), "control")
@@ -699,10 +697,12 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
     # forward diffusion in the unstable branch: the baseline reversed in time
     reversed_base = replace(base, u=field(base.u.values[:, ::-1]),
                             v=field(base.v.values[:, ::-1]))
-    # a certified sourced triple, and a relaxed solution in a stable branch
-    sourced = sourced.restricted()
+    # a certified sourced triple, violated at its middle sample, and a relaxed
+    # solution in a stable branch
+    sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)[1]
     lam_over, rate_under = sourced.lam.values.copy(), sourced.lam_t.values.copy()
-    lam_over[17, 5], rate_under[17, 5] = 1.0 + 1e-3, -1e-3
+    mid = (17, sourced.grid.n_t // 2)
+    lam_over[mid], rate_under[mid] = 1.0 + 1e-3, -1e-3
     relaxed = solve_pseudoparabolic(c + 0.75 * (c - b) + 0.125 * (c - b) * np.cos(grid.x),
                                     0.05, params, grid)
     return [

@@ -5,14 +5,19 @@ affine continuations and the separable factors directly.  Each helper states
 a definition in its textbook form, with the domain guard or the dense outer
 product that the package leaves out, so the tests can hold the package's
 fast paths to it.  The random phase diagrams that several test modules run
-on are drawn here too.
+on are drawn here too, and a sourced triple is assembled past the certified
+window that ``construct_family`` cuts it to.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
+from fbplab.counterexample import SolutionTriple, assemble_state, build_lambda
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
                                 branch_gap_extended, certificate_integrand_extended, eval_phi)
+from fbplab.solvers import solve_sourced
 from fbplab.spectral import (CosineSeries, Field2D, analysis_matrix, cosine_basis,
                              cosine_eigenvalues, field_from_modes, mode_exponential)
 
@@ -154,6 +159,21 @@ def sequential_relaxation_oracle(u0, eps: float, params: PhaseParams, grid) -> n
                 (j - start) * exponents[i], u_modes[:, start] != 0, "relaxation step"), None
         u_modes[:, j] = state
     return u_modes
+
+
+def uncut_sourced_triple(f: CosineSeries, v0: np.ndarray, params: PhaseParams, grid,
+                         n_t: int | None = None) -> SolutionTriple:
+    """The sourced triple of ``f`` from the flux datum ``v0`` on the first ``n_t``
+    samples of ``grid`` (all of them by default), assembled from the public pieces
+    of ``construct_family`` but neither certified (t_bar stays 0) nor cut to its
+    certified window, so it can run past the horizon that the family records."""
+    sol = solve_sourced(f, v0, params.sigma_abs, grid)
+    if n_t is not None:
+        sol = replace(sol, v=sol.v.restrict(n_t), v_modes=sol.v_modes[:, :n_t],
+                      vt_modes=sol.vt_modes[:, :n_t])
+    lam, lam_t = build_lambda(sol, params)
+    return SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0, "uncut",
+                          lam_t=lam_t, source=sol.source)
 
 
 def vxx_field(sol) -> Field2D:

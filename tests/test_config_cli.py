@@ -153,6 +153,34 @@ class TestCounterexampleCommand:
                 at = [line.split(":")[0] for line in meta].index("certified_horizon")
                 assert meta[at + 1] == f"binding_condition: {binding}"
 
+    def test_fields_hold_exactly_the_judged_samples(self, small_config, monkeypatch):
+        # each field file, read back with float(), is the triple the battery
+        # checked, bit for bit, and ends at the certified horizon of its meta file
+        judged, battery = [], fbplab.verifier.run_triple_battery
+
+        def recording(triple, *args):
+            judged.append(triple)
+            return battery(triple, *args)
+
+        monkeypatch.setattr(fbplab.verifier, "run_triple_battery", recording)
+        cfg, path = small_config
+        assert main(["counterexample", "--config", str(path)]) == 0
+        fields = Path(cfg.output_dir) / "fields"
+        assert len(judged) == 3
+        for i, triple in enumerate(judged):
+            kind = "baseline" if i == 0 else "sourced"
+            for name in ("u", "v", "lam"):
+                stem = fields / f"triple{i:02d}_{kind}_{name}"
+                lines = stem.with_suffix(".csv").read_text().splitlines()[1:]
+                rows = np.array([[float(cell) for cell in line.split("\t")]
+                                 for line in lines])
+                assert rows[:, 0].tobytes() == triple.grid.t.tobytes(), stem.name
+                want = np.ascontiguousarray(getattr(triple, name).values.T)
+                assert rows[:, 1:].tobytes() == want.tobytes(), stem.name
+                meta = dict(line.split(": ", 1) for line in
+                            stem.with_suffix(".meta.txt").read_text().splitlines())
+                assert rows[-1, 0] == float(meta["certified_horizon"]) == triple.t_bar
+
     def test_empty_sources_reports_family_of_one(self, small_config, tmp_path):
         cfg, _ = small_config
         cfg = dataclasses.replace(cfg, sources=(), output_dir=tmp_path / "solo")

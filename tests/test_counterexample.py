@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
-from fbplab import spectral
+from fbplab import counterexample, spectral
 from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
                                    certify_horizon, construct_family)
 from fbplab.errors import DomainViolationError, GridMismatchError, NearSingularError
@@ -20,7 +20,7 @@ from fbplab.phase_model import (PhaseParams, branch_gap_extended, beta0_extended
                                 beta2_extended)
 from fbplab.solvers import solve_sourced, solve_unstable_backward
 from fbplab.spectral import CosineSeries, Field2D, Grid, analyze_columns, synthesize_columns
-from oracles import vt_field
+from oracles import uncut_sourced_triple, vt_field
 
 L = np.pi
 
@@ -50,6 +50,15 @@ def midpoint_setup(params, midpoint_grid):
     sol = solve_sourced(CosineSeries(L, [1.0]), back.v_bar.values[:, 0], 1.0,
                         midpoint_grid)
     return back, sol
+
+
+@pytest.fixture(scope="module")
+def one_sample_past(family, default_sources, backward, params, grid):
+    """Each reference sourced triple assembled on one sample past its certified
+    window, where the condition that ends its horizon fails."""
+    return [uncut_sourced_triple(f, backward.v_bar.values[:, 0], params, grid,
+                                 triple.grid.n_t + 1)
+            for triple, f in zip(family[1:], default_sources, strict=True)]
 
 
 def lambda_oracle(sol, params):
@@ -211,20 +220,26 @@ class TestCertifyHorizon:
     def test_margin_above_source_maximum_gives_zero(self, family, params):
         assert certify_horizon(family[1], params, delta=2.0)[0] == 0.0
 
-    def test_binding_conditions(self, family, midpoint_setup, params, midpoint_grid):
+    def test_binding_conditions(self, family, one_sample_past, midpoint_setup, params,
+                                midpoint_grid):
         # the reference sources all stop where v leaves (A + delta, B], which is
         # perfbench's closed-form horizon; the baseline holds on the whole window
         assert [t.binding for t in family] == [""] + ["flux in (A+delta, B]"] * 3
         for triple in family:
-            assert certify_horizon(triple, params, 0.05) == (triple.t_bar, triple.binding)
+            # a family triple holds its certified window, on which every margin holds
+            assert certify_horizon(triple, params, 0.05) == (triple.t_bar, "")
             assert triple.restricted().binding == triple.binding
+        for triple, past in zip(family[1:], one_sample_past):
+            assert certify_horizon(past, params, 0.05) == (triple.t_bar, triple.binding)
         back, _ = midpoint_setup
         low = self.sourced_triple(0.01, back, params, midpoint_grid)
         assert certify_horizon(low, params, 0.05) == (0.0, "excess rate m >= delta")
 
-    def test_excess_rate_is_read_not_projected(self, family, params, monkeypatch):
+    def test_excess_rate_is_read_not_projected(self, family, one_sample_past, params,
+                                               monkeypatch):
         # m = f exactly per mode, so condition (ii) reads the source profile: no
-        # fbplab module projects v while certifying any reference triple
+        # fbplab module projects v while certifying any reference triple, on its
+        # certified window or one sample past it
         calls = []
         original = spectral.analyze_columns
 
@@ -236,7 +251,9 @@ class TestCertifyHorizon:
             if name.startswith("fbplab") and getattr(module, "analyze_columns", None) is original:
                 monkeypatch.setattr(module, "analyze_columns", spy)
         for triple in family:
-            assert certify_horizon(triple, params, 0.05) == (triple.t_bar, triple.binding)
+            assert certify_horizon(triple, params, 0.05) == (triple.t_bar, "")
+        for triple, past in zip(family[1:], one_sample_past):
+            assert certify_horizon(past, params, 0.05) == (triple.t_bar, triple.binding)
         assert calls == []
 
     def test_excess_rate_keeps_no_projection(self, final_datum, default_sources, params,
@@ -249,14 +266,13 @@ class TestCertifyHorizon:
     def test_certified_region_respects_margins(self, family, params):
         delta = 0.05
         for triple in family[1:]:
-            r = triple.restricted()
-            gap = branch_gap_extended(params, r.v.values)
+            gap = branch_gap_extended(params, triple.v.values)
             assert gap.min() >= delta
-            assert r.lam.values.min() >= 0.0
-            assert r.lam.values.max() <= 1.0 - delta
-            assert r.v.values.min() > params.A + delta
-            assert r.v.values.max() <= params.B
-            assert r.lam_t.values.min() >= -1e-8
+            assert triple.lam.values.min() >= 0.0
+            assert triple.lam.values.max() <= 1.0 - delta
+            assert triple.v.values.min() > params.A + delta
+            assert triple.v.values.max() <= params.B
+            assert triple.lam_t.values.min() >= -1e-8
 
 
 class TestSolutionTriple:
@@ -347,14 +363,13 @@ class TestConstructFamily:
     def test_construction_identity_on_certified_region(self, family, params):
         # lambda gap(v) + beta0(v) - beta0(v(.,0)) - int v_xx = 0
         for triple in family[1:]:
-            r = triple.restricted()
-            g = r.grid
-            modes = analyze_columns(r.v.values, g.L, g.n_modes)
+            g = triple.grid
+            modes = analyze_columns(triple.v.values, g.L, g.n_modes)
             vxx = synthesize_columns(-(g.mu()[:, None] * modes), g.L, g.x)
             cum = cumulative_simpson(vxx, x=g.t, axis=1, initial=0.0)
-            lhs = (r.lam.values * branch_gap_extended(params, r.v.values)
-                   + beta0_extended(params, r.v.values)
-                   - beta0_extended(params, r.v.values[:, [0]]) - cum)
+            lhs = (triple.lam.values * branch_gap_extended(params, triple.v.values)
+                   + beta0_extended(params, triple.v.values)
+                   - beta0_extended(params, triple.v.values[:, [0]]) - cum)
             assert np.max(np.abs(lhs)) < 1e-6
 
     def test_state_gap_is_its_closed_form(self, family, default_sources, params):
@@ -374,20 +389,58 @@ class TestConstructFamily:
             want[on] = fk[on, None] * g.t * (1.0 - ratio)
             assert np.max(np.abs(gap - want)) <= 1e-13
             worst = max(worst, np.max(np.abs(gap)))
-        assert worst > 1.0
+        assert worst > 0.25        # 0.30 at most on the certified windows
 
-    def test_unit_source_witness(self, family, grid):
-        # same u, v shifted by exactly t, weight strictly positive for t > 0
+    def test_unit_source_witness(self, family):
+        # same u, v shifted by exactly t, weight strictly positive for t > 0, on
+        # the unit triple's certified window
         base, unit = family[0], family[1]
-        assert np.max(np.abs(base.u.values - unit.u.values)) < 1e-8
-        shift = unit.v.values - base.v.values
-        assert np.max(np.abs(shift - grid.t[None, :])) < 1e-10
+        n = unit.grid.n_t
+        assert np.max(np.abs(base.u.values[:, :n] - unit.u.values)) < 1e-8
+        shift = unit.v.values - base.v.values[:, :n]
+        assert np.max(np.abs(shift - unit.grid.t[None, :])) < 1e-10
         assert np.all(unit.lam.values[:, 1:] > 0)
 
     def test_nonconstant_sources_differ_in_state(self, family, grid):
         j = grid.time_index(grid.t[60])
         d = family[2].u.values[:, j] - family[3].u.values[:, j]
         assert np.sqrt(np.trapezoid(d * d, grid.x)) > 1e-3
+
+    def test_triples_view_their_certified_window(self, final_datum, default_sources, params,
+                                                 grid, monkeypatch):
+        # every triple keeps round(t_bar/dt) + 1 samples, at least two, as a
+        # read-only view of what the construction formed, and cutting it again
+        # keeps every sample
+        formed = []
+
+        def recording(step):
+            def run(*args):
+                formed.append(step(*args))
+                return formed[-1]
+            return run
+
+        for name in ("solve_unstable_backward", "solve_sourced", "build_lambda",
+                     "assemble_state"):
+            monkeypatch.setattr(counterexample, name,
+                                recording(getattr(counterexample, name)))
+        family = construct_family(final_datum, default_sources, params, grid)
+        back, per_source = formed[0], [formed[i:i + 3] for i in range(1, len(formed), 3)]
+        parents = [(back.u_bar, back.v_bar)] + [
+            (u, sol.v, lam, lam_t) for sol, (lam, lam_t), u in per_source]
+        for triple, made in zip(family, parents, strict=True):
+            n_t = max(2, int(round(triple.t_bar / grid.dt)) + 1)
+            assert triple.grid.n_t == n_t
+            for name, parent in zip(("u", "v", "lam", "lam_t"), made):
+                held = getattr(triple, name).values
+                assert np.shares_memory(held, parent.values), name
+                assert not held.flags.writeable
+                assert held.tobytes() == parent.values[:, :n_t].tobytes()
+            again = triple.restricted()
+            assert again.grid == triple.grid
+            assert all(getattr(again, name).values.tobytes()
+                       == getattr(triple, name).values.tobytes()
+                       for name in ("u", "v", "lam", "lam_t"))
+        assert all(t.grid.n_t < grid.n_t for t in family[1:])
 
     def test_restricted_window_lengths(self, family, grid):
         for triple in family:

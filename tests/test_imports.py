@@ -1,12 +1,14 @@
 """Every module of the package reads each name it imports, no package code is
-reached only from the tests, every dataclass field is read, and mpmath is
-loaded only by the steps that run in extended precision.
+reached only from the tests, every function and method of the package runs in
+some command, every dataclass field is read, and mpmath is loaded only by the
+steps that run in extended precision.
 
 No linter is a dependency of the project, so the checks walk each module's
 syntax tree with the standard library's ``ast``.  The import check leaves
 ``__init__.py`` out: it imports names to re-export them.  The reach check counts
 those re-exports, which are the public interface, and the benchmark's sources
-under ``perfbench/``, which time package functions by name.
+under ``perfbench/``, which time package functions by name.  It goes by name
+only, so the call check (``sys.setprofile``) holds each method to its own class.
 """
 
 import ast
@@ -93,6 +95,112 @@ def test_package_code_is_reached_outside_the_tests():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     assert unreached(sources, bench) == []
+
+
+def defined_functions(source: str) -> list[str]:
+    """Qualified name of every function and method that ``source`` defines, as its
+    code object names it: ``Class.method``, ``outer.<locals>.inner``."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+#: argv: package, record, workdir, code.  Runs ``code`` with ``workdir`` bound to a
+#: Path under a profile hook and writes to ``record`` the ``module.qualname`` of every
+#: code object that it enters, imports included, in a module of ``package``
+PROFILED_RUN = """
+import sys
+from pathlib import Path
+
+package, record, workdir, code = sys.argv[1:]
+entered = set()
+sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code) if event == "call" else None)
+exec(code, {"__name__": "__main__", "workdir": Path(workdir)})
+sys.setprofile(None)
+package = Path(package).resolve()
+Path(record).write_text("".join(sorted(f"{Path(c.co_filename).stem}.{c.co_qualname}\\n"
+                                       for c in entered
+                                       if Path(c.co_filename).resolve().parent == package)))
+"""
+
+
+def uncalled(package: Path, code: str, workdir: Path, path: list[Path]) -> list[str]:
+    """``module.qualname`` of each function and method defined in a module of
+    ``package`` that ``code`` never enters, run in a fresh interpreter with
+    ``path`` as its PYTHONPATH and ``workdir`` bound to the name ``workdir``."""
+    record = workdir / "called.txt"
+    done = subprocess.run([sys.executable, "-c", PROFILED_RUN, str(package), str(record),
+                           str(workdir), code], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))})
+    assert done.returncode == 0, done.stderr
+    called = set(record.read_text().splitlines())
+    return [f"{p.stem}.{name}" for p in sorted(package.glob("*.py"))
+            for name in defined_functions(p.read_text()) if f"{p.stem}.{name}" not in called]
+
+
+PLANTED = ("class Live:\n    def label(self):\n        return 'live'\n\n"
+           "class Dead:\n    def label(self):\n        return 'dead'\n\n"
+           "    def _nested(self):\n        def inner():\n            return 0\n"
+           "        return inner()\n\n"
+           "def run():\n    return Live().label(), Dead()._nested()\n")
+
+
+def test_the_call_check_holds_each_method_to_its_class(tmp_path):
+    # Dead.label shares its name with the live Live.label, which the name-based
+    # reach check cannot tell apart
+    (tmp_path / "planted.py").write_text(PLANTED)
+    assert unreached({"planted.py": PLANTED}, "run") == []
+    assert uncalled(tmp_path, "import planted\nplanted.run()\n", tmp_path, [tmp_path]) == [
+        "planted.Dead.label"]
+
+
+#: package functions that no command calls, kept for their other readers; a name
+#: leaves this list once a command calls it
+NEVER_CALLED = [
+    # perfbench's span list times these four single-check views by name
+    "phase_model.certificate_integrand_extended",
+    "verifier.certificate_identity_error",
+    "verifier.pointwise_certificate",
+    "verifier.viscous_entropy_residual",
+    # public, and imported by the tests
+    "verifier.entropy_inequality_residual",
+]
+
+#: the reference commands and the seed check, a scenario file written by
+#: ``ScenarioConfig.to_file`` and read back by ``--config``, and the branch-crossing
+#: relaxation that the reference commands leave out
+EVERY_COMMAND = """
+import numpy as np
+
+from fbplab import cli
+from fbplab.config import ScenarioConfig
+from fbplab.phase_model import PhaseParams
+from fbplab.solvers import solve_pseudoparabolic
+from fbplab.spectral import Grid
+from test_golden import COMMANDS, run_reference
+
+run_reference(workdir)
+ScenarioConfig.default().to_file(workdir / "scenario.ini")
+assert cli.main(["--config", str(workdir / "scenario.ini"), "--out", str(workdir / "from_file"),
+                 *COMMANDS["inverse"]]) == 0
+grid = Grid(L=np.pi, T_end=1.0, n_x=128, n_t=256, n_modes=32)
+solve_pseudoparabolic(0.9 * np.cos(grid.x), 1e-3, PhaseParams.default(), grid)
+"""
+
+
+def test_every_package_function_runs_in_a_command(tmp_path):
+    found = uncalled(PACKAGE, EVERY_COMMAND, tmp_path, [ROOT / "src", ROOT / "tests"])
+    assert sorted(found) == sorted(NEVER_CALLED)
 
 
 def unread_fields(sources: dict[str, str], elsewhere: str) -> list[str]:

@@ -15,7 +15,7 @@ from scipy.integrate import cumulative_simpson, simpson
 from fbplab import spectral
 from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
-from fbplab.phase_model import (EntropyFlux, beta0_extended, beta2_extended,
+from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
                                 branch_gap_extended, branch_image_primitives,
                                 certificate_from_primitives, entropy_primitive)
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
@@ -32,7 +32,8 @@ from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
                              weak_residual, _flux_pass, _row_blocks, _weighted_factors)
-from oracles import psi, psi_t, psi_x, random_diagrams, running_simpson_oracle
+from oracles import (psi, psi_t, psi_x, random_diagrams, running_simpson_oracle,
+                     uncut_sourced_triple)
 
 L = np.pi
 
@@ -40,6 +41,12 @@ L = np.pi
 @pytest.fixture(scope="module")
 def restricted_family(family):
     return [t.restricted() for t in family]
+
+
+@pytest.fixture(scope="module")
+def past_horizon(default_sources, backward, params, grid):
+    """The 1-mode source's triple on the whole grid, past its certified horizon."""
+    return uncut_sourced_triple(default_sources[1], backward.v_bar.values[:, 0], params, grid)
 
 
 class TestWeakResidual:
@@ -217,12 +224,11 @@ def assert_same_pass(triple, params):
 
 @pytest.fixture(scope="module")
 def blocked_family(params):
-    """Restricted triples on 203 x 1201: several row blocks, the last one short by
+    """Certified triples on 203 x 1201: several row blocks, the last one short by
     a row count that is 3 mod 4."""
     grid = Grid(L, 1.0, 203, 1201, 32)
     sources = [CosineSeries(L, [1.0]), CosineSeries(L, [1.0, 0.0, 0.3])]
-    return [t.restricted()
-            for t in construct_family(CosineSeries(L, [0.0, 0.1]), sources, params, grid)]
+    return construct_family(CosineSeries(L, [0.0, 0.1]), sources, params, grid)
 
 
 class TestBlockedFluxPass:
@@ -262,7 +268,7 @@ class TestBlockedFluxPass:
         # the whole-field pass peaks near 10 field sizes on this triple
         grid = Grid(L, 1.0, 128, 2048, 32)
         triple = construct_family(CosineSeries(L, [0.0, 0.1]), [CosineSeries(L, [1.0])],
-                                  params, grid)[1].restricted()
+                                  params, grid)[1]
         assert len(_row_blocks(params, triple.v.values)) >= 8
         tests = default_entropy_tests(grid.L, grid.T_end)
         tracemalloc.start()
@@ -295,7 +301,7 @@ class TestBatteryFootprint:
             for triple in family:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                assert run_triple_battery(triple.restricted(), u0, params).passed
+                assert run_triple_battery(triple, u0, params).passed
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
@@ -315,7 +321,7 @@ class TestQuadratureResolution:
         params = PhaseParams(0.0, 1.0, 0.0, 3.0, 4.0, 4.0)
         grid = Grid(L, 1.0, n_x, 256, 32)
         base = construct_family(CosineSeries(L, [0.5, 0.1]), [], params, grid)[0]
-        return run_triple_battery(base.restricted(), base.u.values[:, 0],
+        return run_triple_battery(base, base.u.values[:, 0],
                                   params).entry("entropy-inequality")
 
     @pytest.mark.xfail(strict=True, reason="x-quadrature error (-1.18e-6) exceeds the "
@@ -340,7 +346,7 @@ class TestHighModeBaselineResolution:
     def baseline_report(params, n_t):
         grid = Grid(L, 1.0, 128, n_t, 32)
         base = construct_family(CosineSeries(L, [0.0] * 8 + [0.1]), [], params, grid)[0]
-        return run_triple_battery(base.restricted(), base.u.values[:, 0], params)
+        return run_triple_battery(base, base.u.values[:, 0], params)
 
     @pytest.mark.xfail(strict=True, reason="time-discretization error (state-evolution "
                        "1.51e-5, certificate-identity 5.78e-2) exceeds the absolute "
@@ -454,13 +460,13 @@ class TestStructural:
             rep = structural_check(triple, backward.u0, params)
             assert rep.passed, rep.to_text()
 
-    def test_sweep_past_horizon_flags_jump_clause(self, family, backward, params):
+    def test_sweep_past_horizon_flags_jump_clause(self, family, past_horizon, backward,
+                                                  params):
         # the 1-mode source crosses v = B after its horizon with weight < 1
-        full = family[2]
-        rep = structural_check(full, backward.u0, params)
+        rep = structural_check(past_horizon, backward.u0, params)
         entry = rep.entry("upper-jump-clause")
         assert not entry.passed
-        assert entry.t > full.t_bar
+        assert entry.t > family[2].t_bar
 
     def test_boundary_flux_trace_measured_small(self, restricted_family, backward, params):
         # band-limited fields: the stencil reads only what the cosine projection
@@ -474,7 +480,7 @@ class TestStructural:
         # and refuses its sampled datum
         final = CosineSeries(L, [0.0] * 8 + [0.1])
         base = construct_family(final, [], params, grid)[0]
-        entry = run_triple_battery(base.restricted(), base.u.values[:, 0],
+        entry = run_triple_battery(base, base.u.values[:, 0],
                                    params).entry("boundary-flux")
         assert entry.passed and entry.residual < 1e-12
         sampled = solve_unstable_backward(0.1 * np.cos(8 * grid.x), params, grid)
@@ -518,6 +524,17 @@ class TestNegativeControls:
     def test_every_control_rejected_on_a_random_diagram(self, diagram):
         # the control data follow the diagram, so no draw is left out or re-seeded;
         # a draw that misses a control is pinned as a strict xfail naming it
+        results = negative_controls(diagram)
+        assert len(results) == 14
+        for name, rejected, detail in results:
+            assert rejected, f"{name} slipped through ({detail})"
+
+    @pytest.mark.parametrize("diagram", [PhaseParams(-0.05, 0.05, -1.0, 1.0),
+                                         PhaseParams(-1.0, 1.0, -0.05, 0.05)],
+                             ids=["five-sample-window", "zero-horizon"])
+    def test_every_control_rejected_on_a_short_certified_window(self, diagram):
+        # the sourced control keeps 5 samples on the first diagram and 2 on the
+        # second (T_bar = 0); its weight violators must lie inside that window
         results = negative_controls(diagram)
         assert len(results) == 14
         for name, rejected, detail in results:
@@ -570,8 +587,8 @@ class TestReports:
         assert len(lines) == len(rep.checks) + 1
         assert all(len(row.split("\t")) == 5 for row in lines[1:])
 
-    def test_text_rendering_flags_failures(self, family, backward, params):
-        rep = structural_check(family[2], backward.u0, params)
+    def test_text_rendering_flags_failures(self, past_horizon, backward, params):
+        rep = structural_check(past_horizon, backward.u0, params)
         text = rep.to_text()
         assert "FAIL" in text and "upper-jump-clause" in text
 
