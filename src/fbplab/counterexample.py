@@ -42,10 +42,10 @@ class SolutionTriple:
     The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
     certified horizon, ``binding`` the condition that ends it, a margin or the end
     of the construction window ("" when it is the whole grid), and ``lam_t`` the
-    analytic weight rate.  All four fields live on one grid: [0, t_bar] for a triple
-    of ``construct_family``.  ``source`` is the (n_x,) profile f(x) driving v (zeros
-    for a weight-zero triple), held or copied read-only like a field's samples:
-    the excess rate m = v_xx + |sigma| v_t equals it exactly, mode by mode.
+    analytic weight rate.  All four fields live on one grid, [0, t_bar] for a triple
+    of ``construct_family``, and own its samples.  ``source`` is the (n_x,) profile
+    f(x) driving v (zeros for a weight-zero triple), held or copied read-only like a
+    field's samples: the excess rate m = v_xx + |sigma| v_t equals it exactly.
     """
 
     u: Field2D
@@ -69,13 +69,6 @@ class SolutionTriple:
     @property
     def grid(self) -> Grid:
         return self.u.grid
-
-    def restricted(self) -> "SolutionTriple":
-        """The triple on its certified window [0, t_bar], viewing this triple's
-        samples (``Field2D.restrict``); a ``construct_family`` triple keeps every sample."""
-        n_keep = max(2, min(int(round(self.t_bar / self.grid.dt)) + 1, self.grid.n_t))
-        return replace(self, u=self.u.restrict(n_keep), v=self.v.restrict(n_keep),
-                       lam=self.lam.restrict(n_keep), lam_t=self.lam_t.restrict(n_keep))
 
 
 def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Field2D]:
@@ -148,8 +141,8 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
     whole window: a classical weight-zero solution, whose monotonicity clause
     holds identically.  The horizon is 0.0 when no positive time qualifies.
     """
-    if delta <= 0:
-        raise ConfigurationError("certification margin delta must be positive")
+    if not (np.isfinite(delta) and delta > 0):
+        raise ConfigurationError("certification margin delta must be finite and positive")
     v = triple.v.values
     lam = triple.lam.values
     rate_ok = np.broadcast_to((triple.source[:, None] >= delta) | (not lam.any()), v.shape)
@@ -161,6 +154,16 @@ def certify_horizon(triple: SolutionTriple, params: PhaseParams,
         "flux in (A+delta, B]": (v > params.A + delta) & (v <= params.B),
     })
     return float(triple.grid.t[j]), binding
+
+
+def _certified(triple: SolutionTriple, params: PhaseParams, delta: float) -> SolutionTriple:
+    """The triple certified and cut to its first round(t_bar/dt) + 1 samples, at least
+    two; a margin that ends the horizon replaces the binding it was built with."""
+    t_bar, binding = certify_horizon(triple, params, delta)
+    n_keep = max(2, int(round(t_bar / triple.grid.dt)) + 1)
+    return replace(triple, t_bar=t_bar, binding=binding or triple.binding,
+                   **{name: getattr(triple, name).restrict(n_keep)
+                      for name in ("u", "v", "lam", "lam_t")})
 
 
 def _build_window(sol: SourcedSolution, params: PhaseParams) -> tuple[int, str]:
@@ -179,40 +182,40 @@ def _build_window(sol: SourcedSolution, params: PhaseParams) -> tuple[int, str]:
     return j + 1, binding
 
 
+def _sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhaseParams,
+                    grid: Grid, delta: float) -> SolutionTriple:
+    """The certified triple of source ``idx``, built on its construction window,
+    whose end binds the horizon where no margin does."""
+    sol = solve_sourced(f, v0, params.sigma_abs, grid)
+    if np.min(sol.source) < delta:
+        raise DomainViolationError(
+            f"source {idx} dips to {np.min(sol.source):.4g}, below the positivity "
+            f"margin c2 = {delta:g}")
+    n_build, window_end = _build_window(sol, params)
+    sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
+                  vt_modes=sol.vt_modes[:, :n_build])
+    lam, lam_t = build_lambda(sol, params)
+    coeffs = ", ".join(format(c, "g") for c in f.as_float())
+    return _certified(SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0,
+                                     f"sourced(f=[{coeffs}])", lam_t=lam_t,
+                                     source=sol.source, binding=window_end), params, delta)
+
+
 def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
                      grid: Grid, delta: float = DELTA) -> list[SolutionTriple]:
     """Baseline plus one sourced triple per source, all sharing u(.,0).
 
     Sources must synthesize to values >= delta (the certification margin c2);
     a violating source aborts the construction naming its index.  Each sourced
-    triple is built on the largest usable prefix of the grid.  Every triple is
-    returned on its certified window [0, t_bar]: its first round(t_bar/dt) + 1
-    samples, at least two, as read-only views of the construction arrays.
+    triple is built on the largest usable prefix of the grid.  Each triple is cut to
+    its certified window [0, t_bar], its first round(t_bar/dt) + 1 samples (at least
+    two), before the next is built, so the family holds no sample past any t_bar.
     """
     back = solve_unstable_backward(g_final, params, grid)
     zero = constant_field(grid, 0.0, "stable-phase weight")
     baseline = SolutionTriple(back.u_bar, back.v_bar, zero, 0.0, "baseline",
                               lam_t=constant_field(grid, 0.0, "stable-phase weight rate"),
                               source=np.zeros(grid.n_x))
-    t_bar, binding = certify_horizon(baseline, params, delta)
-    triples = [replace(baseline, t_bar=t_bar, binding=binding)]
-
     v0 = back.v_bar.values[:, 0]
-    for idx, f in enumerate(sources):
-        sol = solve_sourced(f, v0, params.sigma_abs, grid)
-        if np.min(sol.source) < delta:
-            raise DomainViolationError(
-                f"source {idx} dips to {np.min(sol.source):.4g}, below the positivity "
-                f"margin c2 = {delta:g}")
-        n_build, window_end = _build_window(sol, params)
-        if n_build < grid.n_t:
-            sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
-                          vt_modes=sol.vt_modes[:, :n_build])
-        lam, lam_t = build_lambda(sol, params)
-        u = assemble_state(sol.v, lam, params)
-        coeffs = ", ".join(format(c, "g") for c in f.as_float())
-        triple = SolutionTriple(u, sol.v, lam, 0.0, f"sourced(f=[{coeffs}])", lam_t=lam_t,
-                                source=sol.source)
-        t_bar, binding = certify_horizon(triple, params, delta)
-        triples.append(replace(triple, t_bar=t_bar, binding=binding or window_end))
-    return [triple.restricted() for triple in triples]
+    return [_certified(baseline, params, delta)] + [
+        _sourced_triple(idx, f, v0, params, grid, delta) for idx, f in enumerate(sources)]

@@ -13,7 +13,7 @@ single-branch steps take their factors from it too, while the inverse source
 sampled field is projected once (``Field2D.modes``) and keeps its second
 derivative beside that projection (``Field2D.xx``); its space derivatives, the
 zero-flux test ``boundary_slopes`` among them, read the projection.  Samples
-are held read-only as given and copied only when given writeable
+are held read-only, as given when C-contiguous or broadcast and else copied
 (``read_only``), so a producer hands its fresh array over read-only.
 
 Field files hold Python's ``'%.17g'`` text of every sample, formatted in numpy
@@ -76,11 +76,11 @@ class Grid:
 
     @cached_property
     def t(self) -> np.ndarray:
-        t = np.linspace(0.0, self.T_end, self.n_t)
+        t = np.append(np.arange(self.n_t - 1) * self.dt, self.T_end)   # as np.linspace
         t.flags.writeable = False
         return t
 
-    @property
+    @cached_property
     def dt(self) -> float:
         return self.T_end / (self.n_t - 1)
 
@@ -95,10 +95,12 @@ class Grid:
         return j
 
     def with_time(self, n_keep: int) -> "Grid":
-        """Grid truncated to the first ``n_keep`` time samples (same spacing)."""
+        """Grid on the first ``n_keep`` time samples, bitwise (it keeps ``dt``)."""
         if n_keep < 2 or n_keep > self.n_t:
             raise ConfigurationError("truncated grid needs 2 <= n_keep <= n_t")
-        return Grid(self.L, float(self.t[n_keep - 1]), self.n_x, n_keep, self.n_modes)
+        grid = Grid(self.L, float(self.t[n_keep - 1]), self.n_x, n_keep, self.n_modes)
+        object.__setattr__(grid, "dt", self.dt)     # t[-1] / (n_keep - 1) may differ
+        return grid
 
 
 def cosine_eigenvalues(n_modes: int, L: float) -> np.ndarray:
@@ -248,9 +250,9 @@ def boundary_slopes(values: np.ndarray, modes: np.ndarray, L: float) -> np.ndarr
 
 
 def read_only(values) -> np.ndarray:
-    """float64 ``values``, read-only: a read-only array as given, else a copy."""
+    """float64 ``values``: a read-only C-contiguous or broadcast array as given, else a copy."""
     vals = np.asarray(values, dtype=float)
-    if vals.flags.writeable:
+    if vals.flags.writeable or not (vals.flags.c_contiguous or 0 in vals.strides):
         vals = vals.copy()
         vals.flags.writeable = False
     return vals
@@ -262,12 +264,11 @@ class Field2D:
     cosine projection ``modes`` and second x-derivative ``xx`` are formed on
     first use and kept.
 
-    ``values`` is read-only and finite.  A read-only array is held as given (a
-    producer's fresh samples, a view of another field's samples from
-    ``restrict``, one float64 broadcast by ``constant_field``); a writeable one
-    is copied (``read_only``).  Finiteness is checked on the distinct samples:
-    a broadcast axis is read at its first index, so a one-value field checks
-    its one value.
+    ``values`` is read-only and finite.  A read-only array is held as given when
+    C-contiguous (a producer's fresh samples) or broadcast (``constant_field``'s
+    one float64); any other, such as the window ``restrict`` cuts, is copied once
+    (``read_only``).  Finiteness is checked on the distinct samples: a broadcast
+    axis is read at its first index, so a one-value field checks its one value.
     """
 
     grid: Grid
@@ -288,13 +289,9 @@ class Field2D:
     @cached_property
     def modes(self) -> np.ndarray:
         """The cosine projection of the samples, one column per time sample."""
-        values = self.values
-        row, cell = values.strides
-        if cell != values.itemsize or row < cell * values.shape[1]:
-            # samples BLAS cannot read in place as rows of adjacent cells (a broadcast,
-            # reversed or column-major view) project laid out, as their contiguous copy
-            values = np.ascontiguousarray(values)
-        modes = analyze_columns(values, self.grid.L, self.grid.n_modes)
+        # BLAS reads no broadcast: it projects as its contiguous copy
+        modes = analyze_columns(np.ascontiguousarray(self.values), self.grid.L,
+                                self.grid.n_modes)
         modes.flags.writeable = False
         return modes
 
@@ -307,7 +304,7 @@ class Field2D:
         return xx
 
     def restrict(self, n_keep: int) -> "Field2D":
-        """The field on its first ``n_keep`` time samples, a view of its values."""
+        """The field on its first ``n_keep`` time samples, holding no others."""
         return Field2D(self.grid.with_time(n_keep), self.values[:, :n_keep], self.label)
 
 

@@ -372,9 +372,9 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[Entropy
     """Per flux: the entropy integrals over ``tests``, min lambda_t * certificate
     and the identity defect.  Each row block (``_row_blocks``) reads v, v_x,
     v_xx, lambda, lambda_t and the gap once for all fluxes, which form Gamma(v),
-    g, g', G*, the certificate and the defect on its rows only, from contiguous
-    copies of v, lambda and lambda_t (a restricted field's rows lie a parent row
-    apart).  The running min and max are exact (a zero minimum's sign follows
+    g, g', G*, the certificate and the defect on its rows only, reading the rows
+    of v, lambda and lambda_t in place (a field holds C-contiguous or broadcast
+    samples).  The running min and max are exact (a zero minimum's sign follows
     numpy's reduction order)."""
     grid, v, lam, rate = triple.grid, triple.v.values, triple.lam.values, triple.lam_t.values
     vx, vxx = _v_x(triple.v), triple.v.xx
@@ -382,7 +382,7 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[Entropy
     acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
     certs, defects = np.full(len(fluxes), np.inf), np.full(len(fluxes), -np.inf)
     for rows in _row_blocks(params, v):
-        vb, lb, rb = (np.ascontiguousarray(f[rows]) for f in (v, lam, rate))
+        vb, lb, rb = v[rows], lam[rows], rate[rows]
         rest = 1.0 - lb
         gap = branch_gap_extended(params, vb)
         for i, flux in enumerate(fluxes):

@@ -41,13 +41,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def restricted(family):
-    return [t.restricted() for t in family]
-
-
-@pytest.fixture(scope="module")
-def batteries(restricted, backward, params):
-    return [run_triple_battery(t, backward.u0, params) for t in restricted]
+def batteries(family, backward, params):
+    return [run_triple_battery(t, backward.u0, params) for t in family]
 
 
 # -- criterion 1: the multi-solution demonstration ---------------------------
@@ -115,11 +110,11 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    def test_entropy_and_certificate_everywhere(self, restricted, params):
+    def test_entropy_and_certificate_everywhere(self, family, params):
         worst_ent = np.inf
         worst_cert = np.inf
         fluxes = default_flux_battery()
-        for triple in restricted:
+        for triple in family:
             tests = default_entropy_tests(triple.grid.L, triple.grid.T_end)
             for flux in fluxes:
                 worst_cert = min(worst_cert, pointwise_certificate(triple, flux, params))
@@ -129,7 +124,7 @@ class TestCriterion2:
         ok = worst_ent >= -1e-6 and worst_cert >= -1e-8
         report(2, ok, f"min entropy residual {worst_ent:.2e} >= -1e-6, "
                       f"min certificate {worst_cert:.2e} >= -1e-8 "
-                      f"({len(fluxes)} fluxes x 6 tests x {len(restricted)} triples)")
+                      f"({len(fluxes)} fluxes x 6 tests x {len(family)} triples)")
 
     def test_proof_identity_order(self, params, final_datum):
         # simultaneous (dx, dt) halving; C1 fluxes (the clamp corners are only
@@ -271,11 +266,10 @@ class TestCriterion6:
 
 
 class TestCriterion7:
-    def test_upper_weight_nondecreasing_with_bounded_variation(self, restricted,
-                                                               params):
+    def test_upper_weight_nondecreasing_with_bounded_variation(self, family, params):
         worst = np.inf
         tvs = []
-        for triple in restricted:
+        for triple in family:
             rep = monotonicity_report(triple, params)
             entry = rep.entry("lambda2-monotone")
             worst = min(worst, entry.residual)

@@ -15,7 +15,8 @@ from scipy.integrate import cumulative_simpson
 from fbplab import counterexample, spectral
 from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
                                    certify_horizon, construct_family)
-from fbplab.errors import DomainViolationError, GridMismatchError, NearSingularError
+from fbplab.errors import (ConfigurationError, DomainViolationError, GridMismatchError,
+                           NearSingularError)
 from fbplab.phase_model import (PhaseParams, branch_gap_extended, beta0_extended,
                                 beta2_extended)
 from fbplab.solvers import solve_sourced, solve_unstable_backward
@@ -220,6 +221,16 @@ class TestCertifyHorizon:
     def test_margin_above_source_maximum_gives_zero(self, family, params):
         assert certify_horizon(family[1], params, delta=2.0)[0] == 0.0
 
+    @pytest.mark.parametrize("delta", [0.0, -0.05, np.nan, np.inf])
+    def test_margin_must_be_finite_and_positive(self, delta, family, final_datum,
+                                                default_sources, params, grid):
+        # the rule of config.Margins: a NaN margin fails every comparison, and
+        # would otherwise certify each triple to t_bar = 0
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            certify_horizon(family[1], params, delta)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            construct_family(final_datum, default_sources, params, grid, delta=delta)
+
     def test_binding_conditions(self, family, one_sample_past, midpoint_setup, params,
                                 midpoint_grid):
         # the reference sources all stop where v leaves (A + delta, B], which is
@@ -228,7 +239,6 @@ class TestCertifyHorizon:
         for triple in family:
             # a family triple holds its certified window, on which every margin holds
             assert certify_horizon(triple, params, 0.05) == (triple.t_bar, "")
-            assert triple.restricted().binding == triple.binding
         for triple, past in zip(family[1:], one_sample_past):
             assert certify_horizon(past, params, 0.05) == (triple.t_bar, triple.binding)
         back, _ = midpoint_setup
@@ -406,11 +416,11 @@ class TestConstructFamily:
         d = family[2].u.values[:, j] - family[3].u.values[:, j]
         assert np.sqrt(np.trapezoid(d * d, grid.x)) > 1e-3
 
-    def test_triples_view_their_certified_window(self, final_datum, default_sources, params,
-                                                 grid, monkeypatch):
-        # every triple keeps round(t_bar/dt) + 1 samples, at least two, as a
-        # read-only view of what the construction formed, and cutting it again
-        # keeps every sample
+    def test_triples_own_their_certified_window(self, final_datum, default_sources, params,
+                                                grid, monkeypatch):
+        # every triple keeps round(t_bar/dt) + 1 samples, at least two, of what the
+        # construction formed, read-only, and shares memory with a formed array
+        # only where it keeps all of that array's samples
         formed = []
 
         def recording(step):
@@ -432,18 +442,29 @@ class TestConstructFamily:
             assert triple.grid.n_t == n_t
             for name, parent in zip(("u", "v", "lam", "lam_t"), made):
                 held = getattr(triple, name).values
-                assert np.shares_memory(held, parent.values), name
+                assert np.shares_memory(held, parent.values) == (n_t == parent.grid.n_t)
                 assert not held.flags.writeable
                 assert held.tobytes() == parent.values[:, :n_t].tobytes()
-            again = triple.restricted()
-            assert again.grid == triple.grid
-            assert all(getattr(again, name).values.tobytes()
-                       == getattr(triple, name).values.tobytes()
-                       for name in ("u", "v", "lam", "lam_t"))
         assert all(t.grid.n_t < grid.n_t for t in family[1:])
 
-    def test_restricted_window_lengths(self, family, grid):
+    def test_window_grids_are_the_first_samples(self, family, grid):
         for triple in family:
-            r = triple.restricted()
-            assert r.grid.n_t == int(round(triple.t_bar / grid.dt)) + 1
-            assert r.grid.T_end == pytest.approx(triple.t_bar)
+            n_t = int(round(triple.t_bar / grid.dt)) + 1
+            assert triple.grid.n_t == n_t
+            assert triple.grid.T_end == triple.t_bar
+            assert triple.grid.dt == grid.dt
+            assert triple.grid.t.tobytes() == grid.t[:n_t].tobytes()
+
+    @pytest.mark.parametrize("case", ["reference", "cut window"])
+    def test_family_retains_no_uncertified_sample(self, case, family, grid,
+                                                  cut_window_case):
+        # the array owning each field's memory holds exactly that triple's window,
+        # or the one float64 of a one-value field
+        triples, on = (family, grid) if case == "reference" else cut_window_case
+        for triple in triples:
+            window = on.n_x * max(2, int(round(triple.t_bar / on.dt)) + 1) * 8
+            for name in ("u", "v", "lam", "lam_t"):
+                owner = getattr(triple, name).values
+                while owner.base is not None:
+                    owner = owner.base
+                assert owner.nbytes in (window, 8), (triple.provenance, name)

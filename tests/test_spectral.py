@@ -47,6 +47,17 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             small_grid.time_index(0.5001)
 
+    @pytest.mark.parametrize("n_t", [97, 256, 1024, 2048])
+    def test_window_times_are_the_first_samples(self, n_t):
+        # rebuilt from t[n-1], the 97-sample grid's windows n = 26 and n = 51 would
+        # read t and dt one bit off the grid's own
+        grid = Grid(L=L, T_end=1.0, n_x=64, n_t=n_t, n_modes=16)
+        assert grid.t.tobytes() == np.linspace(0.0, 1.0, n_t).tobytes()
+        for n in range(2, n_t + 1):
+            window = grid.with_time(n)
+            assert window.dt == grid.dt, n
+            assert window.t.tobytes() == grid.t[:n].tobytes(), n
+
 
 class TestAnalyze:
     def test_constant_is_mode_zero(self, small_grid):
@@ -213,12 +224,14 @@ class TestField2D:
         assert r.grid.dt == pytest.approx(small_grid.dt)
         assert r.grid.T_end == pytest.approx(small_grid.t[32])
 
-    def test_restrict_is_a_read_only_view(self, small_grid):
+    def test_restrict_holds_its_window(self, small_grid):
+        # the strided window is copied once: the cut field owns exactly its samples
         vals = np.random.default_rng(7).normal(size=(small_grid.n_x, small_grid.n_t))
         f = Field2D(small_grid, vals)
         r = f.restrict(33)
-        assert np.shares_memory(r.values, f.values)
+        assert r.values.base is None and r.values.flags.c_contiguous
         assert r.values.tobytes() == vals[:, :33].tobytes()
+        assert f.restrict(small_grid.n_t).values.base is f.values
         assert r.modes.tobytes() == analyze_columns(vals[:, :33].copy(), L,
                                                     small_grid.n_modes).tobytes()
         with pytest.raises(ValueError):
@@ -239,10 +252,13 @@ class TestField2D:
         lambda a: np.repeat(a, 2, axis=1)[:, ::2],
     ], ids=["reversed", "broadcast-row", "column-major", "strided-columns"])
     def test_held_samples_project_as_their_contiguous_copy(self, small_grid, layout):
+        # a read-only broadcast is held as given; any other layout is copied once,
+        # laid out
         view = layout(np.random.default_rng(9).normal(size=(small_grid.n_x, small_grid.n_t)))
         view.flags.writeable = False
         f = Field2D(small_grid, view)
-        assert f.values is view
+        assert (f.values is view) == (0 in view.strides)
+        assert f.values.flags.c_contiguous or f.values is view
         laid_out = Field2D(small_grid, np.ascontiguousarray(view))
         assert f.modes.tobytes() == laid_out.modes.tobytes()
 

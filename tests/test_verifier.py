@@ -39,8 +39,11 @@ L = np.pi
 
 
 @pytest.fixture(scope="module")
-def restricted_family(family):
-    return [t.restricted() for t in family]
+def two_samples(family):
+    """The 1-mode source's triple on its first two samples, with t_bar = 0."""
+    t = family[1]
+    return SolutionTriple(t.u.restrict(2), t.v.restrict(2), t.lam.restrict(2), 0.0, "short",
+                          lam_t=t.lam_t.restrict(2), source=t.source)
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +53,11 @@ def past_horizon(default_sources, backward, params, grid):
 
 
 class TestWeakResidual:
-    def test_baseline_classical_solution(self, restricted_family, backward):
-        assert weak_residual(restricted_family[0], backward.u0) <= 1e-6
+    def test_baseline_classical_solution(self, family, backward):
+        assert weak_residual(family[0], backward.u0) <= 1e-6
 
-    def test_sourced_triples(self, restricted_family, backward):
-        for triple in restricted_family[1:]:
+    def test_sourced_triples(self, family, backward):
+        for triple in family[1:]:
             assert weak_residual(triple, backward.u0) <= 1e-6
 
     def test_refinement_decay(self, params):
@@ -70,37 +73,37 @@ class TestWeakResidual:
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= coarse / 4 + 1e-12
 
-    def test_grid_mismatch(self, restricted_family, params):
+    def test_grid_mismatch(self, family, params):
         with pytest.raises(ConfigurationError):
-            weak_residual(restricted_family[0], np.zeros(7))
+            weak_residual(family[0], np.zeros(7))
         # a 1-sample datum would broadcast against every row of u(., 0)
         with pytest.raises(GridMismatchError):
-            structural_check(restricted_family[1], np.zeros(1), params)
+            structural_check(family[1], np.zeros(1), params)
 
 
 class TestEntropyInequality:
-    def test_zero_test_function(self, restricted_family, params):
+    def test_zero_test_function(self, family, params):
         # a time window beyond the rectangle synthesizes to the zero function
         dead = ModeProductTest(1, 2.0, 2.5)
-        val = entropy_inequality_residual(restricted_family[1],
+        val = entropy_inequality_residual(family[1],
                                           EntropyFlux.identity(), dead, params)
         assert val == 0.0
 
-    def test_constant_flux_on_classical_solution(self, restricted_family, params):
+    def test_constant_flux_on_classical_solution(self, family, params):
         test = BumpTest(0.5 * L, 0.5, 0.2 * L, 0.2)
-        val = entropy_inequality_residual(restricted_family[0],
+        val = entropy_inequality_residual(family[0],
                                           EntropyFlux.clamp(3.0, 3.0), test, params)
         assert val >= -1e-6
 
     @pytest.mark.parametrize("flux", default_flux_battery(), ids=lambda f: f.label())
-    def test_certified_triples_admissible(self, restricted_family, params, flux):
-        for triple in restricted_family:
+    def test_certified_triples_admissible(self, family, params, flux):
+        for triple in family:
             for test in default_entropy_tests(triple.grid.L, triple.grid.T_end):
                 assert entropy_inequality_residual(triple, flux, test, params) >= -1e-6
 
-    def test_note_names_the_worst_pair(self, restricted_family, backward, params):
+    def test_note_names_the_worst_pair(self, family, backward, params):
         # the row's note names the (flux, test) pair whose integral is the residual
-        for triple in restricted_family:
+        for triple in family:
             entry = run_triple_battery(triple, backward.u0, params).entry("entropy-inequality")
             fluxes = {f.label(): f for f in default_flux_battery()}
             tests = {t.label(): t
@@ -111,33 +114,33 @@ class TestEntropyInequality:
 
 
 class TestPointwiseCertificate:
-    def test_zero_weight_triple_is_exactly_zero(self, restricted_family, params):
+    def test_zero_weight_triple_is_exactly_zero(self, family, params):
         for flux in default_flux_battery():
-            assert pointwise_certificate(restricted_family[0], flux, params) == 0.0
+            assert pointwise_certificate(family[0], flux, params) == 0.0
 
-    def test_constant_flux_gives_zero(self, restricted_family, params):
+    def test_constant_flux_gives_zero(self, family, params):
         constant = EntropyFlux.clamp(1.0, 1.0)
-        assert pointwise_certificate(restricted_family[1], constant,
+        assert pointwise_certificate(family[1], constant,
                                      params) == pytest.approx(0.0, abs=1e-12)
 
-    def test_sourced_triples_strictly_positive_factors(self, restricted_family, params):
+    def test_sourced_triples_strictly_positive_factors(self, family, params):
         # both factors positive away from t = 0 for the unit source
-        triple = restricted_family[1]
+        triple = family[1]
         val = pointwise_certificate(triple, EntropyFlux.identity(), params)
         assert val >= 0.0
 
-    def test_identity_defect_small_at_default_resolution(self, restricted_family, params):
+    def test_identity_defect_small_at_default_resolution(self, family, params):
         for flux in (EntropyFlux.identity(), EntropyFlux.saturating(1.0)):
-            for triple in restricted_family:
+            for triple in family:
                 assert certificate_identity_error(triple, flux, params) < 1e-3
 
 
 class TestOneEntropyPass:
     """The battery's entropy residuals come from the standalone checks' formulas."""
 
-    def test_battery_equals_standalone_checks(self, restricted_family, backward, params):
+    def test_battery_equals_standalone_checks(self, family, backward, params):
         fluxes = default_flux_battery()
-        for triple in restricted_family:
+        for triple in family:
             rep = run_triple_battery(triple, backward.u0, params)
             tests = default_entropy_tests(triple.grid.L, triple.grid.T_end)
             entropy = min(entropy_inequality_residual(triple, flux, test, params)
@@ -148,7 +151,7 @@ class TestOneEntropyPass:
             assert rep.entry("pointwise-certificate").residual == cert
             assert rep.entry("certificate-identity").residual == ident
 
-    def test_one_gamma_per_flux(self, restricted_family, backward, params, monkeypatch):
+    def test_one_gamma_per_flux(self, family, backward, params, monkeypatch):
         # G(beta0(v)) and G(beta2(v)) are affine images of one Gamma(v)
         seen = []
         original = EntropyFlux.antiderivative
@@ -158,29 +161,24 @@ class TestOneEntropyPass:
             return original(self, v)
 
         monkeypatch.setattr(EntropyFlux, "antiderivative", counting)
-        for triple in restricted_family:
+        for triple in family:
             seen.clear()
             run_triple_battery(triple, backward.u0, params)
             assert seen.count(triple.v.values.size) == len(default_flux_battery())
             assert sum(seen) == len(default_flux_battery()) * (triple.v.values.size + 4)
 
-    def test_two_sample_window_fails_identity_closed(self, restricted_family, backward,
-                                                     params):
-        short = restricted_family[1]
-        short = SolutionTriple(short.u.restrict(2), short.v.restrict(2),
-                               short.lam.restrict(2), 0.0, "short",
-                               lam_t=short.lam_t.restrict(2), source=short.source)
-        entry = run_triple_battery(short, backward.u0, params).entry("certificate-identity")
+    def test_two_sample_window_fails_identity_closed(self, two_samples, backward, params):
+        entry = run_triple_battery(two_samples, backward.u0,
+                                   params).entry("certificate-identity")
         assert not entry.passed
         assert np.isnan(entry.residual)
         assert "three" in entry.note
 
-    def test_two_sample_window_identity_error_is_nan(self, restricted_family, params):
+    def test_two_sample_window_identity_error_is_nan(self, two_samples, params):
         # the single check follows the battery's row: NaN, not a refusal
-        short = replace(restricted_family[1], t_bar=0.0).restricted()
-        assert short.grid.n_t == 2
+        assert two_samples.grid.n_t == 2
         for flux in (EntropyFlux.identity(), EntropyFlux.saturating(1.0)):
-            assert np.isnan(certificate_identity_error(short, flux, params))
+            assert np.isnan(certificate_identity_error(two_samples, flux, params))
 
 
 def whole_field_flux_pass(triple, params, fluxes, tests):
@@ -234,8 +232,8 @@ def blocked_family(params):
 class TestBlockedFluxPass:
     """The row-blocked flux pass equals the whole-field pass bit for bit."""
 
-    def test_reference_triples(self, restricted_family, params):
-        for triple in restricted_family:
+    def test_reference_triples(self, family, params):
+        for triple in family:
             assert len(_row_blocks(params, triple.v.values)) == 1
             assert_same_pass(triple, params)
 
@@ -255,14 +253,10 @@ class TestBlockedFluxPass:
         assert _row_blocks(params, v) == [slice(0, triple.grid.n_x)]
         assert_same_pass(past, params)
 
-    def test_two_sample_window(self, restricted_family, params):
-        short = restricted_family[1]
-        short = SolutionTriple(short.u.restrict(2), short.v.restrict(2),
-                               short.lam.restrict(2), 0.0, "short",
-                               lam_t=short.lam_t.restrict(2), source=short.source)
+    def test_two_sample_window(self, two_samples, params):
         assert all(np.isnan(defect) for _, _, defect in
-                   _flux_pass(short, params, default_flux_battery(), []))
-        assert_same_pass(short, params)
+                   _flux_pass(two_samples, params, default_flux_battery(), []))
+        assert_same_pass(two_samples, params)
 
     def test_peak_memory_is_a_few_fields(self, params):
         # the whole-field pass peaks near 10 field sizes on this triple
@@ -281,15 +275,19 @@ class TestBlockedFluxPass:
 
 
 class TestBatteryFootprint:
-    """A restricted triple views the family's fields, and the battery reduces
+    """The flux pass reads the family's fields in place, and the battery reduces
     each field-sized temporary as soon as it is formed."""
 
-    def test_restricted_triples_view_the_family_fields(self, family):
+    def test_row_blocks_are_read_in_place(self, family, params):
+        # a field holds C-contiguous or broadcast samples, so every row block of
+        # v, lambda and lambda_t is a view that BLAS and the ufuncs read as laid out
         for triple in family:
-            short = triple.restricted()
-            for name in ("u", "v", "lam", "lam_t"):
-                assert np.shares_memory(getattr(short, name).values,
-                                        getattr(triple, name).values), name
+            for rows in _row_blocks(params, triple.v.values):
+                for name in ("v", "lam", "lam_t"):
+                    held = getattr(triple, name).values
+                    block = held[rows]
+                    assert np.shares_memory(block, held), name
+                    assert block.flags.c_contiguous or 0 in block.strides, name
 
     def test_battery_peaks_below_six_fields(self, params, final_datum, default_sources):
         # before the views and the in-place checks the baseline peaked at 12.3
@@ -379,36 +377,40 @@ def count_calls(monkeypatch, name: str) -> list:
 
 
 class TestOneProjection:
-    def test_battery_projects_v_once(self, family, backward, params, monkeypatch):
-        calls = count_calls(monkeypatch, "analyze_columns")
-        for triple in family:
-            fresh = triple.restricted()
-            calls.clear()
-            run_triple_battery(fresh, backward.u0, params)
-            assert calls == [fresh.v.values.shape]
+    """Counted on a fresh family, whose fields carry no projection yet."""
 
-    def test_battery_synthesizes_twice(self, family, backward, params, monkeypatch):
+    def test_battery_projects_v_once(self, final_datum, default_sources, params, grid,
+                                     backward, monkeypatch):
+        fresh = construct_family(final_datum, default_sources, params, grid)
+        calls = count_calls(monkeypatch, "analyze_columns")
+        for triple in fresh:
+            calls.clear()
+            run_triple_battery(triple, backward.u0, params)
+            assert calls == [triple.v.values.shape]
+
+    def test_battery_synthesizes_twice(self, final_datum, default_sources, params, grid,
+                                       backward, monkeypatch):
         # v_xx, kept beside the projection for the evolution identity and the
         # flux pass, and the zero-flux test's synthesis of the projection
+        fresh = construct_family(final_datum, default_sources, params, grid)
         calls = count_calls(monkeypatch, "synthesize_columns")
-        for triple in family:
-            fresh = triple.restricted()
+        for triple in fresh:
             calls.clear()
-            run_triple_battery(fresh, backward.u0, params)
+            run_triple_battery(triple, backward.u0, params)
             assert len(calls) == 2, calls
 
 
 class TestMonotonicity:
-    def test_baseline_passes(self, restricted_family, params):
-        assert monotonicity_report(restricted_family[0], params).passed
+    def test_baseline_passes(self, family, params):
+        assert monotonicity_report(family[0], params).passed
 
-    def test_certified_triples_pass(self, restricted_family, params):
-        for triple in restricted_family[1:]:
+    def test_certified_triples_pass(self, family, params):
+        for triple in family[1:]:
             rep = monotonicity_report(triple, params)
             assert rep.entry("lambda2-monotone").passed
 
-    def test_total_variation_reported(self, restricted_family, params):
-        rep = monotonicity_report(restricted_family[1], params)
+    def test_total_variation_reported(self, family, params):
+        rep = monotonicity_report(family[1], params)
         tv = rep.entry("lambda2-total-variation")
         assert tv.passed  # reported, never asserted
         assert 0.0 < tv.residual < 1.0
@@ -441,7 +443,7 @@ class TestMonotonicity:
         noisy = np.round(rng.normal(size=(grid.n_x, grid.n_t)), 1)   # many ties
         v_low = family[0].v.values.copy()
         v_low[:64] = params.A - 0.1          # half the rows never qualify
-        triples = [t.restricted() for t in family] + [
+        triples = list(family) + [
             replace(family[0], lam=Field2D(grid, lam), v=Field2D(grid, v))
             for lam in (ramp, noisy, -ramp) for v in (family[0].v.values, v_low)]
         for triple in triples:
@@ -452,11 +454,11 @@ class TestMonotonicity:
 
 
 class TestStructural:
-    def test_baseline_all_pass(self, restricted_family, backward, params):
-        assert structural_check(restricted_family[0], backward.u0, params).passed
+    def test_baseline_all_pass(self, family, backward, params):
+        assert structural_check(family[0], backward.u0, params).passed
 
-    def test_certified_sourced_all_pass(self, restricted_family, backward, params):
-        for triple in restricted_family[1:]:
+    def test_certified_sourced_all_pass(self, family, backward, params):
+        for triple in family[1:]:
             rep = structural_check(triple, backward.u0, params)
             assert rep.passed, rep.to_text()
 
@@ -468,10 +470,10 @@ class TestStructural:
         assert not entry.passed
         assert entry.t > family[2].t_bar
 
-    def test_boundary_flux_trace_measured_small(self, restricted_family, backward, params):
+    def test_boundary_flux_trace_measured_small(self, family, backward, params):
         # band-limited fields: the stencil reads only what the cosine projection
         # misses, which is round-off (at most 3.6e-14 at 128 x 256)
-        for triple in restricted_family:
+        for triple in family:
             entry = structural_check(triple, backward.u0, params).entry("boundary-flux")
             assert entry.passed and entry.residual < 1e-12
 
@@ -546,11 +548,11 @@ class TestNegativeControls:
         for name, rejected, detail in results:
             assert rejected, f"{name} slipped through ({detail})"
 
-    def test_every_bounded_row_is_a_target(self, restricted_family, backward, params, grid):
+    def test_every_bounded_row_is_a_target(self, family, backward, params, grid):
         # every row that can fail, in the battery and in the relaxation audit,
         # has a manufactured violator that it must reject
         relaxed = solve_pseudoparabolic(backward.u0, 0.1, params, grid)
-        reports = [run_triple_battery(restricted_family[1], backward.u0, params),
+        reports = [run_triple_battery(family[1], backward.u0, params),
                    relaxation_report(relaxed, params)]
         bounded = {c.name for rep in reports for c in rep.checks
                    if np.isfinite(c.lower) or np.isfinite(c.upper)}
@@ -560,8 +562,8 @@ class TestNegativeControls:
 
 
 class TestReports:
-    def test_battery_covers_every_check_once(self, restricted_family, backward, params):
-        rep = run_triple_battery(restricted_family[1], backward.u0, params)
+    def test_battery_covers_every_check_once(self, family, backward, params):
+        rep = run_triple_battery(family[1], backward.u0, params)
         names = [c.name for c in rep.checks]
         assert len(names) == len(set(names))
         expected = {"initial-trace", "boundary-flux", "flux-above-lower-critical",
@@ -578,8 +580,8 @@ class TestReports:
         with pytest.raises(ConfigurationError):
             VerificationReport([c, c], "g")
 
-    def test_csv_serialization(self, restricted_family, backward, params, tmp_path):
-        rep = structural_check(restricted_family[0], backward.u0, params)
+    def test_csv_serialization(self, family, backward, params, tmp_path):
+        rep = structural_check(family[0], backward.u0, params)
         path = tmp_path / "report.csv"
         rep.to_csv(path)
         lines = path.read_text().splitlines()
@@ -604,9 +606,9 @@ class TestPassRule:
                               triple.t_bar, "control", lam_t=triple.lam_t,
                               source=triple.source)
 
-    def test_flux_dip_below_lower_critical_fails(self, restricted_family, backward, params):
+    def test_flux_dip_below_lower_critical_fails(self, family, backward, params):
         # a dip of 1e-10 below A: the flux check holds v to the jump bound 1e-12
-        base = restricted_family[0]
+        base = family[0]
         v = base.v.values.copy()
         v[40, 60] = params.A - 1e-10
         entry = structural_check(self.with_fields(base, v=v), backward.u0,
@@ -615,9 +617,8 @@ class TestPassRule:
         assert entry.residual == pytest.approx(1e-10, rel=1e-3)
         assert (entry.x, entry.t) == (base.grid.x[40], base.grid.t[60])
 
-    def test_weight_bounds_located_at_the_residual(self, restricted_family, backward,
-                                                   params):
-        base = restricted_family[1]
+    def test_weight_bounds_located_at_the_residual(self, family, backward, params):
+        base = family[1]
         lam = base.lam.values.copy()
         lam[17, 5] = 1.0 + 1e-3
         entry = structural_check(self.with_fields(base, lam=lam), backward.u0,
@@ -626,13 +627,13 @@ class TestPassRule:
         assert entry.residual == pytest.approx(1e-3, rel=1e-9)
         assert (entry.x, entry.t) == (base.grid.x[17], base.grid.t[5])
 
-    def test_bounds_are_module_constants(self, restricted_family, backward, params):
+    def test_bounds_are_module_constants(self, family, backward, params):
         import fbplab.spectral as spectral
         import fbplab.verifier as verifier
         constants = {value for name, value in vars(verifier).items()
                      if name.endswith("_TOL") and isinstance(value, float)}
         constants |= {-c for c in constants}
-        for triple in restricted_family:
+        for triple in family:
             for c in run_triple_battery(triple, backward.u0, params).checks:
                 bounds = [b for b in (c.lower, c.upper) if np.isfinite(b)]
                 if c.name == "lambda2-total-variation":
@@ -714,8 +715,8 @@ class TestSeparableContraction:
         inside = np.abs(grid.x - 0.5 * L) <= core
         assert np.abs(fd - psi_x(test.factors(grid)))[inside].max() < 1e-4
 
-    def test_contraction_matches_dense_quadrature(self, restricted_family, params):
-        for triple in restricted_family:
+    def test_contraction_matches_dense_quadrature(self, family, params):
+        for triple in family:
             grid = triple.grid
             v, lam = triple.v.values, triple.lam.values
             vx = x_derivative_columns(analyze_columns(v, grid.L, grid.n_modes),
