@@ -62,9 +62,9 @@ def _triple_tag(index: int, provenance: str) -> str:
 def cmd_counterexample(config: ScenarioConfig) -> int:
     """Run the full multi-solution demonstration and write its audit trail."""
     out = Path(config.output_dir)
-    params, grid, margins = config.phase, config.grid, config.margins
+    params, grid = config.phase, config.grid
     family = construct_family(config.final_series(), config.source_series(),
-                              params, grid, delta=margins.delta)
+                              params, grid, delta=config.delta)
     u0 = family[0].u.values[:, 0]     # the datum every triple shares
 
     lines = ["multi-solution demonstration", verifier.grid_summary(grid), ""]
@@ -82,7 +82,7 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
                 "state evolution u_t = v_xx with zero-flux sides",
                 {"provenance": triple.provenance, "component": name,
                  "certified_horizon": triple.t_bar, "binding_condition": binding,
-                 "delta": margins.delta})
+                 "delta": config.delta})
         report.to_csv(out / "reports" / f"{tag}_checks.csv")
         (out / "reports" / f"{tag}_report.txt").write_text(report.to_text() + "\n")
 
@@ -134,15 +134,18 @@ def cmd_regularize(config: ScenarioConfig) -> int:
     """Relaxation sweep from the shared initial datum, with admissibility audit."""
     if not config.eps_list:
         raise ConfigurationError("regularization sweep needs a nonempty eps list")
+    # files and summary rows are named by eps at 6 significant digits
+    tags = [f"eps{eps:g}".replace(".", "p") for eps in config.eps_list]
+    if len(set(tags)) < len(tags):
+        raise ConfigurationError("eps values that agree to 6 digits would share files")
     out = Path(config.output_dir)
     params, grid = config.phase, config.grid
     back = solve_unstable_backward(config.final_series(), params, grid)
 
     rows = []
-    for eps in config.eps_list:
+    for eps, tag in zip(config.eps_list, tags):
         sol = solve_pseudoparabolic(back.u0, eps, params, grid)
         rows.append((eps, verifier.relaxation_report(sol, params), sol))
-        tag = f"eps{eps:g}".replace(".", "p")
         write_field_csv(sol.u_eps, out / "fields" / f"{tag}_u.csv")
         write_field_csv(sol.v_eps, out / "fields" / f"{tag}_v.csv")
         write_solver_metadata(out / "fields" / f"{tag}_u.meta.txt", sol.u_eps.label,
@@ -192,7 +195,7 @@ def cmd_inverse(config: ScenarioConfig, a_coeffs, b_coeffs, t_end: float) -> int
         f"f coefficients: {[format(v, '.12g') for v in f.as_float()]}",
         f"min f on the grid: {f_min:.6g}"
         + ("  [below the positivity margin c2 = "
-           f"{config.margins.delta:g}]" if f_min < config.margins.delta else ""),
+           f"{config.delta:g}]" if f_min < config.delta else ""),
         f"round-trip max-norm error at T: {round_trip:.3e}",
     ]
     (out / "inverse_summary.txt").write_text("\n".join(lines) + "\n")

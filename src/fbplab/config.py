@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .counterexample import DELTA
@@ -32,10 +32,9 @@ from .phase_model import PhaseParams
 from .spectral import CosineSeries, Grid
 
 PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2")
-MARGIN_KEYS = ("delta",)
 #: the keys each section accepts; ``[sources]`` names its sources freely
 SECTION_KEYS = {"phase": PHASE_KEYS, "grid": ("L", "T_end", "n_x", "n_t", "n_modes"),
-                "final_datum": ("amplitude", "modes"), "margins": MARGIN_KEYS,
+                "final_datum": ("amplitude", "modes"), "margins": ("delta",),
                 "regularization": ("eps",), "output": ("dir",)}
 #: why a section refuses the keys that older scenario files carried
 RETIRED_NOTES = {"phase": " (continuity fixes the intercepts gamma1 and gamma2)",
@@ -60,25 +59,20 @@ class FinalDatum:
 
 
 @dataclass(frozen=True)
-class Margins:
-    """The certification margin: it shapes what gets constructed, not what passes."""
-
-    delta: float = DELTA
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ConfigurationError("margins must be finite and positive")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; ``delta``, the margin c2, shapes what is built, not what passes."""
+
     phase: PhaseParams
     grid: Grid
     final_datum: FinalDatum
     sources: tuple[tuple[float, ...], ...]
     eps_list: tuple[float, ...]
-    margins: Margins = field(default_factory=Margins)
+    delta: float = DELTA
     output_dir: Path = Path("out")
+
+    def __post_init__(self):
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ConfigurationError("margin delta must be finite and positive")
 
     def final_series(self) -> CosineSeries:
         return self.final_datum.series(self.grid.L)
@@ -138,13 +132,12 @@ class ScenarioConfig:
             sources = tuple(tuple(float(v) for v in _split(raw))
                             for raw in parser["sources"].values())
             eps_list = tuple(float(v) for v in _split(parser["regularization"]["eps"]))
-            msec = parser["margins"] if parser.has_section("margins") else {}
-            margins = Margins(**{k: float(msec[k]) for k in MARGIN_KEYS if k in msec})
+            delta = parser.getfloat("margins", "delta", fallback=DELTA)
             out = Path(parser.get("output", "dir", fallback="out"))
         except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigurationError(f"bad scenario file {path}: {exc}") from exc
         return cls(phase=phase, grid=grid, final_datum=datum, sources=sources,
-                   eps_list=eps_list, margins=margins, output_dir=out)
+                   eps_list=eps_list, delta=delta, output_dir=out)
 
     def to_file(self, path) -> None:
         parser = configparser.ConfigParser()
@@ -158,7 +151,7 @@ class ScenarioConfig:
                                  "modes": ", ".join(map(str, self.final_datum.modes))}
         parser["sources"] = {f"f{i + 1}": ", ".join(format(v, ".17g") for v in src)
                              for i, src in enumerate(self.sources)}
-        parser["margins"] = {k: format(getattr(self.margins, k), ".17g") for k in MARGIN_KEYS}
+        parser["margins"] = {"delta": format(self.delta, ".17g")}
         parser["regularization"] = {"eps": ", ".join(format(e, ".17g")
                                                      for e in self.eps_list)}
         parser["output"] = {"dir": str(self.output_dir)}

@@ -182,10 +182,10 @@ def _build_window(sol: SourcedSolution, params: PhaseParams) -> tuple[int, str]:
     return j + 1, binding
 
 
-def _sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhaseParams,
-                    grid: Grid, delta: float) -> SolutionTriple:
-    """The certified triple of source ``idx``, built on its construction window,
-    whose end binds the horizon where no margin does."""
+def sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhaseParams,
+                   grid: Grid, delta: float) -> SolutionTriple:
+    """The certified triple of source ``idx`` from the flux datum ``v0``, built on its
+    construction window, whose end binds the horizon where no margin does."""
     sol = solve_sourced(f, v0, params.sigma_abs, grid)
     if np.min(sol.source) < delta:
         raise DomainViolationError(
@@ -201,9 +201,10 @@ def _sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhasePara
                                      source=sol.source, binding=window_end), params, delta)
 
 
-def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
+def construct_family(g_final: CosineSeries, sources: list[CosineSeries], params: PhaseParams,
                      grid: Grid, delta: float = DELTA) -> list[SolutionTriple]:
-    """Baseline plus one sourced triple per source, all sharing u(.,0).
+    """Baseline plus one sourced triple per source, all sharing u(.,0), from the final
+    datum ``g_final``, a cosine series (``solve_unstable_backward`` refuses samples).
 
     Sources must synthesize to values >= delta (the certification margin c2);
     a violating source aborts the construction naming its index.  Each sourced
@@ -218,4 +219,4 @@ def construct_family(g_final, sources: list[CosineSeries], params: PhaseParams,
                               source=np.zeros(grid.n_x))
     v0 = back.v_bar.values[:, 0]
     return [_certified(baseline, params, delta)] + [
-        _sourced_triple(idx, f, v0, params, grid, delta) for idx, f in enumerate(sources)]
+        sourced_triple(idx, f, v0, params, grid, delta) for idx, f in enumerate(sources)]

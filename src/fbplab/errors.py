@@ -14,10 +14,6 @@ class DomainViolationError(FbpError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-class BoundaryConditionError(DomainViolationError):
-    """A spatial profile violates the required zero-slope endpoints."""
-
-
 class ConfigurationError(FbpError):
     """Inconsistent grids, shapes, or scenario configuration."""
 

@@ -26,12 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BoundaryConditionError, ConfigurationError, DomainViolationError
+from .errors import ConfigurationError, DomainViolationError
 from .phase_model import PhaseParams, eval_phi
-from .spectral import (BOUNDARY_SLOPE_TOL, OVERFLOW_EXPONENT, CosineSeries, Field2D,
-                       Grid, analysis_matrix, analyze_columns, boundary_slopes,
-                       cosine_analyze, cosine_basis, cosine_eigenvalues,
-                       field_from_modes, mode_exponential)
+from .spectral import (OVERFLOW_EXPONENT, CosineSeries, Field2D, Grid, analysis_matrix,
+                       analyze_columns, cosine_basis, cosine_eigenvalues, field_from_modes,
+                       mode_exponential)
 
 #: sample residual of a band-limited profile, relative to the profile
 _BAND_LIMIT_TOL = 1e-8
@@ -44,7 +43,8 @@ _SECTIONS = np.arange(1.0, 17.0)
 
 
 def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
-    """Coerce a spatial profile (samples or series) to grid-sized coefficients."""
+    """Coerce a spatial profile to grid-sized coefficients: a series is padded, and
+    (n_x,) samples are analysed once and must be band-limited on the grid."""
     if isinstance(profile, CosineSeries):
         if abs(profile.L - grid.L) > 1e-12 * grid.L:
             raise ConfigurationError(f"{what}: series length does not match the grid")
@@ -54,10 +54,9 @@ def _profile_to_series(profile, grid: Grid, what: str) -> CosineSeries:
     vals = np.asarray(profile, dtype=float)
     if vals.shape != (grid.n_x,):
         raise ConfigurationError(f"{what}: expected {grid.n_x} samples, got {vals.shape}")
-    series = cosine_analyze(vals, grid.L, grid.n_modes)
+    coeffs = analyze_columns(vals[:, None], grid.L, grid.n_modes)[:, 0]
     # coefficients at analysis round-off are indistinguishable from zero and
     # must not be fed to the growth factors
-    coeffs = series.as_float()
     coeffs[np.abs(coeffs) <= 1e-13 * max(1.0, np.max(np.abs(vals)))] = 0.0
     series = CosineSeries(grid.L, coeffs)
     resid = np.max(np.abs(series.synthesize(grid.x) - vals))
@@ -81,26 +80,17 @@ class BackwardBranchSolution:
 
 
 def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranchSolution:
-    """Solve u_t = phi0' u_xx with zero-flux sides and final data g.
+    """Solve u_t = phi0' u_xx with zero-flux sides and the final datum g, a cosine
+    series on the grid's interval with at most its modes; samples are refused.
 
     With data in the decreasing branch this is well posed: after time reversal
     it is the ordinary heat flow with diffusivity |phi0'|, applied to g for the
     remaining time.  Modes of g are damped by exp(-|phi0'| mu_k (T - t)), so
     the solution obeys the maximum principle and stays inside the range of g.
     """
-    if isinstance(g, CosineSeries):
-        g_vals = g.synthesize(grid.x)
-    else:
-        g_vals = np.asarray(g, dtype=float)
-        if g_vals.shape != (grid.n_x,):
-            raise ConfigurationError(
-                f"final datum: expected {grid.n_x} samples, got {g_vals.shape}")
-        modes = analyze_columns(g_vals[:, None], grid.L, grid.n_modes)
-        sl = float(np.max(boundary_slopes(g_vals[:, None], modes, grid.L)))
-        if sl > BOUNDARY_SLOPE_TOL * max(1.0, np.max(np.abs(g_vals))):
-            raise BoundaryConditionError(
-                f"final datum has slope {sl:.2e} at an endpoint; zero-flux data required")
-    if np.any(params.branch_index(g_vals)):
+    if not isinstance(g, CosineSeries):
+        raise ConfigurationError("final datum must be a CosineSeries")
+    if np.any(params.branch_index(g.synthesize(grid.x))):
         raise DomainViolationError(
             "final datum must take values strictly inside the decreasing branch (b, c)")
     series = _profile_to_series(g, grid, "final datum")

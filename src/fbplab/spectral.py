@@ -173,9 +173,7 @@ class CosineSeries:
 
     def synthesize(self, x) -> np.ndarray:
         """Evaluate the expansion at the points ``x`` (float64)."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.as_float() @ cosine_basis(self.n_modes, self.L, xa)
-        return vals if np.ndim(x) else float(vals[0])
+        return self.as_float() @ cosine_basis(self.n_modes, self.L, x)
 
     def padded(self, n_modes: int) -> "CosineSeries":
         if n_modes + 1 < len(self.coeffs):
@@ -183,21 +181,6 @@ class CosineSeries:
         out = np.zeros(n_modes + 1, dtype=self.coeffs.dtype)
         out[: len(self.coeffs)] = self.coeffs
         return CosineSeries(self.L, out)
-
-
-def cosine_analyze(samples, L: float, n_modes: int) -> CosineSeries:
-    """Project uniform endpoint-inclusive samples onto the cosine basis.
-
-    Exact (to round-off) for inputs band-limited to ``n_modes`` when the
-    sampling satisfies the 2x anti-aliasing margin.
-    """
-    vals = np.asarray(samples, dtype=float)
-    if vals.ndim != 1:
-        raise ConfigurationError("samples must be one-dimensional")
-    if vals.size < 2 * n_modes:
-        raise ConfigurationError(
-            f"too few samples ({vals.size}) to resolve {n_modes} modes")
-    return CosineSeries(L, analyze_columns(vals[:, None], L, n_modes)[:, 0])
 
 
 def analyze_columns(values: np.ndarray, L: float, n_modes: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .counterexample import SolutionTriple, assemble_state, construct_family
+from .counterexample import DELTA, SolutionTriple, assemble_state, sourced_triple
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended, branch_gap_extended,
@@ -626,7 +626,10 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
     """All admissibility checks for one triple, on the grid it carries, against
     the default fluxes and test functions and the module's fixed tolerances; a
     triple carried past its certified horizon is expected to fail the range clauses.
+    The checks read v through a ``Field2D`` of their own over its samples, so the
+    projection and v_xx they form are freed on return, not cached on the triple.
     """
+    triple = replace(triple, v=Field2D(triple.grid, triple.v.values, triple.v.label))
     grid = triple.grid
     fluxes = default_flux_battery()
     entropy_tests = default_entropy_tests(grid.L, grid.T_end)
@@ -699,7 +702,8 @@ def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, o
                             v=field(base.v.values[:, ::-1]))
     # a certified sourced triple, violated at its middle sample, and a relaxed
     # solution in a stable branch
-    sourced = construct_family(final, [CosineSeries(np.pi, [1.0])], params, grid)[1]
+    sourced = sourced_triple(0, CosineSeries(np.pi, [1.0]), back.v_bar.values[:, 0], params,
+                             grid, DELTA)
     lam_over, rate_under = sourced.lam.values.copy(), sourced.lam_t.values.copy()
     mid = (17, sourced.grid.n_t // 2)
     lam_over[mid], rate_under[mid] = 1.0 + 1e-3, -1e-3

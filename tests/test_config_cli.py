@@ -11,7 +11,7 @@ import pytest
 
 import fbplab
 from fbplab.cli import main
-from fbplab.config import FinalDatum, Margins, ScenarioConfig
+from fbplab.config import SECTION_KEYS, FinalDatum, ScenarioConfig
 from fbplab.errors import ConfigurationError
 from fbplab.spectral import Grid
 
@@ -46,7 +46,7 @@ class TestScenarioConfig:
         assert back.final_datum == cfg.final_datum
         assert back.sources == cfg.sources
         assert back.eps_list == cfg.eps_list
-        assert back.margins == cfg.margins
+        assert back.delta == cfg.delta
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -105,16 +105,29 @@ class TestScenarioConfig:
         assert main(["counterexample", "--config", str(path)]) == 2
 
     def test_invalid_margins(self):
-        with pytest.raises(ConfigurationError):
-            Margins(delta=0.0)
+        for bad in (0.0, -0.05):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                dataclasses.replace(ScenarioConfig.default(), delta=bad)
 
     @pytest.mark.parametrize("bad", [{"delta": float("nan")}, {"delta": float("inf")}])
     def test_nonfinite_margins(self, bad):
-        with pytest.raises(ConfigurationError, match="finite"):
-            Margins(**bad)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            dataclasses.replace(ScenarioConfig.default(), **bad)
 
     def test_margins_hold_only_construction_values(self):
-        assert [f.name for f in dataclasses.fields(Margins)] == ["delta"]
+        # [margins] is read into the one float ScenarioConfig.delta
+        assert SECTION_KEYS["margins"] == ("delta",)
+        assert type(ScenarioConfig.default().delta) is float
+
+    def test_nan_margin_in_file_exits_2(self, small_config):
+        cfg, path = small_config
+        line = "delta = " + format(cfg.delta, ".17g")
+        assert path.read_text().count(line) == 1
+        path.write_text(path.read_text().replace(line, "delta = nan"))
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            ScenarioConfig.from_file(path)
+        assert main(["counterexample", "--config", str(path)]) == 2
+        assert not Path(cfg.output_dir).exists()
 
     def test_final_datum_series(self):
         datum = FinalDatum(0.1, (1, 3))
@@ -289,6 +302,24 @@ class TestRegularizeCommand:
         cfg.to_file(path)
         # an empty eps key round-trips to an empty tuple
         assert main(["regularize", "--config", str(path)]) == 2
+
+    def test_eps_values_sharing_a_tag_are_config_error(self, small_config, tmp_path,
+                                                       monkeypatch, capsys):
+        # both are eps0p001 in file names and 0.001 in the summary: the second run
+        # would overwrite the first's files; the sweep is refused before any solve
+        cfg, _ = small_config
+        cfg = dataclasses.replace(cfg, eps_list=(0.001, 0.0010000001),
+                                  output_dir=tmp_path / "shared")
+        path = tmp_path / "shared.ini"
+        cfg.to_file(path)
+
+        def no_solve(*args):
+            raise AssertionError("a solve ran before the eps tags were checked")
+
+        monkeypatch.setattr("fbplab.cli.solve_unstable_backward", no_solve)
+        assert main(["regularize", "--config", str(path)]) == 2
+        assert "eps" in capsys.readouterr().err
+        assert not (tmp_path / "shared").exists()
 
 
 class TestInverseCommand:

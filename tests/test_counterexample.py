@@ -224,7 +224,7 @@ class TestCertifyHorizon:
     @pytest.mark.parametrize("delta", [0.0, -0.05, np.nan, np.inf])
     def test_margin_must_be_finite_and_positive(self, delta, family, final_datum,
                                                 default_sources, params, grid):
-        # the rule of config.Margins: a NaN margin fails every comparison, and
+        # the rule of ScenarioConfig.delta: a NaN margin fails every comparison, and
         # would otherwise certify each triple to t_bar = 0
         with pytest.raises(ConfigurationError, match="finite and positive"):
             certify_horizon(family[1], params, delta)

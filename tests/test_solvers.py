@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import mpmath as mp
 
-from fbplab.errors import (BoundaryConditionError, ConfigurationError,
-                           DomainViolationError, InstabilityError)
+from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
 from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic,
                             solve_sourced, solve_unstable_backward)
@@ -142,7 +141,7 @@ class TestBackwardSolve:
         assert np.max(np.abs(w - backward.u0)) < 5e-5
 
     def test_constant_final_datum_is_steady(self, params, grid):
-        sol = solve_unstable_backward(np.full(grid.n_x, 0.15), params, grid)
+        sol = solve_unstable_backward(CosineSeries(L, [0.15]), params, grid)
         assert np.max(np.abs(sol.u_bar.values - 0.15)) < 1e-13
 
     def test_mass_conserved_in_time(self, backward, final_datum, grid):
@@ -168,11 +167,16 @@ class TestBackwardSolve:
 
     def test_range_outside_branch_rejected(self, params, grid):
         with pytest.raises(DomainViolationError):
-            solve_unstable_backward(np.full(grid.n_x, 1.5), params, grid)
+            solve_unstable_backward(CosineSeries(L, [1.5]), params, grid)
 
-    def test_nonzero_endpoint_slope_rejected(self, params, grid):
-        with pytest.raises(BoundaryConditionError):
-            solve_unstable_backward(0.1 * grid.x / grid.L, params, grid)
+    @pytest.mark.parametrize("sampled", ["ramp", "band-limited"])
+    def test_sampled_final_datum_rejected(self, sampled, final_datum, params, grid):
+        # the final datum is a series: samples are refused before any check reads
+        # them, whether they carry an endpoint slope or are the datum's own
+        g = (0.1 * grid.x / grid.L if sampled == "ramp"
+             else final_datum.synthesize(grid.x))
+        with pytest.raises(ConfigurationError, match="CosineSeries"):
+            solve_unstable_backward(g, params, grid)
 
 
 class TestInverseSource:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import cumulative_simpson, simpson
 
-from fbplab import spectral
+from fbplab import solvers, spectral
 from fbplab.counterexample import SolutionTriple, construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
@@ -289,6 +289,16 @@ class TestBatteryFootprint:
                     assert np.shares_memory(block, held), name
                     assert block.flags.c_contiguous or 0 in block.strides, name
 
+    def test_battery_leaves_no_projection_on_the_family(self, params, final_datum,
+                                                         default_sources, grid):
+        # the battery projects v through a field of its own, freed when it returns
+        fresh = construct_family(final_datum, default_sources, params, grid)
+        for triple in fresh:
+            run_triple_battery(triple, fresh[0].u.values[:, 0], params)
+            for name in ("u", "v", "lam", "lam_t"):
+                cached = {"modes", "xx"} & vars(getattr(triple, name)).keys()
+                assert not cached, (triple.provenance, name, cached)
+
     def test_battery_peaks_below_six_fields(self, params, final_datum, default_sources):
         # before the views and the in-place checks the baseline peaked at 12.3
         grid = Grid(L, 1.0, 128, 1024, 32)
@@ -360,13 +370,13 @@ class TestHighModeBaselineResolution:
         assert report.entry("certificate-identity").residual < 1e-2
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """The first argument's shape of each call of ``spectral.<name>``, through one
-    wrapper in every fbplab module that binds it."""
-    original, calls = getattr(spectral, name), []
+def count_calls(monkeypatch, name: str, home=spectral) -> list:
+    """The arguments of each call of ``home.<name>``, through one wrapper in every
+    fbplab module that binds it."""
+    original, calls = getattr(home, name), []
 
     def counting(*args):
-        calls.append(args[0].shape)
+        calls.append(args)
         return original(*args)
 
     for module_name, module in list(sys.modules.items()):
@@ -386,7 +396,7 @@ class TestOneProjection:
         for triple in fresh:
             calls.clear()
             run_triple_battery(triple, backward.u0, params)
-            assert calls == [triple.v.values.shape]
+            assert [args[0].shape for args in calls] == [triple.v.values.shape]
 
     def test_battery_synthesizes_twice(self, final_datum, default_sources, params, grid,
                                        backward, monkeypatch):
@@ -397,7 +407,7 @@ class TestOneProjection:
         for triple in fresh:
             calls.clear()
             run_triple_battery(triple, backward.u0, params)
-            assert len(calls) == 2, calls
+            assert len(calls) == 2, [args[0].shape for args in calls]
 
 
 class TestMonotonicity:
@@ -478,15 +488,17 @@ class TestStructural:
             assert entry.passed and entry.residual < 1e-12
 
     def test_high_mode_baseline_has_zero_flux(self, params, grid):
-        # the stencil alone reads 1.54e-3 on this baseline, above its bound 1e-3,
-        # and refuses its sampled datum
+        # the stencil alone reads 1.54e-3 on this baseline, above its bound 1e-3
         final = CosineSeries(L, [0.0] * 8 + [0.1])
         base = construct_family(final, [], params, grid)[0]
         entry = run_triple_battery(base, base.u.values[:, 0],
                                    params).entry("boundary-flux")
         assert entry.passed and entry.residual < 1e-12
-        sampled = solve_unstable_backward(0.1 * np.cos(8 * grid.x), params, grid)
-        assert np.max(np.abs(sampled.u0 - base.u.values[:, 0])) < 1e-12
+        # the series is taken whole: mode 8 decays by exp(-|phi0'| 64 (T - t))
+        g = base.grid
+        decay = np.exp(-abs(params.phi0_slope) * 64.0 * (g.T_end - g.t))
+        exact = 0.1 * np.cos(8 * g.x)[:, None] * decay
+        assert np.max(np.abs(base.u.values - exact)) < 1e-12
 
 
 class TestViscousEntropy:
@@ -541,6 +553,14 @@ class TestNegativeControls:
         assert len(results) == 14
         for name, rejected, detail in results:
             assert rejected, f"{name} slipped through ({detail})"
+
+    @pytest.mark.parametrize("diagram", [PhaseParams.default()] + random_diagrams(20),
+                             ids=["unit"] + [f"draw{i:02d}" for i in range(20)])
+    def test_one_backward_solve_per_table(self, diagram, monkeypatch):
+        # the sourced control starts from the base's own flux datum
+        calls = count_calls(monkeypatch, "solve_unstable_backward", home=solvers)
+        control_table(diagram)
+        assert len(calls) == 1
 
     def test_every_check_rejects_its_violator(self, params):
         results = negative_controls(params)
