@@ -14,9 +14,9 @@ from .counterexample import (SolutionTriple, assemble_state, build_lambda,
 from .errors import (ConfigurationError, DomainViolationError, FbpError,
                      GridMismatchError, InstabilityError, NearSingularError)
 from .phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
-from .solvers import (BackwardBranchSolution, EpsSolution, SourcedSolution,
-                      inverse_source_from_endpoints, solve_pseudoparabolic,
-                      solve_sourced, solve_unstable_backward)
+from .solvers import (BackwardBranchSolution, EpsSolution, InverseSource,
+                      SourcedSolution, inverse_source_from_endpoints,
+                      solve_pseudoparabolic, solve_sourced, solve_unstable_backward)
 from .spectral import CosineSeries, Field2D, Grid
 from .verifier import (VerificationReport, distinctness,
                        entropy_inequality_residual, monotonicity_report,

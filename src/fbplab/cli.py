@@ -132,18 +132,12 @@ def cmd_counterexample(config: ScenarioConfig) -> int:
 
 def cmd_regularize(config: ScenarioConfig) -> int:
     """Relaxation sweep from the shared initial datum, with admissibility audit."""
-    if not config.eps_list:
-        raise ConfigurationError("regularization sweep needs a nonempty eps list")
-    # files and summary rows are named by eps at 6 significant digits
-    tags = [f"eps{eps:g}".replace(".", "p") for eps in config.eps_list]
-    if len(set(tags)) < len(tags):
-        raise ConfigurationError("eps values that agree to 6 digits would share files")
     out = Path(config.output_dir)
     params, grid = config.phase, config.grid
     back = solve_unstable_backward(config.final_series(), params, grid)
 
     rows = []
-    for eps, tag in zip(config.eps_list, tags):
+    for eps, tag in zip(config.eps_list, config.eps_tags()):
         sol = solve_pseudoparabolic(back.u0, eps, params, grid)
         rows.append((eps, verifier.relaxation_report(sol, params), sol))
         write_field_csv(sol.u_eps, out / "fields" / f"{tag}_u.csv")
@@ -192,7 +186,7 @@ def cmd_inverse(config: ScenarioConfig, a_coeffs, b_coeffs, t_end: float) -> int
     lines = [
         "inverse source recovery",
         f"modes: {len(a_coeffs)}, T = {t_end:g}, |sigma| = {params.sigma_abs:g}",
-        f"f coefficients: {[format(v, '.12g') for v in f.as_float()]}",
+        f"f coefficients: {[format(v, '.12g') for v in f.coeffs]}",
         f"min f on the grid: {f_min:.6g}"
         + ("  [below the positivity margin c2 = "
            f"{config.delta:g}]" if f_min < config.delta else ""),

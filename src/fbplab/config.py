@@ -5,9 +5,9 @@ Sections and keys::
     [phase]      b, c, A, B, alpha1, alpha2 (continuity fixes the intercepts)
     [grid]       L, T_end, n_x, n_t, n_modes
     [final_datum] amplitude, modes          (g = amplitude * sum_k cos(k pi x/L))
-    [sources]    one key per source, each a comma list of cosine coefficients
+    [sources]    one key per source, each a comma list of finite cosine coefficients
     [margins]    delta                     (construction margin, finite and positive)
-    [regularization] eps
+    [regularization] eps                   (finite, positive, distinct to 6 digits)
     [output]     dir
 
 Key case is significant (the phase section distinguishes A from alpha1's a).
@@ -71,8 +71,21 @@ class ScenarioConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
+        """Refuse a scenario before any command writes a file for it."""
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ConfigurationError("margin delta must be finite and positive")
+        if not all(math.isfinite(c) for src in self.sources for c in src):
+            raise ConfigurationError("[sources] coefficients must be finite")
+        if not self.eps_list or not all(math.isfinite(eps) and eps > 0 for eps in self.eps_list):
+            raise ConfigurationError("[regularization] eps needs one or more finite, "
+                                     f"positive values, not {list(self.eps_list)}")
+        if len(set(self.eps_tags())) < len(self.eps_list):
+            raise ConfigurationError("[regularization] eps values that agree to 6 digits "
+                                     "would share files")
+
+    def eps_tags(self) -> list[str]:
+        """Each eps's tag in file names: its value to 6 significant digits."""
+        return [f"eps{eps:g}".replace(".", "p") for eps in self.eps_list]
 
     def final_series(self) -> CosineSeries:
         return self.final_datum.series(self.grid.L)

@@ -195,7 +195,7 @@ def sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhaseParam
     sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
                   vt_modes=sol.vt_modes[:, :n_build])
     lam, lam_t = build_lambda(sol, params)
-    coeffs = ", ".join(format(c, "g") for c in f.as_float())
+    coeffs = ", ".join(format(c, "g") for c in f.coeffs)
     return _certified(SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0,
                                      f"sourced(f=[{coeffs}])", lam_t=lam_t,
                                      source=sol.source, binding=window_end), params, delta)

@@ -8,11 +8,9 @@
   ``|sigma| v_t + v_xx = f(x)`` solved exactly per mode, and the closed-form
   recovery of a time-independent source from initial and final profiles.
   Because modes grow like exp(mu_k t / |sigma|), the endpoint/source relation
-  is exponentially ill-conditioned: the inverse constructor returns
-  extended-precision (mpmath) coefficients, and the forward solve forms only
-  their cancelling sum a_k + f_k/mu_k in extended precision; every field is
-  evaluated in float64.  mpmath is imported by these extended-precision steps
-  only, so a run whose coefficients are all float never loads it.
+  is exponentially ill-conditioned in its source form; the inverse therefore
+  returns, beside f, the start s_k = (b_k - a_k)/expm1(mu_k T/|sigma|) of each
+  mode, which no sum cancels in, and the forward solve grows that start.
 * ``solve_pseudoparabolic``: the relaxation system u_t = v_xx, (I - eps d_xx) v =
   phi(u), advanced exactly in mode space and split at located branch crossings;
   v is the projection of phi(u_eps) at every sample, divided by 1 + eps mu_k.
@@ -21,7 +19,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +95,7 @@ def solve_unstable_backward(g, params: PhaseParams, grid: Grid) -> BackwardBranc
     # u_k(t) = g_k exp(-|phi0'| mu_k (T - t)): exact, decaying toward t = 0
     decay = mode_exponential(-abs(params.phi0_slope) * np.outer(grid.mu(), grid.T_end - grid.t),
                              series.active, "backward solve")
-    u_modes = series.as_float()[:, None] * decay
+    u_modes = series.coeffs[:, None] * decay
     u_field = field_from_modes(grid, u_modes, "backward-branch state")
     v_bar = eval_phi(params, u_field.values)
     v_bar.flags.writeable = False
@@ -126,27 +123,25 @@ class SourcedSolution:
         return self.v.grid
 
 
-def _mp_precision(max_exponent: float) -> int:
-    # enough bits to absorb the e^{max_exponent} cancellation plus a margin
-    return max(113, int(max_exponent * log2(np.e)) + 80)
+@dataclass(frozen=True)
+class InverseSource(CosineSeries):
+    """A source from ``inverse_source_from_endpoints`` with the float64 start s_k of
+    each mode k >= 1 (s_0 = 0): from the profile a it drives mode k as
+    a_k + s_k expm1(mu_k t/|sigma|)."""
 
-
-def _to_mpf(x) -> "mp.mpf":
-    import mpmath as mp
-
-    return x if isinstance(x, mp.mpf) else mp.mpf(float(x))
+    start: np.ndarray
 
 
 def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedSolution:
     """Exact per-mode solution of |sigma| v_t + v_xx = f(x) from the profile v0.
 
-    Mode k >= 1 evolves as v_k(t) = (v_k(0) + f_k/mu_k) e^{mu_k t/|sigma|} - f_k/mu_k
-    and mode 0 as v_0(0) + f_0 t / |sigma|, evaluated in float64.  When v0 or f
-    holds extended-precision coefficients (a source from
-    ``inverse_source_from_endpoints``), the start v_k(0) + f_k/mu_k alone is formed
-    in mpmath and rounded once.  For a source that drives a to b in time T it is
-    (b_k - a_k)/(E_k - 1), the only sum that cancels, and f_k/mu_k is near -a_k, so
-    both float terms stay O(|a| + |b|) for t <= T and lose only ulps.
+    Mode k >= 1 evolves as v_k(t) = start_k e^{mu_k t/|sigma|} - f_k/mu_k and mode 0
+    as v_0(0) + f_0 t / |sigma|, all in float64.  The start is v_k(0) + f_k/mu_k, or,
+    for an ``InverseSource`` that drives v0 = a to b in time T, its own
+    s_k = (b_k - a_k)/expm1(mu_k T/|sigma|): the sum would cancel to that, and the
+    growth factor would amplify its rounding.  Both terms then stay
+    O(|a| + |b|) for t <= T and lose only ulps.  An ``InverseSource`` refuses
+    any other v0.
     """
     if sigma_abs <= 0:
         raise ConfigurationError("sigma_abs must be positive")
@@ -158,21 +153,21 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
     expo = np.outer(mu, grid.t) / sigma_abs
     growth = mode_exponential(expo, active, "sourced solve")
 
-    af, ff = a.as_float(), fs.as_float()
-    F = np.divide(ff, mu, out=np.zeros_like(ff), where=mu > 0)
-    start = af + F
-    if a.coeffs.dtype == object or fs.coeffs.dtype == object:
-        import mpmath as mp
-
-        with mp.workprec(_mp_precision(float(np.max(expo[:, -1], where=active, initial=0.0)))):
-            start[1:] = [float(_to_mpf(ak) + _to_mpf(fk) / mp.mpf(muk))
-                         for ak, fk, muk in zip(a.coeffs[1:], fs.coeffs[1:], mu[1:])]
+    F = np.divide(fs.coeffs, mu, out=np.zeros_like(fs.coeffs), where=mu > 0)
+    start = a.coeffs + F
+    if isinstance(f, InverseSource):
+        # s_k holds from the profile f was formed from, the one where the sum
+        # a_k + f_k/mu_k cancels to s_k up to its own rounding
+        s = np.pad(f.start, (0, len(start) - len(f.start)))
+        if np.any((np.abs(s - start) > 1e-12 * (np.abs(a.coeffs) + np.abs(F)))[1:]):
+            raise ConfigurationError("an InverseSource drives only the profile it was formed from")
+        start[1:] = s[1:]
     v_modes = start[:, None] * growth - F[:, None]
-    v_modes[0] = af[0] + ff[0] * grid.t / sigma_abs
+    v_modes[0] = a.coeffs[0] + fs.coeffs[0] * grid.t / sigma_abs
 
     # |sigma| v_t = f + mu v element-wise: computing vt from the rounded modes
     # keeps the identity v_xx + |sigma| v_t = f exact at the sample level
-    vt_modes = (ff[:, None] + mu[:, None] * v_modes) / sigma_abs
+    vt_modes = (fs.coeffs[:, None] + mu[:, None] * v_modes) / sigma_abs
     source = fs.synthesize(grid.x)
     source.flags.writeable = False
     return SourcedSolution(field_from_modes(grid, v_modes, "sourced flux"), v_modes, vt_modes,
@@ -180,17 +175,17 @@ def solve_sourced(f: CosineSeries, v0, sigma_abs: float, grid: Grid) -> SourcedS
 
 
 def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
-                                  T_end: float, sigma_abs: float) -> CosineSeries:
+                                  T_end: float, sigma_abs: float) -> InverseSource:
     """Recover the time-independent source driving profile a to profile b in time T.
 
     Closed forms per mode: f_0 = (b_0 - a_0) |sigma| / T and, for k >= 1 with
-    E_k = exp(pi^2 T k^2 / (L^2 |sigma|)),
+    z_k = mu_k T/|sigma|, the start s_k = (b_k - a_k)/expm1(z_k) and
 
-        f_k = pi^2 k^2 (b_k - a_k E_k) / (L^2 (E_k - 1)).
+        f_k = mu_k (s_k - a_k),
 
-    The returned coefficients are extended-precision reals: the forward solve
-    forms a_k + f_k/mu_k = (b_k - a_k)/(E_k - 1) from them, so any
-    double-precision rounding of f_k would be amplified by the full growth factor.
+    all in float64: no sum cancels, so f_k and s_k are accurate to ulps however
+    large e^{z_k} is.  ``solve_sourced`` grows s_k itself, since its own start
+    a_k + f_k/mu_k would cancel to s_k and lose it to rounding.
     """
     if T_end <= 0 or sigma_abs <= 0:
         raise ConfigurationError("T_end and sigma_abs must be positive")
@@ -200,21 +195,14 @@ def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
         raise ConfigurationError("endpoint profiles must carry the same mode count")
     mu = cosine_eigenvalues(len(a.coeffs) - 1, a.L)
     active, expo = a.active | b_series.active, mu * T_end / sigma_abs
-    mode_exponential(expo, active, "inverse source")  # the guard; mpmath forms E_k
-    max_exp = float(np.max(expo, where=active, initial=0.0))
-
-    import mpmath as mp
-
-    out = np.empty(len(mu), dtype=object)
-    with mp.workprec(_mp_precision(max_exp)):
-        out[0] = (_to_mpf(b_series.coeffs[0]) - _to_mpf(a.coeffs[0])) * sigma_abs / T_end
-        for kk in range(1, len(mu)):
-            ak = _to_mpf(a.coeffs[kk])
-            bk = _to_mpf(b_series.coeffs[kk])
-            muk = mp.mpf(mu[kk])
-            E = mp.e**(muk * T_end / sigma_abs)
-            out[kk] = muk * (bk - ak * E) / (E - 1)
-    return CosineSeries(a.L, out)
+    mode_exponential(expo, active, "inverse source")  # the guard; expm1 forms E_k - 1
+    moving, rise = active & (mu > 0), b_series.coeffs - a.coeffs
+    start = np.divide(rise, np.expm1(np.where(moving, expo, 0.0)), out=np.zeros_like(rise),
+                      where=moving)
+    start.flags.writeable = False
+    f = mu * (start - a.coeffs)
+    f[0] = rise[0] * sigma_abs / T_end
+    return InverseSource(a.L, f, start)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +328,9 @@ def solve_pseudoparabolic(u0, eps: float, params: PhaseParams, grid: Grid) -> Ep
     under a node-branch pattern carried from crossing to crossing (``_FrozenPattern``).
     The flux is not stepped: once u is known, v is phi(u) projected at every sample.
     """
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
-    u_hat = _profile_to_series(u0, grid, "initial state").as_float()
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigurationError("eps must be finite and positive")
+    u_hat = _profile_to_series(u0, grid, "initial state").coeffs
 
     mu = grid.mu()
     resolvent = 1.0 / (1.0 + eps * mu)

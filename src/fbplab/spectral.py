@@ -9,7 +9,7 @@ Backward (negative-diffusivity) flows are only ever advanced exactly per mode.
 Every exact per-mode flow of the package passes the one overflow guard,
 ``mode_exponential``; the backward and sourced solves and the relaxation's
 single-branch steps take their factors from it too, while the inverse source
-(mpmath E_k) and the frozen-pattern steps (``expm1``) only pass its guard.  A
+and the frozen-pattern steps (both ``expm1``) only pass its guard.  A
 sampled field is projected once (``Field2D.modes``) and keeps its second
 derivative beside that projection (``Field2D.xx``); its space derivatives, the
 zero-flux test ``boundary_slopes`` among them, read the projection.  Samples
@@ -130,13 +130,11 @@ def analysis_matrix(n_modes: int, L: float, n_x: int) -> np.ndarray:
 
 
 def _coerce_coeffs(coeffs) -> np.ndarray:
-    arr = np.asarray(coeffs)
+    arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigurationError("cosine coefficients must form a nonempty 1-d sequence")
-    if arr.dtype != object:
-        arr = arr.astype(float)
-        if not np.all(np.isfinite(arr)):
-            raise DomainViolationError("cosine coefficients must be finite")
+    if not np.all(np.isfinite(arr)):
+        raise DomainViolationError("cosine coefficients must be finite")
     out = arr.copy()
     out.flags.writeable = False
     return out
@@ -144,12 +142,8 @@ def _coerce_coeffs(coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CosineSeries:
-    """Coefficients (a_0, ..., a_N) of sum_k a_k cos(k*pi*x/L) on (0, L).
-
-    Coefficients are usually float64; the inverse-source constructor returns
-    extended-precision values (mpmath) because the growth factors e^{mu_k T}
-    make the source/endpoint relation ill-conditioned in double precision.
-    """
+    """Coefficients (a_0, ..., a_N) of sum_k a_k cos(k*pi*x/L) on (0, L), held as a
+    read-only float64 array."""
 
     L: float
     coeffs: np.ndarray
@@ -166,21 +160,16 @@ class CosineSeries:
     @property
     def active(self) -> np.ndarray:
         """Which coefficients are nonzero (the modes an exact flow must move)."""
-        return np.asarray([c != 0 for c in self.coeffs], dtype=bool)
-
-    def as_float(self) -> np.ndarray:
-        return np.asarray([float(c) for c in self.coeffs], dtype=float)
+        return self.coeffs != 0
 
     def synthesize(self, x) -> np.ndarray:
         """Evaluate the expansion at the points ``x`` (float64)."""
-        return self.as_float() @ cosine_basis(self.n_modes, self.L, x)
+        return self.coeffs @ cosine_basis(self.n_modes, self.L, x)
 
     def padded(self, n_modes: int) -> "CosineSeries":
         if n_modes + 1 < len(self.coeffs):
             raise ConfigurationError("cannot pad a series to fewer modes than it has")
-        out = np.zeros(n_modes + 1, dtype=self.coeffs.dtype)
-        out[: len(self.coeffs)] = self.coeffs
-        return CosineSeries(self.L, out)
+        return CosineSeries(self.L, np.pad(self.coeffs, (0, n_modes + 1 - len(self.coeffs))))
 
 
 def analyze_columns(values: np.ndarray, L: float, n_modes: int) -> np.ndarray:
@@ -329,7 +318,7 @@ def write_series_csv(s: CosineSeries, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write("k\tcoefficient\n")
-        for k, ck in enumerate(s.as_float()):
+        for k, ck in enumerate(s.coeffs):
             fh.write(f"{k}\t{format(ck, '.17g')}\n")
 
 

@@ -144,7 +144,7 @@ def sequential_relaxation_oracle(u0, eps: float, params: PhaseParams, grid) -> n
     basis = np.ascontiguousarray(cosine_basis(grid.n_modes, grid.L, grid.x).T)
     analysis = analysis_matrix(grid.n_modes, grid.L, grid.n_x)
     exponents = -np.outer(params.branches.slope, rate) * grid.dt
-    u_hat = _profile_to_series(u0, grid, "initial state").as_float()
+    u_hat = _profile_to_series(u0, grid, "initial state").coeffs
     u_modes, state = np.repeat(u_hat[:, None], grid.n_t, axis=1), u_hat
     start, run, flow = 0, None, None
     for j in range(1, grid.n_t):

@@ -30,6 +30,14 @@ def small_config(tmp_path):
     return cfg, path
 
 
+def set_key(path, key: str, raw: str) -> None:
+    """Rewrite the one line of ``key`` in the scenario file ``path`` to ``key = raw``."""
+    text = path.read_text()
+    lines = [line for line in text.splitlines() if line.startswith(f"{key} = ")]
+    assert len(lines) == 1, lines
+    path.write_text(text.replace(lines[0], f"{key} = {raw}"))
+
+
 class TestScenarioConfig:
     def test_default_is_valid(self):
         cfg = ScenarioConfig.default()
@@ -128,6 +136,26 @@ class TestScenarioConfig:
             ScenarioConfig.from_file(path)
         assert main(["counterexample", "--config", str(path)]) == 2
         assert not Path(cfg.output_dir).exists()
+
+    @pytest.mark.parametrize("section, key, raw", [
+        pytest.param("regularization", "eps", "0.1, nan", id="eps-nan"),
+        pytest.param("regularization", "eps", "0.1, inf", id="eps-inf"),
+        pytest.param("regularization", "eps", "0.1, -1", id="eps-negative"),
+        pytest.param("sources", "f1", "1, nan", id="source-nan")])
+    def test_bad_value_refused_before_any_file(self, tmp_path, capsys, section, key, raw):
+        # every value is checked when the scenario is read, before either command
+        # writes a file; a NaN eps would otherwise reach the solver's eigh
+        out = tmp_path / "out"
+        cfg = dataclasses.replace(ScenarioConfig.default(), output_dir=out,
+                                  grid=Grid(L=np.pi, T_end=1.0, n_x=32, n_t=33, n_modes=8))
+        path = tmp_path / "bad.ini"
+        cfg.to_file(path)
+        set_key(path, key, raw)
+        out.mkdir()
+        for command in ("counterexample", "regularize"):
+            assert main([command, "--config", str(path)]) == 2
+            assert f"[{section}]" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_final_datum_series(self):
         datum = FinalDatum(0.1, (1, 3))
@@ -295,31 +323,28 @@ class TestRegularizeCommand:
         text = (Path(cfg.output_dir) / "regularize_summary.txt").read_text()
         assert "PASS" in text
 
-    def test_empty_eps_list_is_config_error(self, small_config, tmp_path):
-        cfg, _ = small_config
-        cfg = dataclasses.replace(cfg, eps_list=(), output_dir=tmp_path / "noeps")
-        path = tmp_path / "noeps.ini"
-        cfg.to_file(path)
-        # an empty eps key round-trips to an empty tuple
+    def test_empty_eps_list_is_config_error(self, small_config, capsys):
+        cfg, path = small_config
+        # an empty eps key reads as an empty tuple, which the scenario refuses
+        set_key(path, "eps", "")
         assert main(["regularize", "--config", str(path)]) == 2
+        assert "[regularization] eps" in capsys.readouterr().err
+        assert not Path(cfg.output_dir).exists()
 
-    def test_eps_values_sharing_a_tag_are_config_error(self, small_config, tmp_path,
-                                                       monkeypatch, capsys):
+    def test_eps_values_sharing_a_tag_are_config_error(self, small_config, monkeypatch,
+                                                       capsys):
         # both are eps0p001 in file names and 0.001 in the summary: the second run
         # would overwrite the first's files; the sweep is refused before any solve
-        cfg, _ = small_config
-        cfg = dataclasses.replace(cfg, eps_list=(0.001, 0.0010000001),
-                                  output_dir=tmp_path / "shared")
-        path = tmp_path / "shared.ini"
-        cfg.to_file(path)
+        cfg, path = small_config
+        set_key(path, "eps", "0.001, 0.0010000001")
 
         def no_solve(*args):
             raise AssertionError("a solve ran before the eps tags were checked")
 
         monkeypatch.setattr("fbplab.cli.solve_unstable_backward", no_solve)
         assert main(["regularize", "--config", str(path)]) == 2
-        assert "eps" in capsys.readouterr().err
-        assert not (tmp_path / "shared").exists()
+        assert "[regularization] eps" in capsys.readouterr().err
+        assert not Path(cfg.output_dir).exists()
 
 
 class TestInverseCommand:

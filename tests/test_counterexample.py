@@ -390,7 +390,7 @@ class TestConstructFamily:
             g = triple.grid
             gap = analyze_columns(triple.u.values - family[0].u.values[:, :g.n_t], g.L,
                                   g.n_modes)
-            fk = f.padded(g.n_modes).as_float()
+            fk = f.padded(g.n_modes).coeffs
             on = fk != 0                   # e^z overflows on the high modes, where f_k = 0
             z = np.outer(g.mu()[on], g.t) / params.sigma_abs
             # (e^z - 1)/z -> 1 as z -> 0: mode 0 and t = 0

@@ -1,7 +1,7 @@
 """Every module of the package reads each name it imports, no package code is
 reached only from the tests, every function and method of the package runs in
-some command, every dataclass field is read, and mpmath is loaded only by the
-steps that run in extended precision.
+some command, every dataclass field is read, and no module imports mpmath, which
+only the tests use.
 
 No linter is a dependency of the project, so the checks walk each module's
 syntax tree with the standard library's ``ast``.  The import check leaves
@@ -230,19 +230,15 @@ def test_dataclass_fields_are_read():
     assert unread_fields(sources, bench) == []
 
 
-def import_time_modules(source: str) -> list[str]:
-    """Top-level names of the modules that ``source`` imports when it is itself
-    imported: every import outside a function body."""
-    found, pending = [], list(ast.parse(source).body)
-    while pending:
-        node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+def imported_modules(source: str) -> list[str]:
+    """Top-level names of the modules that ``source`` imports anywhere, function
+    bodies included; relative imports are left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found.extend(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append(node.module.split(".")[0])
-        pending.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
 
@@ -250,20 +246,24 @@ def test_the_check_finds_import_time_imports():
     source = ("import numpy as np\nfrom os import path\nfrom .spectral import Grid\n"
               "if np:\n    import json\n\nclass C:\n    import re\n\n"
               "def f():\n    import mpmath as mp\n    return mp\n")
-    assert import_time_modules(source) == ["json", "numpy", "os", "re"]
+    assert imported_modules(source) == ["json", "mpmath", "numpy", "os", "re"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_imports_mpmath_at_import_time(module):
-    assert "mpmath" not in import_time_modules((PACKAGE / module).read_text())
+    # nor later: mpmath is a test dependency, so no function body imports it either
+    assert "mpmath" not in imported_modules((PACKAGE / module).read_text())
 
 
 def test_float_runs_never_load_mpmath(tmp_path):
     # a fresh interpreter: this test process has imported mpmath already
-    code = ("import sys\nimport fbplab.cli\n"
-            f"status = fbplab.cli.main(['counterexample', '--out', {str(tmp_path)!r}])\n"
-            "print(status, 'mpmath' in sys.modules)\n")
+    code = ("import sys\nfrom fbplab.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "codes = [main(['counterexample', '--out', out + '/c']),\n"
+            "         main(['regularize', '--out', out + '/r']),\n"
+            "         main(['inverse', '--a=0.5,0.1', '--b=0.6,0.05', '--out', out + '/i'])]\n"
+            "print(codes, 'mpmath' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -56,7 +56,7 @@ def rk4_relaxation_oracle(u0, eps, params, grid, refine=1):
 
     exponents = -np.outer(params.branches.slope, mu * resolvent) * grid.dt
     u_modes = np.zeros((grid.n_modes + 1, grid.n_t))
-    u_modes[:, 0] = state = _profile_to_series(u0, grid, "initial state").as_float()
+    u_modes[:, 0] = state = _profile_to_series(u0, grid, "initial state").coeffs
     start, run = 0, None
     for j in range(1, grid.n_t):
         i, (held,) = _certified_branch(state[:, None], params, basis, exponents)
@@ -197,7 +197,7 @@ class TestInverseSource:
         a = CosineSeries(L, [0.4, 0.2, -0.1])
         free = propagate_heat(a, -1.0, 1.0)  # |sigma| v_t + v_xx = 0
         f = inverse_source_from_endpoints(a, free, 1.0, 1.0)
-        assert np.max(np.abs(f.as_float())) < 1e-12
+        assert np.max(np.abs(f.coeffs)) < 1e-12
 
     def test_equal_endpoints_force_nonzero_high_modes(self):
         a = CosineSeries(L, [0.3, 0.5])
@@ -284,17 +284,38 @@ class TestSourcedSolve:
             free = propagate_heat(a, -1.0, grid.t[j])
             assert sol.v.values[:, j] == pytest.approx(free.synthesize(grid.x), abs=1e-10)
 
-    def test_float_and_extended_paths_agree(self, grid):
-        # one evaluation path: object coefficients only form the start
-        # a_k + f_k/mu_k in extended precision; every field is float64
-        a = np.zeros(4)
-        a[3] = 0.2
-        f = np.zeros(4)
-        f[3] = 0.5
-        fast = solve_sourced(CosineSeries(L, f), CosineSeries(L, a), 1.0, grid)
-        slow = solve_sourced(CosineSeries(L, np.asarray([mp.mpf(v) for v in f], dtype=object)),
-                             CosineSeries(L, a), 1.0, grid)
-        assert np.max(np.abs(fast.v.values - slow.v.values)) < 1e-10
+    def test_ill_conditioned_modes_stay_float64(self):
+        # modes 1, 5 and 26 of an L = pi, T = 1 pair (mu_k T/|sigma| = k^2): mode 26
+        # grows by e^676, so its start s_26 ~ e^-676 must come from the inverse
+        grid = Grid(L, 1.0, 128, 33, 32)
+        a, b = np.zeros(27), np.zeros(27)
+        a[[1, 5, 26]], b[[1, 5, 26]] = (0.3, -0.2, 0.7), (-0.4, 0.1, 0.5)
+        a, b = CosineSeries(L, a), CosineSeries(L, b)
+        f = inverse_source_from_endpoints(a, b, grid.T_end, 1.0)
+        sol = solve_sourced(f, a, 1.0, grid)
+        assert np.max(np.abs(sol.v.values[:, -1] - b.synthesize(grid.x))) <= 1e-8
+        # the sum a_k + f_k/mu_k of a float source cancels and loses the end point
+        naive = solve_sourced(CosineSeries(L, f.coeffs), a, 1.0, grid)
+        assert np.max(np.abs(naive.v.values[:, -1] - b.synthesize(grid.x))) > 1e-3
+        with mp.workprec(200):
+            for k, (ak, bk, fk) in enumerate(zip(a.coeffs, b.coeffs, f.coeffs)):
+                E = mp.exp(mp.mpf(k) ** 2)
+                exact = float(k ** 2 * (mp.mpf(bk) - mp.mpf(ak) * E) / (E - 1)) if k else 0.0
+                assert abs(fk - exact) <= 1e-14 * abs(exact), k
+        held = (f.coeffs, f.start, sol.v_modes, CosineSeries(L, [mp.mpf(1) / 3]).coeffs)
+        assert all(arr.dtype == np.float64 for arr in held)
+
+    def test_inverse_source_refuses_another_start(self, grid):
+        # its start s_k is the endpoint form from a alone: from any other profile
+        # the solve would still begin at a
+        a = CosineSeries(L, [0.5, 0.1, -0.05, 0.02])
+        f = inverse_source_from_endpoints(a, CosineSeries(L, [0.6, 0.05, 0.01, -0.01]),
+                                          grid.T_end, 1.0)
+        assert np.array_equal(solve_sourced(f, a.padded(grid.n_modes), 1.0, grid).v_modes,
+                              solve_sourced(f, a, 1.0, grid).v_modes)
+        for other in ([0.5, 0.3, -0.05, 0.02], [0.5, 0.1, -0.05, 0.02, 1e-3]):
+            with pytest.raises(ConfigurationError, match="InverseSource"):
+                solve_sourced(f, CosineSeries(L, other), 1.0, grid)
 
     def test_source_on_another_interval_is_refused(self, grid):
         # v would evolve with the grid's eigenvalues while the source profile
@@ -665,5 +686,7 @@ class TestPseudoparabolic:
         assert calls["factors"] == certificates + calls["rounds"]
 
     def test_bad_eps(self, params, grid):
-        with pytest.raises(ConfigurationError):
-            solve_pseudoparabolic(np.full(grid.n_x, 0.1), 0.0, params, grid)
+        # NaN fails every comparison, so a guard of eps <= 0 would hand it to eigh
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                solve_pseudoparabolic(np.full(grid.n_x, 0.1), eps, params, grid)
