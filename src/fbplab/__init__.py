@@ -9,16 +9,15 @@ the conditions with independent grid checks.
 """
 
 from .config import FinalDatum, ScenarioConfig
-from .counterexample import (SolutionTriple, assemble_state, build_lambda,
-                             certify_horizon, construct_family)
+from .counterexample import assemble_state, build_lambda, certify_horizon, construct_family
 from .errors import (ConfigurationError, DomainViolationError, FbpError,
                      GridMismatchError, InstabilityError, NearSingularError)
 from .phase_model import EntropyFlux, PhaseParams, entropy_primitive, eval_phi
-from .solvers import (BackwardBranchSolution, EpsSolution, InverseSource,
-                      SourcedSolution, inverse_source_from_endpoints,
-                      solve_pseudoparabolic, solve_sourced, solve_unstable_backward)
+from .solvers import (BackwardBranchSolution, InverseSource, SourcedSolution,
+                      inverse_source_from_endpoints, solve_pseudoparabolic, solve_sourced,
+                      solve_unstable_backward)
 from .spectral import CosineSeries, Field2D, Grid
-from .verifier import (VerificationReport, distinctness,
+from .verifier import (EpsSolution, SolutionTriple, VerificationReport, distinctness,
                        entropy_inequality_residual, monotonicity_report,
                        pointwise_certificate, run_triple_battery,
                        structural_check, viscous_entropy_audit,

@@ -18,7 +18,7 @@ Subcommands::
         positivity report and the forward round-trip error.
 
     fbplab --seed-check
-        runs the manufactured-violator suite (``verifier.negative_controls``):
+        runs the manufactured-violator suite (``controls.negative_controls``):
         every bounded row of the battery and of the relaxation report must
         reject its violator; each line names the target rows and their
         residuals.
@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verifier
+from . import controls, verifier
 from .config import ScenarioConfig
 from .counterexample import construct_family
 from .errors import ConfigurationError, FbpError, InstabilityError
@@ -199,7 +199,7 @@ def cmd_inverse(config: ScenarioConfig, a_coeffs, b_coeffs, t_end: float) -> int
 
 def run_seed_check() -> int:
     """Negative-control suite: every check must reject its violator."""
-    results = verifier.negative_controls()
+    results = controls.negative_controls()
     ok = True
     for name, rejected, detail in results:
         print(f"{name}: {'rejected' if rejected else 'MISSED'} ({detail})")

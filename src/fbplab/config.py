@@ -50,6 +50,8 @@ class FinalDatum:
     def __post_init__(self):
         if not self.modes or any(k < 1 for k in self.modes):
             raise ConfigurationError("final datum needs at least one positive mode index")
+        if not math.isfinite(self.amplitude):
+            raise ConfigurationError("[final_datum] amplitude must be finite")
 
     def series(self, L: float) -> CosineSeries:
         coeffs = [0.0] * (max(self.modes) + 1)

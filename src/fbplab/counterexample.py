@@ -18,57 +18,21 @@ and names the condition that ends it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import (ConfigurationError, DomainViolationError,
-                     GridMismatchError, NearSingularError)
+from .errors import ConfigurationError, DomainViolationError, NearSingularError
 from .phase_model import (PhaseParams, beta0_extended, beta2_extended,
                           branch_gap_extended)
 from .solvers import SourcedSolution, solve_sourced, solve_unstable_backward
-from .spectral import CosineSeries, Field2D, Grid, constant_field, read_only, synthesize_columns
+from .spectral import CosineSeries, Field2D, Grid, constant_field, synthesize_columns
+from .verifier import SolutionTriple
 
 GAP_FLOOR = 1e-9          # below this the weight formula is declared singular
 BUILD_GAP_FLOOR = 1e-6    # construction truncates before the gap collapses
 RATE_TOL = 1e-8           # certification admits a weight rate down to -RATE_TOL
 DELTA = 0.05              # the certification margin c2 when none is configured
-
-
-@dataclass(frozen=True)
-class SolutionTriple:
-    """State u, flux v and stable-phase weight lambda of one candidate solution.
-
-    The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
-    certified horizon, ``binding`` the condition that ends it, a margin or the end
-    of the construction window ("" when it is the whole grid), and ``lam_t`` the
-    analytic weight rate.  All four fields live on one grid, [0, t_bar] for a triple
-    of ``construct_family``, and own its samples.  ``source`` is the (n_x,) profile
-    f(x) driving v (zeros for a weight-zero triple), held or copied read-only like a
-    field's samples: the excess rate m = v_xx + |sigma| v_t equals it exactly.
-    """
-
-    u: Field2D
-    v: Field2D
-    lam: Field2D
-    t_bar: float
-    provenance: str
-    lam_t: Field2D
-    source: np.ndarray
-    binding: str = ""
-
-    def __post_init__(self):
-        if any(f.grid != self.u.grid for f in (self.v, self.lam, self.lam_t)):
-            raise GridMismatchError("u, v, lambda and lambda_t must share one grid")
-        source = read_only(self.source)
-        if source.shape != (self.grid.n_x,):
-            raise GridMismatchError(
-                f"source profile: expected {self.grid.n_x} samples, got shape {source.shape}")
-        object.__setattr__(self, "source", source)
-
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
 
 
 def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Field2D]:

@@ -28,6 +28,7 @@ from .phase_model import PhaseParams, eval_phi
 from .spectral import (OVERFLOW_EXPONENT, CosineSeries, Field2D, Grid, analysis_matrix,
                        analyze_columns, cosine_basis, cosine_eigenvalues, field_from_modes,
                        mode_exponential)
+from .verifier import EpsSolution
 
 #: sample residual of a band-limited profile, relative to the profile
 _BAND_LIMIT_TOL = 1e-8
@@ -207,21 +208,6 @@ def inverse_source_from_endpoints(a: CosineSeries, b_series: CosineSeries,
 
 # ---------------------------------------------------------------------------
 # pseudoparabolic relaxation
-
-
-@dataclass(frozen=True)
-class EpsSolution:
-    """State/flux pair of the relaxation system at one eps."""
-
-    eps: float
-    u_eps: Field2D
-    v_eps: Field2D
-    u_modes: np.ndarray
-    v_modes: np.ndarray
-
-    @property
-    def grid(self) -> Grid:
-        return self.u_eps.grid
 
 
 def _certified_branch(states: np.ndarray, params: PhaseParams, basis: np.ndarray,

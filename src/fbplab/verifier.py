@@ -14,6 +14,10 @@ decides it: a row passes when lower <= residual <= upper (``CheckResult``).
 A relaxed solution gets its own report (``relaxation_report``), and each
 negative control is decided by the target rows of one of these reports.
 
+The judge imports only ``errors``, ``phase_model`` and ``spectral``, never the
+construction code, and owns the records it judges, ``SolutionTriple`` and
+``EpsSolution`` (``tests/test_imports.py`` checks the layer order).
+
 One sweep over blocks of x-rows (``_flux_pass``) serves every flux of the
 battery and the single checks, each block while it stays in cache:
 G(beta0(v)) and G(beta2(v)) are affine images of one primitive Gamma(v) of g on
@@ -29,15 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .counterexample import DELTA, SolutionTriple, assemble_state, sourced_triple
 from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended, branch_gap_extended,
                           branch_image_primitives, certificate_from_primitives,
-                          entropy_primitive, eval_phi)
-from .solvers import EpsSolution, solve_pseudoparabolic, solve_unstable_backward
-from .spectral import (BOUNDARY_SLOPE_TOL, CosineSeries, Field2D, Grid, boundary_slopes,
-                       constant_field, trapezoid_weights, x_derivative_columns)
+                          entropy_primitive)
+from .spectral import (BOUNDARY_SLOPE_TOL, Field2D, Grid, boundary_slopes, read_only,
+                       trapezoid_weights, x_derivative_columns)
 
 # the verdict tolerances, fixed for every run; quadrature-based residuals halve
 # appropriately under grid doubling, algebraic identities sit at round-off
@@ -59,6 +61,57 @@ WEIGHT_DEFICIT_TOL = 1e-6
 MASS_DRIFT_TOL = 1e-8
 #: cells in one row block of the flux pass: its fields stay in L2 cache
 _BLOCK_CELLS = 32768
+
+
+@dataclass(frozen=True)
+class SolutionTriple:
+    """State u, flux v and stable-phase weight lambda of one candidate solution.
+
+    The embedded three-phase weights are (1 - lam, 0, lam); ``t_bar`` is the
+    certified horizon, ``binding`` the condition that ends it, a margin or the end
+    of the construction window ("" when it is the whole grid), and ``lam_t`` the
+    analytic weight rate.  All four fields live on one grid, [0, t_bar] for a triple
+    of ``construct_family``, and own its samples.  ``source`` is the (n_x,) profile
+    f(x) driving v (zeros for a weight-zero triple), held or copied read-only like a
+    field's samples: the excess rate m = v_xx + |sigma| v_t equals it exactly.
+    """
+
+    u: Field2D
+    v: Field2D
+    lam: Field2D
+    t_bar: float
+    provenance: str
+    lam_t: Field2D
+    source: np.ndarray
+    binding: str = ""
+
+    def __post_init__(self):
+        if any(f.grid != self.u.grid for f in (self.v, self.lam, self.lam_t)):
+            raise GridMismatchError("u, v, lambda and lambda_t must share one grid")
+        source = read_only(self.source)
+        if source.shape != (self.grid.n_x,):
+            raise GridMismatchError(
+                f"source profile: expected {self.grid.n_x} samples, got shape {source.shape}")
+        object.__setattr__(self, "source", source)
+
+    @property
+    def grid(self) -> Grid:
+        return self.u.grid
+
+
+@dataclass(frozen=True)
+class EpsSolution:
+    """State/flux pair of the relaxation system at one eps."""
+
+    eps: float
+    u_eps: Field2D
+    v_eps: Field2D
+    u_modes: np.ndarray
+    v_modes: np.ndarray
+
+    @property
+    def grid(self) -> Grid:
+        return self.u_eps.grid
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +646,9 @@ def distinctness(triple_a: SolutionTriple, triple_b: SolutionTriple,
                  t_probe: float) -> tuple[float, float, float]:
     """Spatial L2 distances of (u, v, lambda) at one certified time."""
     ga, gb = triple_a.grid, triple_b.grid
-    if abs(ga.L - gb.L) > 1e-12 or ga.n_x != gb.n_x or abs(ga.dt - gb.dt) > 1e-15:
+    if ga.L != gb.L or ga.n_x != gb.n_x or ga.dt != gb.dt:
         raise GridMismatchError("triples live on incompatible grids")
-    if t_probe > min(triple_a.t_bar, triple_b.t_bar) + 1e-12:
+    if t_probe > min(triple_a.t_bar, triple_b.t_bar):
         raise DomainViolationError(
             f"probe time {t_probe:g} exceeds a certified horizon "
             f"({triple_a.t_bar:g}, {triple_b.t_bar:g})")
@@ -653,108 +706,3 @@ def run_triple_battery(triple: SolutionTriple, u0: np.ndarray,
                               note="centered-difference identity defect" if grid.n_t >= 3
                               else f"needs three time samples, window has {grid.n_t}"))
     return VerificationReport(checks, grid_summary(grid))
-
-
-# ---------------------------------------------------------------------------
-# negative controls: every bounded row must reject its manufactured violator
-
-
-def control_table(params: PhaseParams | None = None) -> list[tuple[str, tuple, object]]:
-    """(control name, target rows, violator) for every row with a finite bound.
-
-    A violator is a (triple, u0) pair, checked by ``run_triple_battery``, or a
-    relaxed solution, checked by ``relaxation_report``.
-    """
-    params = params or PhaseParams.default()
-    grid, b, c = Grid(np.pi, 1.0, 64, 97, 16), params.b, params.c
-    # the datum centred in the decreasing branch (b, c), scaled to its width
-    final = CosineSeries(np.pi, [(b + c) / 2, 0.05 * (c - b)])
-    # the classical solution on the whole grid, with zero lambda, lambda_t and source
-    back, zero = solve_unstable_backward(final, params, grid), constant_field(grid, 0.0)
-    base = SolutionTriple(back.u_bar, back.v_bar, zero, grid.T_end, "control", lam_t=zero,
-                          source=np.zeros(grid.n_x))
-    u0, t = back.u0, grid.t[None, :]
-
-    def field(values) -> Field2D:
-        return Field2D(grid, np.broadcast_to(values, (grid.n_x, grid.n_t)).copy(), "control")
-
-    def on_branch0(v) -> tuple[SolutionTriple, np.ndarray]:
-        """The weight-zero triple with flux v on the decreasing branch, and its u(.,0)."""
-        triple = replace(base, u=field(beta0_extended(params, v)), v=field(v))
-        return triple, triple.u.values[:, 0]
-
-    # a weight that decreases while the flux stays above the lower critical value
-    lam_dec = field(np.maximum(0.0, 0.2 - t))
-    decreasing = replace(base, u=assemble_state(base.v, lam_dec, params), lam=lam_dec,
-                         lam_t=field(np.where(t < 0.2, -1.0, 0.0)))
-    # a flux that dips below the lower critical value, and a flux ramp, whose
-    # sides carry a nonzero flux
-    v_dip = base.v.values.copy()
-    v_dip[:, grid.n_t // 2:] -= params.B - params.A
-    v_ramp = (0.5 * grid.x / grid.L - 0.25)[:, None]
-    # a non-conservative state (mass grows linearly)
-    u_nc = u0[:, None] + 0.1 * t
-    # a flux above the upper critical value with upper weight below one
-    v_hi, lam_mid = field(params.B + 0.1), field(0.3)
-    jump = replace(base, u=assemble_state(v_hi, lam_mid, params), v=v_hi, lam=lam_mid)
-    # forward diffusion in the unstable branch: the baseline reversed in time
-    reversed_base = replace(base, u=field(base.u.values[:, ::-1]),
-                            v=field(base.v.values[:, ::-1]))
-    # a certified sourced triple, violated at its middle sample, and a relaxed
-    # solution in a stable branch
-    sourced = sourced_triple(0, CosineSeries(np.pi, [1.0]), back.v_bar.values[:, 0], params,
-                             grid, DELTA)
-    lam_over, rate_under = sourced.lam.values.copy(), sourced.lam_t.values.copy()
-    mid = (17, sourced.grid.n_t // 2)
-    lam_over[mid], rate_under[mid] = 1.0 + 1e-3, -1e-3
-    relaxed = solve_pseudoparabolic(c + 0.75 * (c - b) + 0.125 * (c - b) * np.cos(grid.x),
-                                    0.05, params, grid)
-    return [
-        ("decreasing-weight", ("lambda2-monotone", "pointwise-certificate"),
-         (decreasing, u0)),
-        ("broken-superposition", ("superposition-identity",),
-         (replace(base, u=field(base.u.values + 1e-3)), u0)),
-        ("flux-below-lower-critical", ("flux-above-lower-critical",), on_branch0(v_dip)),
-        ("non-conservative-state", ("weak-form",),
-         (replace(base, u=field(u_nc), v=field(eval_phi(params, u_nc))), u0)),
-        ("upper-jump-violation", ("upper-jump-clause",), (jump, jump.u.values[:, 0])),
-        ("reversed-relaxation-flow", ("viscous-entropy",),
-         EpsSolution(relaxed.eps, field(relaxed.u_eps.values[:, ::-1]),
-                     field(relaxed.v_eps.values[:, ::-1]),
-                     relaxed.u_modes[:, ::-1], relaxed.v_modes[:, ::-1])),
-        ("reversed-baseline", ("entropy-inequality",),
-         (reversed_base, reversed_base.u.values[:, 0])),
-        ("doubled-weight-rate", ("certificate-identity",),
-         (replace(sourced, lam_t=Field2D(sourced.grid, 2.0 * sourced.lam_t.values)), u0)),
-        ("sloped-boundary-flux", ("boundary-flux",), on_branch0(v_ramp)),
-        ("shifted-initial-datum", ("initial-trace",), (sourced, u0 + 1e-6)),
-        ("drifting-state", ("state-evolution-identity",),
-         (replace(base, u=field(base.u.values + 1e-3 * t * np.cos(grid.x)[:, None])),
-          u0)),
-        ("weight-above-one", ("weight-bounds",),
-         (replace(sourced, lam=Field2D(sourced.grid, lam_over)), u0)),
-        ("negative-weight-rate", ("weight-rate-sign",),
-         (replace(sourced, lam_t=Field2D(sourced.grid, rate_under)), u0)),
-        ("growing-relaxed-mass", ("mass-drift",),
-         replace(relaxed, u_eps=field(relaxed.u_eps.values * (1.0 + 0.1 * t)),
-                 u_modes=relaxed.u_modes * (1.0 + 0.1 * t))),
-    ]
-
-
-def negative_controls(params: PhaseParams | None = None) -> list[tuple[str, bool, str]]:
-    """Check every violator of ``control_table`` with the report that carries its
-    target rows.
-
-    Returns (control name, rejected, detail) entries; a control counts as
-    rejected only when every one of its target rows fails, and the detail
-    gives each target row's residual.
-    """
-    params = params or PhaseParams.default()
-    results = []
-    for name, rows, violator in control_table(params):
-        report = (relaxation_report(violator, params) if isinstance(violator, EpsSolution)
-                  else run_triple_battery(*violator, params))
-        entries = [report.entry(row) for row in rows]
-        results.append((name, not any(e.passed for e in entries),
-                        ", ".join(f"{e.name} {e.residual:.2e}" for e in entries)))
-    return results

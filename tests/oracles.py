@@ -13,13 +13,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from fbplab.counterexample import SolutionTriple, assemble_state, build_lambda
+from fbplab.counterexample import assemble_state, build_lambda
 from fbplab.errors import ConfigurationError, DomainViolationError, InstabilityError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
                                 branch_gap_extended, certificate_integrand_extended, eval_phi)
 from fbplab.solvers import solve_sourced
 from fbplab.spectral import (CosineSeries, Field2D, analysis_matrix, cosine_basis,
                              cosine_eigenvalues, field_from_modes, mode_exponential)
+from fbplab.verifier import SolutionTriple
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import pytest
 
 from fbplab.cli import cmd_counterexample
 from fbplab.config import ScenarioConfig
+from fbplab.controls import negative_controls
 from fbplab.counterexample import construct_family
 from fbplab.phase_model import EntropyFlux, branch_gap_extended
 from fbplab.solvers import (inverse_source_from_endpoints, solve_pseudoparabolic,
@@ -28,7 +29,7 @@ from fbplab.spectral import CosineSeries, Grid, analyze_columns, synthesize_colu
 from fbplab.verifier import (certificate_identity_error, default_entropy_tests,
                              default_flux_battery, distinctness,
                              entropy_inequality_residual, monotonicity_report,
-                             negative_controls, pointwise_certificate,
+                             pointwise_certificate,
                              run_triple_battery, viscous_entropy_residual)
 from oracles import vt_field
 

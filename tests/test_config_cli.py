@@ -141,7 +141,9 @@ class TestScenarioConfig:
         pytest.param("regularization", "eps", "0.1, nan", id="eps-nan"),
         pytest.param("regularization", "eps", "0.1, inf", id="eps-inf"),
         pytest.param("regularization", "eps", "0.1, -1", id="eps-negative"),
-        pytest.param("sources", "f1", "1, nan", id="source-nan")])
+        pytest.param("sources", "f1", "1, nan", id="source-nan"),
+        pytest.param("final_datum", "amplitude", "nan", id="amplitude-nan"),
+        pytest.param("final_datum", "amplitude", "inf", id="amplitude-inf")])
     def test_bad_value_refused_before_any_file(self, tmp_path, capsys, section, key, raw):
         # every value is checked when the scenario is read, before either command
         # writes a file; a NaN eps would otherwise reach the solver's eigh
@@ -164,6 +166,8 @@ class TestScenarioConfig:
         assert coeffs[0] == coeffs[2] == 0.0
         with pytest.raises(ConfigurationError):
             FinalDatum(0.1, ())
+        with pytest.raises(ConfigurationError, match=r"\[final_datum\] amplitude"):
+            FinalDatum(float("nan"), (1,))
 
 
 class TestCounterexampleCommand:

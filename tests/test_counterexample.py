@@ -13,14 +13,14 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 from fbplab import counterexample, spectral
-from fbplab.counterexample import (SolutionTriple, assemble_state, build_lambda,
-                                   certify_horizon, construct_family)
+from fbplab.counterexample import assemble_state, build_lambda, certify_horizon, construct_family
 from fbplab.errors import (ConfigurationError, DomainViolationError, GridMismatchError,
                            NearSingularError)
 from fbplab.phase_model import (PhaseParams, branch_gap_extended, beta0_extended,
                                 beta2_extended)
 from fbplab.solvers import solve_sourced, solve_unstable_backward
 from fbplab.spectral import CosineSeries, Field2D, Grid, analyze_columns, synthesize_columns
+from fbplab.verifier import SolutionTriple
 from oracles import uncut_sourced_triple, vt_field
 
 L = np.pi

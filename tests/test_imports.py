@@ -1,7 +1,8 @@
-"""Every module of the package reads each name it imports, no package code is
-reached only from the tests, every function and method of the package runs in
-some command, every dataclass field is read, and no module imports mpmath, which
-only the tests use.
+"""Every module of the package reads each name it imports, imports only modules
+of lower layers, no package code is reached only from the tests, every function
+and method of the package runs in some command, every dataclass field is read,
+no module imports mpmath, which only the tests use, and importing the verifier
+loads no construction code.
 
 No linter is a dependency of the project, so the checks walk each module's
 syntax tree with the standard library's ``ast``.  The import check leaves
@@ -55,6 +56,52 @@ def test_the_check_flags_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+#: the package's layers, lowest first: construction code depends on the judge
+#: (``verifier``), never the reverse
+LAYERS = ("errors", "spectral", "phase_model", "verifier", "solvers", "counterexample",
+          "controls", "config", "cli")
+
+
+def relative_imports(source: str) -> list[str]:
+    """Package modules that ``source`` imports anywhere, as ``from .module import
+    name`` or ``from . import module``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return sorted(found)
+
+
+def test_the_check_finds_relative_imports():
+    source = ("from . import a, b\nfrom .c import d\nimport e\nfrom f import g\n\n"
+              "def h():\n    from .i import j\n")
+    assert relative_imports(source) == ["a", "b", "c", "i"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(f"{m}.py" for m in LAYERS) == MODULES
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_module_imports_only_lower_layers(module):
+    lower = LAYERS[:LAYERS.index(module)]
+    found = relative_imports((PACKAGE / f"{module}.py").read_text())
+    assert [m for m in found if m not in lower] == []
+
+
+def test_the_verifier_loads_no_construction_code():
+    # a bare package object: fbplab/__init__.py would import every module
+    code = ("import sys, types\n"
+            f"package = types.ModuleType('fbplab')\npackage.__path__ = [{str(PACKAGE)!r}]\n"
+            "sys.modules['fbplab'] = package\nimport fbplab.verifier\n"
+            "print(*sorted(n for n in sys.modules if n.startswith('fbplab.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["fbplab.errors", "fbplab.phase_model", "fbplab.spectral",
+                                   "fbplab.verifier"]
 
 
 def _named(tree: ast.AST) -> Counter:

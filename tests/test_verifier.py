@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import cumulative_simpson, simpson
 
 from fbplab import solvers, spectral
-from fbplab.counterexample import SolutionTriple, construct_family
+from fbplab.controls import control_table, negative_controls
+from fbplab.counterexample import construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
 from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_extended,
                                 branch_gap_extended, branch_image_primitives,
@@ -21,13 +22,12 @@ from fbplab.phase_model import (EntropyFlux, PhaseParams, beta0_extended, beta2_
 from fbplab.solvers import solve_pseudoparabolic, solve_unstable_backward
 from fbplab.spectral import (CosineSeries, Field2D, Grid, analyze_columns,
                              constant_field, x_derivative_columns)
-from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest,
+from fbplab.verifier import (BumpTest, FinalZeroTest, ModeProductTest, SolutionTriple,
                              VerificationReport, CheckResult,
                              certificate_identity_error, default_entropy_tests,
                              default_flux_battery, default_weak_tests,
                              distinctness, entropy_inequality_residual,
-                             monotonicity_report, negative_controls, control_table,
-                             pointwise_certificate, relaxation_report,
+                             monotonicity_report, pointwise_certificate, relaxation_report,
                              run_triple_battery,
                              running_simpson, structural_check,
                              viscous_entropy_audit, viscous_entropy_residual,
@@ -530,6 +530,22 @@ class TestDistinctness:
     def test_probe_beyond_horizon_rejected(self, family):
         with pytest.raises(DomainViolationError):
             distinctness(family[0], family[3], 0.6)
+
+    def test_probe_one_ulp_past_the_horizon_rejected(self, family):
+        # probes compare exactly: every caller probes a grid sample at or before t_bar
+        with pytest.raises(DomainViolationError):
+            distinctness(family[0], family[1], float(np.nextafter(family[1].t_bar, np.inf)))
+
+    def test_grids_one_ulp_apart_in_dt_rejected(self, family):
+        # grids compare exactly: every window keeps its construction grid's dt bitwise
+        a = family[0]
+        g = a.grid
+        shifted = Grid(g.L, float(np.nextafter(g.T_end, np.inf)), g.n_x, g.n_t, g.n_modes)
+        assert shifted.dt == np.nextafter(g.dt, np.inf)
+        u, v, lam, lam_t = (Field2D(shifted, f.values) for f in (a.u, a.v, a.lam, a.lam_t))
+        moved = SolutionTriple(u, v, lam, a.t_bar, "shifted", lam_t=lam_t, source=a.source)
+        with pytest.raises(GridMismatchError):
+            distinctness(a, moved, 0.4)
 
 
 class TestNegativeControls:
