@@ -31,6 +31,7 @@ bit-reproducible from the config and the BLAS thread count.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -52,6 +53,12 @@ EXIT_INSTABILITY = 3
 
 #: pairwise L2 distance above which two triples count as distinct
 DISTINCT_THRESHOLD = 1e-6
+#: glibc ``mallopt`` parameter numbers and the values ``fix_malloc_thresholds`` sets:
+#: blocks of 4 MiB or more (a field of half a million values) are mapped on
+#: allocation and unmapped on free; the heap keeps at most 2 MiB free at its top
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 4 << 20
+TRIM_THRESHOLD_BYTES = 2 << 20
 
 
 def _triple_tag(index: int, provenance: str) -> str:
@@ -246,7 +253,29 @@ def _parse_coeffs(raw: str) -> tuple[float, ...]:
         raise ConfigurationError(f"bad coefficient list {raw!r}") from exc
 
 
+def fix_malloc_thresholds() -> None:
+    """Keep the large fields of a fine grid out of the C heap for the rest of
+    the process.
+
+    glibc raises its mmap threshold to the size of each mapped block it frees,
+    so once one field is freed the later ones are carved from the heap, whose
+    freed gaps are neither returned nor always reused: a process that runs
+    several commands grows from one to the next, by an amount that depends on
+    what else it allocated in between.  Fixed thresholds keep every field of
+    4 MiB or more mapped and freed at once, and smaller arrays reused from the
+    heap, which keeps at most 2 MiB free at its top: the peak resident memory
+    of a command is then the same whatever ran before it in the process.
+    Where the C library has no ``mallopt`` this does nothing.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    fix_malloc_thresholds()
     args = build_parser().parse_args(argv)
     try:
         if args.seed_check:

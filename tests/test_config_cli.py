@@ -423,3 +423,37 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
         assert out.stdout.splitlines()[-1] == "(0, 0) []"
+
+
+class TestMemoryRelease:
+    def test_commands_unmap_large_arrays_when_freed(self):
+        # fresh interpreters allocate and free a 16 MiB array twice; without a
+        # command run first the C heap keeps the freed block resident, after
+        # one it is unmapped at once, so repeated commands do not grow the process
+        if not Path("/proc/self/statm").is_file():
+            pytest.skip("needs /proc/self/statm")
+        src = str(Path(fbplab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = ("import os, sys\n"
+                "import numpy as np\n"
+                "from fbplab.cli import main\n"
+                "def resident():\n"
+                "    with open('/proc/self/statm') as f:\n"
+                "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE') / 2**20\n"
+                "if sys.argv[1] == 'main':\n"
+                "    main([])\n"
+                "base = resident()\n"
+                "for _ in range(2):\n"
+                "    block = np.ones(2**21)\n"
+                "    del block\n"
+                "print(resident() - base)")
+        kept = {}
+        for first in ("nothing", "main"):
+            out = subprocess.run([sys.executable, "-c", code, first], capture_output=True,
+                                 text=True, env=env, check=True)
+            kept[first] = float(out.stdout)
+        if kept["nothing"] < 8.0:
+            pytest.skip(f"this C library unmaps freed blocks by itself "
+                        f"({kept['nothing']:.1f} MiB kept)")
+        assert kept["main"] < 1.0
