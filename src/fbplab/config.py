@@ -76,8 +76,8 @@ class ScenarioConfig:
         """Refuse a scenario before any command writes a file for it."""
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ConfigurationError("margin delta must be finite and positive")
-        if not all(math.isfinite(c) for src in self.sources for c in src):
-            raise ConfigurationError("[sources] coefficients must be finite")
+        for i, src in enumerate(self.sources):
+            _check_source(f"source {i}", src)
         if not self.eps_list or not all(math.isfinite(eps) and eps > 0 for eps in self.eps_list):
             raise ConfigurationError("[regularization] eps needs one or more finite, "
                                      f"positive values, not {list(self.eps_list)}")
@@ -144,8 +144,8 @@ class ScenarioConfig:
             fsec = parser["final_datum"]
             datum = FinalDatum(float(fsec["amplitude"]),
                                tuple(int(v) for v in _split(fsec["modes"])))
-            sources = tuple(tuple(float(v) for v in _split(raw))
-                            for raw in parser["sources"].values())
+            sources = tuple(_check_source(key, tuple(float(v) for v in _split(raw)))
+                            for key, raw in parser["sources"].items())
             eps_list = tuple(float(v) for v in _split(parser["regularization"]["eps"]))
             delta = parser.getfloat("margins", "delta", fallback=DELTA)
             out = Path(parser.get("output", "dir", fallback="out"))
@@ -174,6 +174,16 @@ class ScenarioConfig:
         p.parent.mkdir(parents=True, exist_ok=True)
         with p.open("w") as fh:
             parser.write(fh)
+
+
+def _check_source(name: str, coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """``coeffs`` when all are finite, else a refusal that names the source: its key
+    in a scenario file, its index (from 0, as construction names it) in a scenario
+    built in code."""
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ConfigurationError(f"[sources] {name} coefficients must be finite, "
+                                 f"not {list(coeffs)}")
+    return coeffs
 
 
 def _split(raw: str) -> list[str]:

@@ -156,6 +156,10 @@ def sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhaseParam
             f"source {idx} dips to {np.min(sol.source):.4g}, below the positivity "
             f"margin c2 = {delta:g}")
     n_build, window_end = _build_window(sol, params)
+    if n_build < 2:
+        raise ConfigurationError(
+            f"source {idx} leaves no usable time step: {window_end} fails at "
+            f"t = {grid.t[1]:g}, the second sample of [grid] n_t = {grid.n_t}")
     sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
                   vt_modes=sol.vt_modes[:, :n_build])
     lam, lam_t = build_lambda(sol, params)

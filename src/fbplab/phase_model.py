@@ -185,10 +185,22 @@ def branch_gap_extended(params: PhaseParams, v):
 # monotone entropy fluxes
 
 
+def _out(arr: np.ndarray, out=None) -> np.ndarray:
+    """``out``, or a new array shaped like ``arr``, to form a result in place: a
+    ufunc given no ``out`` returns a 0-d result as a scalar, which no later step
+    can write into."""
+    return np.empty(arr.shape) if out is None else out
+
+
 def _log_cosh(z: np.ndarray) -> np.ndarray:
-    # log(cosh z) = |z| + log1p(exp(-2|z|)) - log 2, stable for large |z|
-    az = np.abs(z)
-    return az + np.log1p(np.exp(-2.0 * az)) - np.log(2.0)
+    """log(cosh z) = |z| + log1p(exp(-2|z|)) - log 2, stable for large |z|, formed in
+    place of ``z``."""
+    az = np.abs(z, out=z)
+    tail = np.multiply(-2.0, az, out=_out(az))
+    np.log1p(np.exp(tail, out=tail), out=tail)
+    az += tail
+    az -= np.log(2.0)
+    return az
 
 
 @dataclass(frozen=True)
@@ -233,31 +245,44 @@ class EntropyFlux:
             return "identity"
         return f"clamp[{self.p:g},{self.q:g}]"
 
-    def value(self, v):
-        arr = np.asarray(v, dtype=float)
-        out = np.clip(arr, self.p, self.q) if self.kind == "clamp" else np.tanh(arr / self.s)
-        return _scalar_like(v, np.asarray(out))
+    # Each formula is formed in ``out`` when given (an array shaped like v), else
+    # in a new array, by the same operations in the same order.
 
-    def derivative(self, v, value=None):
+    def value(self, v, out=None):
+        arr = np.asarray(v, dtype=float)
+        out = _out(arr, out)
+        if self.kind == "clamp":
+            np.clip(arr, self.p, self.q, out=out)
+        else:
+            np.tanh(np.divide(arr, self.s, out=out), out=out)
+        return _scalar_like(v, out)
+
+    def derivative(self, v, value=None, out=None):
         """g'(v); a tanh flux takes (1 - g^2)/s from ``value`` = g(v) when given."""
         arr = np.asarray(v, dtype=float)
+        out = _out(arr, out)
         if self.kind == "clamp":
             # a constant flux (p = q) has zero slope even at v = p
-            out = ((arr >= self.p) & (arr <= self.q) & (self.p < self.q)).astype(float)
+            np.copyto(out, (arr >= self.p) & (arr <= self.q) & (self.p < self.q))
         else:
-            t = np.tanh(arr / self.s) if value is None else np.asarray(value, dtype=float)
-            out = (1.0 - t * t) / self.s
+            t = self.value(arr) if value is None else np.asarray(value, dtype=float)
+            np.subtract(1.0, np.multiply(t, t, out=out), out=out)
+            out /= self.s
         return _scalar_like(v, out)
 
     def antiderivative(self, v):
         """A primitive of g, used to integrate g(phi(s)) in closed form."""
         arr = np.asarray(v, dtype=float)
+        out = _out(arr)
         if self.kind == "clamp":
-            # inside [p, q], a*a - 0.5*a*a is 0.5*a*a exactly
-            c = np.clip(arr, self.p, self.q)
-            out = c * arr - 0.5 * c * c
+            # c*arr - 0.5*c*c; inside [p, q], a*a - 0.5*a*a is 0.5*a*a exactly
+            c = np.clip(arr, self.p, self.q, out=_out(arr))
+            np.multiply(0.5, c, out=out)
+            out *= c
+            np.subtract(np.multiply(c, arr, out=c), out, out=out)
         else:
-            out = self.s * _log_cosh(arr / self.s)
+            _log_cosh(np.divide(arr, self.s, out=out))
+            out *= self.s
         return _scalar_like(v, out)
 
 
@@ -288,24 +313,41 @@ def entropy_primitive(params: PhaseParams, flux: EntropyFlux, u):
     return _scalar_like(u, _branch_piece(params, flux, glue, params.branch_index(arr), arr) - w0)
 
 
-def branch_image_primitives(params: PhaseParams, flux: EntropyFlux, v):
-    """(G(beta0(v)), G(beta2(v))) from one Gamma(v) when A <= v <= B.
+def image_offsets(params: PhaseParams, flux: EntropyFlux) -> tuple[float, float]:
+    """glue[i] Gamma(knot[i]) - W(0) for i = 0 and 2: on A <= v <= B,
+    G(beta_i(v)) = Gamma(v)/slope[i] + offset[i]."""
+    glue, w0 = _gluing(params, flux)
+    return glue[0] - w0, glue[2] - w0
+
+
+def branch_image_primitives(params: PhaseParams, flux: EntropyFlux, v, out=None,
+                            offsets=None):
+    """(G(beta0(v)), G(beta2(v))) from one Gamma(v) when A <= v <= B, formed in the
+    pair ``out`` when given.
 
     phi maps both branch images back to v, so G(beta_i(v)) is
-    Gamma(v)/slope[i] + (glue[i] Gamma(knot[i]) - W(0)) for i = 0 and 2.  At
-    v = B, beta0 lands on b, which the index rule gives to branch 1; the
-    gluing constant makes the two forms agree there, as at v = A.  A field
-    outside that range (``PhaseParams.in_flux_range``) goes whole through
-    ``entropy_primitive`` on the affine continuations.
+    Gamma(v)/slope[i] + ``image_offsets`` for i = 0 and 2.  At v = B, beta0 lands
+    on b, which the index rule gives to branch 1; the gluing constant makes the
+    two forms agree there, as at v = A.  A field outside that range
+    (``PhaseParams.in_flux_range``) goes whole through ``entropy_primitive`` on
+    the affine continuations.  A caller that has found a whole field in range
+    and evaluates it block by block passes its ``offsets``: the range is then
+    not checked again, and the gluing constants are not formed again.
     """
     arr = np.asarray(v, dtype=float)
-    if not params.in_flux_range(arr):
-        return (entropy_primitive(params, flux, beta0_extended(params, arr)),
-                entropy_primitive(params, flux, beta2_extended(params, arr)))
-    glue, w0 = _gluing(params, flux)
+    g0, g2 = (_out(arr), _out(arr)) if out is None else out
+    if offsets is None:
+        if not params.in_flux_range(arr):
+            g0[...] = entropy_primitive(params, flux, beta0_extended(params, arr))
+            g2[...] = entropy_primitive(params, flux, beta2_extended(params, arr))
+            return _scalar_like(v, g0), _scalar_like(v, g2)
+        offsets = image_offsets(params, flux)
     gamma = flux.antiderivative(arr)
     slope = params.branches.slope
-    return tuple(_scalar_like(v, gamma / slope[i] + (glue[i] - w0)) for i in (0, 2))
+    for image, i, offset in ((g0, 0, offsets[0]), (g2, 2, offsets[1])):
+        np.divide(gamma, slope[i], out=image)
+        image += offset
+    return _scalar_like(v, g0), _scalar_like(v, g2)
 
 
 def certificate_integrand_extended(params: PhaseParams, flux: EntropyFlux, v):
@@ -322,6 +364,9 @@ def certificate_integrand_extended(params: PhaseParams, flux: EntropyFlux, v):
     return _scalar_like(v, np.asarray(out))
 
 
-def certificate_from_primitives(gap, g0, g2, gv):
-    """The certificate from the branch gap, G(beta0(v)), G(beta2(v)) and g(v)."""
-    return g0 - g2 + gap * gv
+def certificate_from_primitives(gap, g0, g2, gv, out=None):
+    """The certificate g0 - g2 + gap * gv from the branch gap, G(beta0(v)),
+    G(beta2(v)) and g(v), formed in ``out`` when given."""
+    out = np.subtract(g0, g2, out=out)
+    out += gap * gv
+    return out

@@ -23,7 +23,12 @@ battery and the single checks, each block while it stays in cache:
 G(beta0(v)) and G(beta2(v)) are affine images of one primitive Gamma(v) of g on
 a certified field (``branch_image_primitives``) and give the entropy integrals,
 min lambda_t * certificate and the identity defect; each entropy integral
-contracts the fields with separable test factors X(x) T(t).
+contracts the fields with separable test factors X(x) T(t).  Each flux forms
+its terms in place in a few block-sized buffers taken once per sweep, by the
+operations and in the order of the whole-field formulas, so every result is
+bitwise theirs.  The structural and monotonicity rows are formed and reduced on
+the same row blocks, each row's extreme folded block by block by the rule of
+np.argmax and np.argmin (``_fold_extreme``).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .errors import ConfigurationError, DomainViolationError, GridMismatchError
 from .phase_model import (EntropyFlux, PhaseParams,
                           beta0_extended, beta2_extended, branch_gap_extended,
                           branch_image_primitives, certificate_from_primitives,
-                          entropy_primitive)
+                          entropy_primitive, image_offsets)
 from .spectral import (BOUNDARY_SLOPE_TOL, Field2D, Grid, boundary_slopes, read_only,
                        trapezoid_weights, x_derivative_columns)
 
@@ -321,10 +326,24 @@ class VerificationReport:
                          f"{format(c.t, '.17g')}\n")
 
 
-def _extreme(values: np.ndarray, grid: Grid, pick=np.argmax):
-    """(value, x, t) of the sample that ``pick`` (np.argmax or np.argmin) selects."""
+def _fold_extreme(best, values: np.ndarray, start: int, pick=np.argmax):
+    """Fold a block of x-rows, the first at row ``start``, into ``best``: the
+    (value, i, j) that ``pick`` (np.argmax or np.argmin) selects on the rows before
+    it, or None.  pick takes the first NaN, else the first sample of the extreme
+    value in C order, so blocks folded in row order end at the sample that pick
+    selects on the whole field."""
     i, j = np.unravel_index(int(pick(values)), values.shape)
-    return float(values[i, j]), float(grid.x[i]), float(grid.t[j])
+    value = float(values[i, j])
+    ahead = np.greater if pick is np.argmax else np.less
+    if best is None or not np.isnan(best[0]) and (np.isnan(value) or ahead(value, best[0])):
+        return value, start + i, j
+    return best
+
+
+def _located(best, grid: Grid) -> tuple[float, float, float]:
+    """(value, x, t) of a folded extreme."""
+    value, i, j = best
+    return value, float(grid.x[i]), float(grid.t[j])
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +399,11 @@ def _weighted_factors(tests, grid: Grid) -> list[tuple]:
 
 
 def _row_blocks(params: PhaseParams, v: np.ndarray) -> list[slice]:
-    """Blocks of about ``_BLOCK_CELLS`` cells, 8k x-rows each but the last: BLAS
-    groups a matrix-vector product's rows by four, so every row sums bitwise as
-    on the whole field.  A field outside ``PhaseParams.in_flux_range`` is one
-    block, so ``branch_image_primitives`` decides its path once."""
+    """Blocks of about ``_BLOCK_CELLS`` cells, 8k x-rows each but the last, for the
+    flux pass and the structural and monotonicity rows: BLAS groups a
+    matrix-vector product's rows by four, so every row sums bitwise as on the
+    whole field.  A field outside ``PhaseParams.in_flux_range`` is one block, on
+    which ``branch_image_primitives`` takes the ``entropy_primitive`` path."""
     n_x, n_t = v.shape
     if not params.in_flux_range(v):
         return [slice(0, n_x)]
@@ -392,10 +412,13 @@ def _row_blocks(params: PhaseParams, v: np.ndarray) -> list[slice]:
 
 
 def _row_contractions(acc: np.ndarray, rows: slice, big_g: np.ndarray, gv: np.ndarray,
-                      dgv: np.ndarray, vx: np.ndarray, weighted) -> None:
-    """acc[k, :, rows] = G @ T', (g(v) v_x) @ T, (g'(v) v_x^2) @ T for each test k."""
-    gvx = gv * vx
-    dgvx2 = dgv * vx * vx
+                      dgv: np.ndarray, vx: np.ndarray, weighted, gvx=None) -> None:
+    """acc[k, :, rows] = G @ T', (g(v) v_x) @ T, (g'(v) v_x^2) @ T for each test k;
+    g(v) v_x is formed in ``gvx`` when given, and g'(v) v_x^2 in place of ``dgv``."""
+    gvx = np.multiply(gv, vx, out=gvx)
+    dgvx2 = dgv
+    dgvx2 *= vx
+    dgvx2 *= vx
     for out, (_, _, tp, ts) in zip(acc, weighted):
         out[0, rows], out[1, rows], out[2, rows] = big_g @ ts, gvx @ tp, dgvx2 @ tp
 
@@ -408,14 +431,24 @@ def _entropy_integrals(acc: np.ndarray, weighted) -> list[float]:
             for out, (xp, xs, _, _) in zip(acc, weighted)]
 
 
+def _shaped(flat: np.ndarray, shape) -> np.ndarray:
+    """The leading cells of the buffer ``flat`` as a C-contiguous array of ``shape``."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
+
+
 def _identity_defect(grid: Grid, vxx: np.ndarray, gv: np.ndarray, gstar: np.ndarray,
-                     rate_cert: np.ndarray) -> float:
+                     rate_cert: np.ndarray, defect_flat: np.ndarray,
+                     rise_flat: np.ndarray) -> float:
     """max |g(v) v_xx - (G*)_t - rate_cert| over interior time samples, where
-    rate_cert is the product lambda_t * certificate; NaN without one."""
+    rate_cert is the product lambda_t * certificate; NaN without one.  The defect
+    and the rise of G* are formed in the flat buffers ``defect_flat`` and ``rise_flat``."""
     if grid.n_t < 3:
         return np.nan
-    defect = gv[:, 1:-1] * vxx[:, 1:-1]        # formed in place: one array per block
-    defect -= (gstar[:, 2:] - gstar[:, :-2]) / (2.0 * grid.dt)
+    shape = (len(gv), grid.n_t - 2)
+    defect = np.multiply(gv[:, 1:-1], vxx[:, 1:-1], out=_shaped(defect_flat, shape))
+    rise = np.subtract(gstar[:, 2:], gstar[:, :-2], out=_shaped(rise_flat, shape))
+    rise /= 2.0 * grid.dt
+    defect -= rise
     defect -= rate_cert[:, 1:-1]
     return float(np.max(np.abs(defect, out=defect)))
 
@@ -424,30 +457,40 @@ def _flux_pass(triple: SolutionTriple, params: PhaseParams, fluxes: list[Entropy
                tests) -> list[tuple[list[float], float, float]]:
     """Per flux: the entropy integrals over ``tests``, min lambda_t * certificate
     and the identity defect.  Each row block (``_row_blocks``) reads v, v_x,
-    v_xx, lambda, lambda_t and the gap once for all fluxes, which form Gamma(v),
-    g, g', G*, the certificate and the defect on its rows only, reading the rows
-    of v, lambda and lambda_t in place (a field holds C-contiguous or broadcast
-    samples).  The running min and max are exact (a zero minimum's sign follows
-    numpy's reduction order)."""
+    v_xx, lambda, lambda_t and the gap once for all fluxes, which form G(beta0),
+    G(beta2), g, G*, the certificate, g', g v_x, g' v_x^2 and the defect on its
+    rows only, in five buffers sized to the first block, reading the rows of v,
+    lambda and lambda_t in place (a field holds C-contiguous or broadcast
+    samples).  Whether the field is in range and each flux's gluing constants
+    are found once per call.  The running min and max are exact (a zero
+    minimum's sign follows numpy's reduction order)."""
     grid, v, lam, rate = triple.grid, triple.v.values, triple.lam.values, triple.lam_t.values
     vx, vxx = _v_x(triple.v), triple.v.xx
     weighted = _weighted_factors(tests, grid)
     acc = np.empty((len(fluxes), len(tests), 3, grid.n_x))
     certs, defects = np.full(len(fluxes), np.inf), np.full(len(fluxes), -np.inf)
-    for rows in _row_blocks(params, v):
+    blocks = _row_blocks(params, v)
+    certified = params.in_flux_range(v)
+    offsets = [image_offsets(params, flux) if certified else None for flux in fluxes]
+    stack = np.empty((5, v[blocks[0]].size))
+    for rows in blocks:
         vb, lb, rb = v[rows], lam[rows], rate[rows]
         rest = 1.0 - lb
         gap = branch_gap_extended(params, vb)
+        g0, g2, gv, gstar, cert = (_shaped(flat, vb.shape) for flat in stack)
         for i, flux in enumerate(fluxes):
-            g0, g2 = branch_image_primitives(params, flux, vb)
-            gv = flux.value(vb)
-            gstar = rest * g0 + lb * g2
-            rate_cert = rb * certificate_from_primitives(gap, g0, g2, gv)
-            _row_contractions(acc[i], rows, gstar, gv, flux.derivative(vb, gv), vx[rows],
-                              weighted)
-            certs[i] = np.minimum(certs[i], np.min(rate_cert))
-            defects[i] = np.maximum(defects[i],
-                                    _identity_defect(grid, vxx[rows], gv, gstar, rate_cert))
+            branch_image_primitives(params, flux, vb, out=(g0, g2), offsets=offsets[i])
+            flux.value(vb, out=gv)
+            np.multiply(rest, g0, out=gstar)
+            gstar += np.multiply(lb, g2, out=cert)
+            certificate_from_primitives(gap, g0, g2, gv, out=cert)
+            cert *= rb
+            # G(beta0) and G(beta2) are spent: their buffers take g' and g v_x
+            _row_contractions(acc[i], rows, gstar, gv, flux.derivative(vb, gv, out=g0),
+                              vx[rows], weighted, gvx=g2)
+            certs[i] = np.minimum(certs[i], np.min(cert))
+            defects[i] = np.maximum(defects[i], _identity_defect(grid, vxx[rows], gv, gstar,
+                                                                 cert, stack[0], stack[1]))
     return [(_entropy_integrals(a, weighted), float(c), float(d))
             for a, c, d in zip(acc, certs, defects)]
 
@@ -514,23 +557,27 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams) -> Verifica
     construction, so its clause cannot fail and has no row.  Discrete total
     variation along time is reported, not asserted.
     """
-    grid, v = triple.grid, triple.v.values
-    dlam = np.diff(triple.lam.values, axis=1)
-    # steps with v > A at both ends; the least increment on them is reported
-    # where it first occurs, and a window with no decrease reports 0.0 at the
-    # first sample (x_0, t_0)
-    on = v[:, 1:] > params.A
-    on &= v[:, :-1] > params.A
-    least = float(np.min(dlam, where=on, initial=0.0))
-    if least < 0.0:
-        i, j = np.unravel_index(int(np.argmax(on & (dlam == least))), dlam.shape)
-        at = (float(grid.x[i]), float(grid.t[j + 1]))
-    else:
-        least, at = 0.0, (float(grid.x[0]), float(grid.t[0]))
-    tv = np.abs(dlam, out=dlam).sum(axis=1)
+    grid, v, lam = triple.grid, triple.v.values, triple.lam.values
+    # steps with v > A at both ends, one row block at a time; the least increment
+    # on them is reported where it first occurs, and a window with no decrease (or
+    # a NaN increment, which np.min would return) reports 0.0 at (x_0, t_0)
+    least, at, tv = 0.0, (0, 0), np.empty(grid.n_x)
+    for rows in _row_blocks(params, v):
+        dlam = np.diff(lam[rows], axis=1)
+        on = v[rows, 1:] > params.A
+        on &= v[rows, :-1] > params.A
+        block_least = float(np.min(dlam, where=on, initial=0.0))
+        if not np.isnan(least) and (np.isnan(block_least) or block_least < least):
+            least = block_least
+            if least < 0.0:
+                i, j = np.unravel_index(int(np.argmax(on & (dlam == least))), dlam.shape)
+                at = (rows.start + i, j + 1)
+        tv[rows] = np.abs(dlam, out=dlam).sum(axis=1)
+    if not least < 0.0:
+        least, at = 0.0, (0, 0)
     i_tv = int(np.argmax(tv))
     checks = [
-        CheckResult("lambda2-monotone", least, *at, lower=-MONOTONE_TOL,
+        CheckResult("lambda2-monotone", *_located((least, *at), grid), lower=-MONOTONE_TOL,
                     note="min increment on v > A intervals"),
         CheckResult("lambda2-total-variation", float(tv[i_tv]),
                     float(grid.x[i_tv]), float(grid.T_end),
@@ -543,39 +590,53 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
                      params: PhaseParams) -> VerificationReport:
     """Defining clauses of the superposed-solution class, checked on the grid; the
     state-evolution identity integrates v_xx in time with ``running_simpson``."""
-    grid = triple.grid
-    u, v, lam = triple.u.values, triple.v.values, triple.lam.values
+    grid, u, v = triple.grid, triple.u.values, triple.v.values
     u0 = _initial_datum(triple, u0)
     # the endpoint slope of what the cosine projection misses, held to the
     # backward solve's bound on its final datum
     edge = boundary_slopes(v, triple.v.modes, grid.L)
     j = int(np.argmax(edge.max(axis=0)))
-    # each row's field is formed, reduced to its extreme and dropped in turn
+    picks = (np.argmax,) * 5 + (np.argmin,)
+    best = [None] * len(picks)
+    for rows in _row_blocks(params, v):
+        formed = _structural_rows(triple, params, rows)
+        for k, pick in enumerate(picks):   # no row block outlives its fold
+            best[k] = _fold_extreme(best[k], next(formed), rows.start, pick)
+    lower, jump, superposition, evolution, bounds, rate = (_located(b, grid) for b in best)
     checks = [
-        CheckResult("initial-trace", *_extreme(np.abs(u[:, :1] - u0[:, None]), grid),
+        CheckResult("initial-trace",
+                    *_located(_fold_extreme(None, np.abs(u[:, :1] - u0[:, None]), 0), grid),
                     upper=INITIAL_TRACE_TOL),
         CheckResult("boundary-flux", float(edge.max()),
                     float(grid.x[0] if edge[0, j] >= edge[1, j] else grid.x[-1]),
                     float(grid.t[j]),
-                    upper=BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(np.abs(v)))),
+                    # max |v| as the larger of max v and -min v, with no |v| formed
+                    upper=BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(v)), -float(np.min(v))),
                     note="|v_x| at the endpoints (one-sided difference past the projection)"),
-        # the embedded lower weight is identically zero, so v < A is the lower jump
-        CheckResult("flux-above-lower-critical", *_extreme(params.A - v, grid),
+        CheckResult("flux-above-lower-critical", *lower,
                     upper=JUMP_TOL, note="max(A - v); the lower weight is zero"),
-        CheckResult("upper-jump-clause",
-                    *_extreme(np.where(v > params.B + JUMP_TOL, 1.0 - lam, 0.0), grid),
+        CheckResult("upper-jump-clause", *jump,
                     upper=WEIGHT_DEFICIT_TOL, note="1 - lambda where v > B"),
-        CheckResult("superposition-identity",
-                    *_extreme(_superposition_defect(u, v, lam, params), grid),
-                    upper=ALGEBRAIC_TOL),
-        CheckResult("state-evolution-identity", *_extreme(_evolution_defect(triple), grid),
+        CheckResult("superposition-identity", *superposition, upper=ALGEBRAIC_TOL),
+        CheckResult("state-evolution-identity", *evolution,
                     upper=WEAK_TOL, note="u - u(.,0) - time integral of v_xx"),
-        CheckResult("weight-bounds", *_extreme(np.maximum(-lam, lam - 1.0), grid),
-                    upper=WEIGHT_BOUND_TOL),
-        CheckResult("weight-rate-sign", *_extreme(triple.lam_t.values, grid, np.argmin),
-                    lower=-MONOTONE_TOL),
+        CheckResult("weight-bounds", *bounds, upper=WEIGHT_BOUND_TOL),
+        CheckResult("weight-rate-sign", *rate, lower=-MONOTONE_TOL),
     ]
     return VerificationReport(checks, grid_summary(grid))
+
+
+def _structural_rows(triple: SolutionTriple, params: PhaseParams, rows: slice):
+    """The values of each structural row on the x-rows ``rows``, each formed when the
+    one before has been folded; the embedded lower weight is identically zero, so
+    v < A is the lower jump."""
+    u, v, lam = triple.u.values[rows], triple.v.values[rows], triple.lam.values[rows]
+    yield params.A - v
+    yield np.where(v > params.B + JUMP_TOL, 1.0 - lam, 0.0)
+    yield _superposition_defect(u, v, lam, params)
+    yield _evolution_defect(u, triple.v.xx[rows], triple.grid.dt)
+    yield np.maximum(-lam, lam - 1.0)
+    yield triple.lam_t.values[rows]
 
 
 def _superposition_defect(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
@@ -590,10 +651,9 @@ def _superposition_defect(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
     return np.abs(defect, out=defect)
 
 
-def _evolution_defect(triple: SolutionTriple) -> np.ndarray:
-    """|u - u(.,0) - running_simpson(v_xx)|, formed in place."""
-    integral = running_simpson(triple.v.xx, triple.grid.dt)
-    u = triple.u.values
+def _evolution_defect(u: np.ndarray, vxx: np.ndarray, dt: float) -> np.ndarray:
+    """|u - u(.,0) - running_simpson(v_xx)| on rows of u and v_xx, formed in place."""
+    integral = running_simpson(vxx, dt)
     defect = u - u[:, :1]
     defect -= integral
     return np.abs(defect, out=defect)

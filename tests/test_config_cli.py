@@ -156,7 +156,25 @@ class TestScenarioConfig:
         out.mkdir()
         for command in ("counterexample", "regularize"):
             assert main([command, "--config", str(path)]) == 2
-            assert f"[{section}]" in capsys.readouterr().err
+            assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_source_built_in_code_is_named_by_position(self):
+        with pytest.raises(ConfigurationError, match=r"\[sources\] source 1 coefficients"):
+            dataclasses.replace(ScenarioConfig.default(), sources=((1.0,), (1.0, float("nan"))))
+
+    def test_one_sample_build_window_refused_before_any_file(self, tmp_path, capsys):
+        # at n_t = 2 the third reference source fails its weight bound at t = 1,
+        # so its construction window would hold t = 0 alone
+        out = tmp_path / "out"
+        cfg = dataclasses.replace(ScenarioConfig.default(), output_dir=out,
+                                  grid=Grid(L=np.pi, T_end=1.0, n_x=32, n_t=2, n_modes=8))
+        path = tmp_path / "two.ini"
+        cfg.to_file(path)
+        out.mkdir()
+        assert main(["counterexample", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "source 2" in err and "[grid] n_t = 2" in err, err
         assert not any(out.iterdir())
 
     def test_final_datum_series(self):

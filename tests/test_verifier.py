@@ -274,6 +274,112 @@ class TestBlockedFluxPass:
         assert peak <= 5 * triple.v.values.nbytes
 
 
+def whole_field_rows(triple, u0, params):
+    """The structural and monotonicity rows as formed before row blocking: each
+    row's field over the whole grid, reduced by np.argmax (np.argmin for the rate)."""
+    grid, u, v, lam = triple.grid, triple.u.values, triple.v.values, triple.lam.values
+
+    def extreme(values, pick=np.argmax):
+        i, j = np.unravel_index(int(pick(values)), values.shape)
+        return float(values[i, j]), float(grid.x[i]), float(grid.t[j])
+
+    dlam = np.diff(lam, axis=1)
+    on = (v[:, 1:] > params.A) & (v[:, :-1] > params.A)
+    least = float(np.min(dlam, where=on, initial=0.0))
+    if least < 0.0:
+        i, j = np.unravel_index(int(np.argmax(on & (dlam == least))), dlam.shape)
+        monotone = (least, float(grid.x[i]), float(grid.t[j + 1]))
+    else:
+        monotone = (0.0, float(grid.x[0]), float(grid.t[0]))
+    tv = np.abs(dlam).sum(axis=1)
+    i_tv = int(np.argmax(tv))
+    mixed = (1.0 - lam) * beta0_extended(params, v) + lam * beta2_extended(params, v)
+    return {
+        "initial-trace": extreme(np.abs(u[:, :1] - u0[:, None])),
+        "flux-above-lower-critical": extreme(params.A - v),
+        "upper-jump-clause": extreme(np.where(v > params.B + 1e-12, 1.0 - lam, 0.0)),
+        "superposition-identity": extreme(np.abs(u - mixed)),
+        "state-evolution-identity": extreme(
+            np.abs(u - u[:, :1] - running_simpson(triple.v.xx, grid.dt))),
+        "weight-bounds": extreme(np.maximum(-lam, lam - 1.0)),
+        "weight-rate-sign": extreme(triple.lam_t.values, np.argmin),
+        "lambda2-monotone": monotone,
+        "lambda2-total-variation": (float(tv[i_tv]), float(grid.x[i_tv]), float(grid.T_end)),
+    }
+
+
+def blocked_rows(triple, u0, params):
+    reports = (structural_check(triple, u0, params), monotonicity_report(triple, params))
+    return {c.name: (c.residual, c.x, c.t) for rep in reports for c in rep.checks
+            if c.name != "boundary-flux"}
+
+
+def assert_same_rows(triple, u0, params):
+    got, want = blocked_rows(triple, u0, params), whole_field_rows(triple, u0, params)
+    assert got.keys() == want.keys()
+    for name in want:
+        # bit patterns: the sign of a zero counts too
+        assert np.array(got[name]).tobytes() == np.array(want[name]).tobytes(), name
+
+
+class TestBlockedRows:
+    """The structural and monotonicity rows, reduced one row block at a time, equal
+    the whole-field rows bit for bit in value and in (x, t)."""
+
+    def test_reference_triples(self, family, backward, params):
+        for triple in family:
+            assert_same_rows(triple, backward.u0, params)
+
+    def test_several_blocks(self, blocked_family, params):
+        u0 = blocked_family[0].u.values[:, 0]
+        for triple in blocked_family:
+            assert len(_row_blocks(params, triple.v.values)) >= 3
+            assert_same_rows(triple, u0, params)
+
+    @staticmethod
+    def tied_across_blocks(triple, params):
+        """Rows i1 < i2 in the first and third block and times j2 < j1, so that the
+        first sample in C order is (i1, j1) though (i2, j2) comes first in time."""
+        blocks = _row_blocks(params, triple.v.values)
+        return (blocks[0].start + 1, triple.grid.n_t // 2), (blocks[2].start + 1, 3)
+
+    def test_argmax_tie_goes_to_the_first_sample(self, blocked_family, params):
+        triple = blocked_family[1]
+        first, later = self.tied_across_blocks(triple, params)
+        lam = triple.lam.values.copy()
+        lam[first] = lam[later] = 1.5
+        tied = replace(triple, lam=Field2D(triple.grid, lam, "tied weight"))
+        u0 = tied.u.values[:, 0]
+        assert_same_rows(tied, u0, params)
+        entry = structural_check(tied, u0, params).entry("weight-bounds")
+        assert (entry.residual, entry.x, entry.t) == (
+            0.5, tied.grid.x[first[0]], tied.grid.t[first[1]])
+
+    def test_argmin_tie_goes_to_the_first_sample(self, blocked_family, params):
+        triple = blocked_family[1]
+        first, later = self.tied_across_blocks(triple, params)
+        rate = triple.lam_t.values.copy()
+        rate[first] = rate[later] = -1.0
+        tied = replace(triple, lam_t=Field2D(triple.grid, rate, "tied rate"))
+        u0 = tied.u.values[:, 0]
+        assert_same_rows(tied, u0, params)
+        entry = structural_check(tied, u0, params).entry("weight-rate-sign")
+        assert (entry.residual, entry.x, entry.t) == (
+            -1.0, tied.grid.x[first[0]], tied.grid.t[first[1]])
+
+    def test_least_increment_tie_goes_to_the_first_sample(self, blocked_family, params):
+        triple = blocked_family[1]
+        (i1, j1), (i2, j2) = self.tied_across_blocks(triple, params)
+        lam = triple.lam.values.copy()
+        for i, j in ((i1, j1), (i2, j2)):
+            lam[i, :j], lam[i, j:] = 0.5, 0.25      # one step of exactly -0.25
+        tied = replace(triple, lam=Field2D(triple.grid, lam, "tied weight"))
+        assert_same_rows(tied, tied.u.values[:, 0], params)
+        entry = monotonicity_report(tied, params).entry("lambda2-monotone")
+        assert (entry.residual, entry.x, entry.t) == (
+            -0.25, tied.grid.x[i1], tied.grid.t[j1])
+
+
 class TestBatteryFootprint:
     """The flux pass reads the family's fields in place, and the battery reduces
     each field-sized temporary as soon as it is formed."""
@@ -298,6 +404,25 @@ class TestBatteryFootprint:
             for name in ("u", "v", "lam", "lam_t"):
                 cached = {"modes", "xx"} & vars(getattr(triple, name)).keys()
                 assert not cached, (triple.provenance, name, cached)
+
+    def test_structural_rows_peak_below_two_and_a_half_fields(self, params, final_datum,
+                                                               default_sources):
+        # each row is formed and reduced one row block at a time; whole-field rows
+        # peaked at 3.03 field sizes here, with v_xx already formed
+        grid = Grid(L, 1.0, 128, 1024, 32)
+        family = construct_family(final_datum, default_sources, params, grid)
+        u0, peaks = family[0].u.values[:, 0], []
+        for triple in family:
+            triple = replace(triple, v=Field2D(triple.grid, triple.v.values, "v"))
+            triple.v.xx
+            tracemalloc.start()
+            try:
+                structural_check(triple, u0, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak / triple.v.values.nbytes)
+        assert max(peaks) <= 2.5, peaks
 
     def test_battery_peaks_below_six_fields(self, params, final_datum, default_sources):
         # before the views and the in-place checks the baseline peaked at 12.3
