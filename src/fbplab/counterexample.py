@@ -35,7 +35,8 @@ RATE_TOL = 1e-8           # certification admits a weight rate down to -RATE_TOL
 DELTA = 0.05              # the certification margin c2 when none is configured
 
 
-def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Field2D]:
+def build_lambda(sol: SourcedSolution, params: PhaseParams,
+                 name: str = "the source") -> tuple[Field2D, Field2D]:
     """Stable-phase weight of a sourced flux field and its analytic time rate.
 
     Requires v > A strictly; values above B use the affine continuation of the
@@ -44,6 +45,8 @@ def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Fi
     time-independent sources handled here, and lambda(.,0) = 0 exactly.  The
     rate comes from the mode representation of v:
     lambda_t = m/gap - gap_t * (t f) / gap^2 with gap_t = (1/alpha2 - sigma) v_t.
+    A source whose gap, gap_t or t f reaches the square root of the largest float,
+    where the rate's products could overflow, is refused naming it as ``name``.
     """
     v = sol.v.values
     if np.min(v) <= params.A:
@@ -55,6 +58,14 @@ def build_lambda(sol: SourcedSolution, params: PhaseParams) -> tuple[Field2D, Fi
     grid, fx = sol.grid, sol.source[:, None]
     numer = grid.t[None, :] * fx
     gap_t = params.gap_slope * synthesize_columns(sol.vt_modes, grid.L, grid.x)
+    ceiling = np.sqrt(np.finfo(float).max)
+    peak = max(float(np.max(gap)), float(np.max(gap_t)), -float(np.min(gap_t)),
+               grid.T_end * float(np.max(np.abs(sol.source))))
+    if peak >= ceiling:
+        raise ConfigurationError(
+            f"{name} is too large for the weight formula: its rate multiplies factors "
+            f"up to {peak:.3g}, past {ceiling:.3g}, the square root of the largest "
+            f"float; scale its [sources] coefficients down")
     lam, lam_t = numer / gap, fx / gap - gap_t * numer / gap**2
     lam.flags.writeable = lam_t.flags.writeable = False
     return (Field2D(grid, lam, "stable-phase weight"),
@@ -162,7 +173,7 @@ def sourced_triple(idx: int, f: CosineSeries, v0: np.ndarray, params: PhaseParam
             f"t = {grid.t[1]:g}, the second sample of [grid] n_t = {grid.n_t}")
     sol = replace(sol, v=sol.v.restrict(n_build), v_modes=sol.v_modes[:, :n_build],
                   vt_modes=sol.vt_modes[:, :n_build])
-    lam, lam_t = build_lambda(sol, params)
+    lam, lam_t = build_lambda(sol, params, f"source {idx}")
     coeffs = ", ".join(format(c, "g") for c in f.coeffs)
     return _certified(SolutionTriple(assemble_state(sol.v, lam, params), sol.v, lam, 0.0,
                                      f"sourced(f=[{coeffs}])", lam_t=lam_t,

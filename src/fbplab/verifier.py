@@ -27,8 +27,12 @@ contracts the fields with separable test factors X(x) T(t).  Each flux forms
 its terms in place in a few block-sized buffers taken once per sweep, by the
 operations and in the order of the whole-field formulas, so every result is
 bitwise theirs.  The structural and monotonicity rows are formed and reduced on
-the same row blocks, each row's extreme folded block by block by the rule of
-np.argmax and np.argmin (``_fold_extreme``).
+the same row blocks.
+
+One fold (``_fold_extreme``) picks every extreme that a row reports, with its
+(x, t), by the rule of np.argmax and np.argmin: the first NaN, else the first
+sample in C order.  A row with a lower bound reports its least value, any other
+row its greatest.
 """
 
 from __future__ import annotations
@@ -326,24 +330,19 @@ class VerificationReport:
                          f"{format(c.t, '.17g')}\n")
 
 
-def _fold_extreme(best, values: np.ndarray, start: int, pick=np.argmax):
-    """Fold a block of x-rows, the first at row ``start``, into ``best``: the
-    (value, i, j) that ``pick`` (np.argmax or np.argmin) selects on the rows before
-    it, or None.  pick takes the first NaN, else the first sample of the extreme
-    value in C order, so blocks folded in row order end at the sample that pick
-    selects on the whole field."""
-    i, j = np.unravel_index(int(pick(values)), values.shape)
-    value = float(values[i, j])
+def _fold_extreme(best, values: np.ndarray, x, t, pick=np.argmax):
+    """Fold ``values``, sampled at abscissae ``x`` and times ``t`` (each broadcast to
+    its shape), into ``best``: the (value, x, t) that ``pick`` (np.argmax or
+    np.argmin) selects on the samples folded before it, or None.  pick takes the
+    first NaN, else the first sample of the extreme value in C order, so blocks
+    folded in order end at the sample that pick selects on their concatenation."""
+    at = np.unravel_index(int(pick(values)), values.shape)
+    value = float(values[at])
     ahead = np.greater if pick is np.argmax else np.less
     if best is None or not np.isnan(best[0]) and (np.isnan(value) or ahead(value, best[0])):
-        return value, start + i, j
+        return (value, float(np.broadcast_to(x, values.shape)[at]),
+                float(np.broadcast_to(t, values.shape)[at]))
     return best
-
-
-def _located(best, grid: Grid) -> tuple[float, float, float]:
-    """(value, x, t) of a folded extreme."""
-    value, i, j = best
-    return value, float(grid.x[i]), float(grid.t[j])
 
 
 # ---------------------------------------------------------------------------
@@ -558,30 +557,22 @@ def monotonicity_report(triple: SolutionTriple, params: PhaseParams) -> Verifica
     variation along time is reported, not asserted.
     """
     grid, v, lam = triple.grid, triple.v.values, triple.lam.values
-    # steps with v > A at both ends, one row block at a time; the least increment
-    # on them is reported where it first occurs, and a window with no decrease (or
-    # a NaN increment, which np.min would return) reports 0.0 at (x_0, t_0)
-    least, at, tv = 0.0, (0, 0), np.empty(grid.n_x)
+    # the least increment over steps with v > A at both ends, reported at the
+    # step's end, and the total variation of each x-row, one row block at a time
+    least = tv = None
     for rows in _row_blocks(params, v):
         dlam = np.diff(lam[rows], axis=1)
         on = v[rows, 1:] > params.A
         on &= v[rows, :-1] > params.A
-        block_least = float(np.min(dlam, where=on, initial=0.0))
-        if not np.isnan(least) and (np.isnan(block_least) or block_least < least):
-            least = block_least
-            if least < 0.0:
-                i, j = np.unravel_index(int(np.argmax(on & (dlam == least))), dlam.shape)
-                at = (rows.start + i, j + 1)
-        tv[rows] = np.abs(dlam, out=dlam).sum(axis=1)
-    if not least < 0.0:
-        least, at = 0.0, (0, 0)
-    i_tv = int(np.argmax(tv))
+        least = _fold_extreme(least, np.where(on, dlam, 0.0), grid.x[rows, None],
+                              grid.t[1:], np.argmin)
+        tv = _fold_extreme(tv, np.abs(dlam, out=dlam).sum(axis=1), grid.x[rows], grid.T_end)
+    if not least[0] < 0.0:     # no decrease, or a NaN increment, reports 0.0 at (x_0, t_0)
+        least = 0.0, float(grid.x[0]), float(grid.t[0])
     checks = [
-        CheckResult("lambda2-monotone", *_located((least, *at), grid), lower=-MONOTONE_TOL,
+        CheckResult("lambda2-monotone", *least, lower=-MONOTONE_TOL,
                     note="min increment on v > A intervals"),
-        CheckResult("lambda2-total-variation", float(tv[i_tv]),
-                    float(grid.x[i_tv]), float(grid.T_end),
-                    note="reported bound, not asserted"),
+        CheckResult("lambda2-total-variation", *tv, note="reported bound, not asserted"),
     ]
     return VerificationReport(checks, grid_summary(grid))
 
@@ -593,50 +584,49 @@ def structural_check(triple: SolutionTriple, u0: np.ndarray,
     grid, u, v = triple.grid, triple.u.values, triple.v.values
     u0 = _initial_datum(triple, u0)
     # the endpoint slope of what the cosine projection misses, held to the
-    # backward solve's bound on its final datum
+    # backward solve's bound on its final datum; folded time first, so the left
+    # end wins a tie at one time
     edge = boundary_slopes(v, triple.v.modes, grid.L)
-    j = int(np.argmax(edge.max(axis=0)))
-    picks = (np.argmax,) * 5 + (np.argmin,)
-    best = [None] * len(picks)
-    for rows in _row_blocks(params, v):
-        formed = _structural_rows(triple, params, rows)
-        for k, pick in enumerate(picks):   # no row block outlives its fold
-            best[k] = _fold_extreme(best[k], next(formed), rows.start, pick)
-    lower, jump, superposition, evolution, bounds, rate = (_located(b, grid) for b in best)
     checks = [
-        CheckResult("initial-trace",
-                    *_located(_fold_extreme(None, np.abs(u[:, :1] - u0[:, None]), 0), grid),
+        CheckResult("initial-trace", *_fold_extreme(None, np.abs(u[:, :1] - u0[:, None]),
+                                                    grid.x[:, None], grid.t[0]),
                     upper=INITIAL_TRACE_TOL),
-        CheckResult("boundary-flux", float(edge.max()),
-                    float(grid.x[0] if edge[0, j] >= edge[1, j] else grid.x[-1]),
-                    float(grid.t[j]),
+        CheckResult("boundary-flux", *_fold_extreme(None, edge.T, grid.x[[0, -1]],
+                                                    grid.t[:, None]),
                     # max |v| as the larger of max v and -min v, with no |v| formed
                     upper=BOUNDARY_SLOPE_TOL * max(1.0, float(np.max(v)), -float(np.min(v))),
                     note="|v_x| at the endpoints (one-sided difference past the projection)"),
-        CheckResult("flux-above-lower-critical", *lower,
-                    upper=JUMP_TOL, note="max(A - v); the lower weight is zero"),
-        CheckResult("upper-jump-clause", *jump,
-                    upper=WEIGHT_DEFICIT_TOL, note="1 - lambda where v > B"),
-        CheckResult("superposition-identity", *superposition, upper=ALGEBRAIC_TOL),
-        CheckResult("state-evolution-identity", *evolution,
-                    upper=WEAK_TOL, note="u - u(.,0) - time integral of v_xx"),
-        CheckResult("weight-bounds", *bounds, upper=WEIGHT_BOUND_TOL),
-        CheckResult("weight-rate-sign", *rate, lower=-MONOTONE_TOL),
     ]
+    folded = {}
+    for rows in _row_blocks(params, v):
+        for row, values in _structural_rows(triple, params, rows):
+            pick = np.argmin if np.isfinite(row.lower) else np.argmax
+            _, best = folded.get(row.name, (row, None))
+            folded[row.name] = row, _fold_extreme(best, values, grid.x[rows, None], grid.t, pick)
+            del values      # no block outlives its fold: the next is formed after this
+    checks += [replace(row, residual=value, x=x, t=t)
+               for row, (value, x, t) in folded.values()]
     return VerificationReport(checks, grid_summary(grid))
 
 
 def _structural_rows(triple: SolutionTriple, params: PhaseParams, rows: slice):
-    """The values of each structural row on the x-rows ``rows``, each formed when the
-    one before has been folded; the embedded lower weight is identically zero, so
-    v < A is the lower jump."""
+    """Each structural row, its residual not yet set, beside its values on the
+    x-rows ``rows``, each formed when the one before has been folded; the
+    embedded lower weight is identically zero, so v < A is the lower jump."""
     u, v, lam = triple.u.values[rows], triple.v.values[rows], triple.lam.values[rows]
-    yield params.A - v
-    yield np.where(v > params.B + JUMP_TOL, 1.0 - lam, 0.0)
-    yield _superposition_defect(u, v, lam, params)
-    yield _evolution_defect(u, triple.v.xx[rows], triple.grid.dt)
-    yield np.maximum(-lam, lam - 1.0)
-    yield triple.lam_t.values[rows]
+    yield (CheckResult("flux-above-lower-critical", np.nan, upper=JUMP_TOL,
+                       note="max(A - v); the lower weight is zero"), params.A - v)
+    yield (CheckResult("upper-jump-clause", np.nan, upper=WEIGHT_DEFICIT_TOL,
+                       note="1 - lambda where v > B"),
+           np.where(v > params.B + JUMP_TOL, 1.0 - lam, 0.0))
+    yield (CheckResult("superposition-identity", np.nan, upper=ALGEBRAIC_TOL),
+           _superposition_defect(u, v, lam, params))
+    yield (CheckResult("state-evolution-identity", np.nan, upper=WEAK_TOL,
+                       note="u - u(.,0) - time integral of v_xx"),
+           _evolution_defect(u, triple.v.xx[rows], triple.grid.dt))
+    yield (CheckResult("weight-bounds", np.nan, upper=WEIGHT_BOUND_TOL),
+           np.maximum(-lam, lam - 1.0))
+    yield CheckResult("weight-rate-sign", np.nan, lower=-MONOTONE_TOL), triple.lam_t.values[rows]
 
 
 def _superposition_defect(u: np.ndarray, v: np.ndarray, lam: np.ndarray,
@@ -692,10 +682,9 @@ def relaxation_report(eps_sol: EpsSolution, params: PhaseParams) -> Verification
     """Conservation and viscous admissibility of one relaxed solution."""
     grid = eps_sol.grid
     mass = np.trapezoid(eps_sol.u_eps.values, grid.x, axis=0)
-    drift = np.abs(mass - mass[0])
-    j = int(np.argmax(drift))
     return VerificationReport([
-        CheckResult("mass-drift", float(drift[j]), t=float(grid.t[j]), upper=MASS_DRIFT_TOL,
+        CheckResult("mass-drift", *_fold_extreme(None, np.abs(mass - mass[0]), np.nan, grid.t),
+                    upper=MASS_DRIFT_TOL,
                     note="max |integral of u - its initial value|"),
         CheckResult("viscous-entropy", viscous_entropy_audit(eps_sol, params),
                     lower=-ENTROPY_TOL, note="min over the default fluxes x tests"),

@@ -177,6 +177,21 @@ class TestScenarioConfig:
         assert "source 2" in err and "[grid] n_t = 2" in err, err
         assert not any(out.iterdir())
 
+    def test_source_too_large_for_the_weight_formula_refused_before_any_file(
+            self, tmp_path, capsys):
+        # f = 1e300 drives a gap near 1e300, whose square the weight rate would form
+        out = tmp_path / "out"
+        cfg = dataclasses.replace(ScenarioConfig.default(), output_dir=out, sources=((1e300,),),
+                                  grid=Grid(L=np.pi, T_end=1.0, n_x=32, n_t=33, n_modes=8))
+        path = tmp_path / "huge.ini"
+        cfg.to_file(path)
+        out.mkdir()
+        assert main(["counterexample", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "source 0" in err and "[sources]" in err, err
+        assert len(err.splitlines()) == 1, err
+        assert not any(out.iterdir())
+
     def test_final_datum_series(self):
         datum = FinalDatum(0.1, (1, 3))
         coeffs = datum.series(np.pi).coeffs

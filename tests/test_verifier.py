@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import cumulative_simpson, simpson
 
-from fbplab import solvers, spectral
+from fbplab import solvers, spectral, verifier
 from fbplab.controls import control_table, negative_controls
 from fbplab.counterexample import construct_family
 from fbplab.errors import ConfigurationError, DomainViolationError, GridMismatchError
@@ -424,6 +424,22 @@ class TestBatteryFootprint:
             peaks.append(peak / triple.v.values.nbytes)
         assert max(peaks) <= 2.5, peaks
 
+    def test_one_block_field_holds_one_structural_row_at_a_time(self, past_horizon,
+                                                                  backward, params):
+        # v crosses B, so the field is one block and each row is field-sized: 3.03
+        # field sizes with each row freed when folded, 4.04 when the folded row was
+        # still held while the next one was formed
+        triple = replace(past_horizon, v=Field2D(past_horizon.grid, past_horizon.v.values, "v"))
+        assert len(_row_blocks(params, triple.v.values)) == 1
+        triple.v.xx
+        tracemalloc.start()
+        try:
+            structural_check(triple, backward.u0, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * triple.v.values.nbytes, peak / triple.v.values.nbytes
+
     def test_battery_peaks_below_six_fields(self, params, final_datum, default_sources):
         # before the views and the in-place checks the baseline peaked at 12.3
         grid = Grid(L, 1.0, 128, 1024, 32)
@@ -611,6 +627,32 @@ class TestStructural:
         for triple in family:
             entry = structural_check(triple, backward.u0, params).entry("boundary-flux")
             assert entry.passed and entry.residual < 1e-12
+
+    def test_boundary_flux_located_at_the_steep_end(self, family, backward, params, grid):
+        # a ramp (x - (L - 0.5))^2 / 1000 near x = L at one time: slope 1e-3 at L only
+        base, j0 = family[0], 100
+        v = base.v.values.copy()
+        v[:, j0] += 1e-3 * np.maximum(0.0, grid.x - (grid.L - 0.5)) ** 2
+        steep = replace(base, v=Field2D(grid, v, "ramp at x = L"))
+        entry = structural_check(steep, backward.u0, params).entry("boundary-flux")
+        assert entry.residual == pytest.approx(1e-3, rel=0.05)
+        assert (entry.x, entry.t) == (grid.L, grid.t[j0])
+
+    @pytest.mark.parametrize("steepest, at", [
+        pytest.param([(0, 5), (1, 5)], (0, 5), id="ends-tie-left-wins"),
+        pytest.param([(1, 7), (1, 3)], (1, 3), id="times-tie-earlier-wins"),
+        pytest.param([(0, 7), (1, 3)], (1, 3), id="earlier-time-before-left-end")])
+    def test_boundary_flux_tie_rule(self, family, backward, params, grid, monkeypatch,
+                                    steepest, at):
+        # the endpoint slopes are set outright, since no v ties them bit for bit:
+        # the earliest steepest time wins, then the left end at that time
+        edge = np.full((2, grid.n_t), 1e-15)
+        for end, j in steepest:
+            edge[end, j] = 2e-4
+        monkeypatch.setattr(verifier, "boundary_slopes", lambda values, modes, L: edge)
+        entry = structural_check(family[0], backward.u0, params).entry("boundary-flux")
+        assert (entry.residual, entry.x, entry.t) == (2e-4, grid.x[[0, -1]][at[0]],
+                                                      grid.t[at[1]])
 
     def test_high_mode_baseline_has_zero_flux(self, params, grid):
         # the stencil alone reads 1.54e-3 on this baseline, above its bound 1e-3
@@ -910,6 +952,18 @@ class TestSeparableContraction:
         mass = np.trapezoid(sol.u_eps.values, grid.x, axis=0)
         assert rep.entry("mass-drift").residual == np.max(np.abs(mass - mass[0]))
         assert rep.entry("viscous-entropy").residual == viscous_entropy_audit(sol, params)
+
+    def test_mass_drift_located_at_its_peak(self, backward, params, grid):
+        # a manufactured u whose mass rises by L/2 at one time and by L/4 at a later one
+        sol = solve_pseudoparabolic(backward.u0, 0.1, params, grid)
+        u = np.ones((grid.n_x, grid.n_t))
+        u[:, 40] += 0.5
+        u[:, 90] += 0.25
+        entry = relaxation_report(replace(sol, u_eps=Field2D(grid, u, "bumped mass")),
+                                  params).entry("mass-drift")
+        assert not entry.passed
+        assert entry.residual == pytest.approx(0.5 * grid.L, rel=1e-12)
+        assert np.isnan(entry.x) and entry.t == grid.t[40]
 
 
 class TestRunningSimpson:
