@@ -8,7 +8,7 @@ admissibility condition of the monotone-flux entropy formulation, and audits
 the conditions with independent grid checks.
 """
 
-from .config import FinalDatum, ScenarioConfig
+from .config import ScenarioConfig
 from .counterexample import assemble_state, build_lambda, certify_horizon, construct_family
 from .errors import (ConfigurationError, DomainViolationError, FbpError,
                      GridMismatchError, InstabilityError, NearSingularError)

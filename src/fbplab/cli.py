@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import controls, verifier
-from .config import ScenarioConfig
+from .config import ScenarioConfig, parse_floats
 from .counterexample import construct_family
 from .errors import ConfigurationError, FbpError, InstabilityError
 from .solvers import (solve_pseudoparabolic, solve_unstable_backward,
@@ -246,13 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_coeffs(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v.strip()) for v in raw.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"bad coefficient list {raw!r}") from exc
-
-
 def fix_malloc_thresholds() -> None:
     """Keep the large fields of a fine grid out of the C heap for the rest of
     the process.
@@ -291,8 +284,11 @@ def main(argv=None) -> int:
         if args.command == "regularize":
             return cmd_regularize(config)
         if args.command == "inverse":
+            a, b = parse_floats(args.a, "--a"), parse_floats(args.b, "--b")
             t_end = args.T if args.T is not None else config.grid.T_end
-            return cmd_inverse(config, _parse_coeffs(args.a), _parse_coeffs(args.b), t_end)
+            if not (np.isfinite(t_end) and t_end > 0):  # a grid's own T_end always is
+                raise ConfigurationError(f"--T must be finite and positive, not {t_end:g}")
+            return cmd_inverse(config, a, b, t_end)
         raise ConfigurationError(f"unknown command {args.command!r}")
     except InstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)

@@ -4,12 +4,15 @@ Sections and keys::
 
     [phase]      b, c, A, B, alpha1, alpha2 (continuity fixes the intercepts)
     [grid]       L, T_end, n_x, n_t, n_modes
-    [final_datum] amplitude, modes          (g = amplitude * sum_k cos(k pi x/L))
-    [sources]    one key per source, each a comma list of finite cosine coefficients
+    [final_datum] coefficients             (g = sum_k c_k cos(k pi x/L), c_0 its mean)
+    [sources]    one key per source, each a comma list of cosine coefficients
     [margins]    delta                     (construction margin, finite and positive)
-    [regularization] eps                   (finite, positive, distinct to 6 digits)
+    [regularization] eps                   (positive, distinct to 6 digits)
     [output]     dir
 
+Every comma list, ``inverse --a`` and ``--b`` included, is read by
+``parse_floats`` and written by ``_format_floats``; it needs one or more values,
+all finite, or it is refused under its key as the file or command line spells it.
 Key case is significant (the phase section distinguishes A from alpha1's a).
 A section not listed here, or a key a section does not list, is a
 configuration error (``[sources]`` keys are free names), so a misspelt section
@@ -34,30 +37,14 @@ from .spectral import CosineSeries, Grid
 PHASE_KEYS = ("b", "c", "A", "B", "alpha1", "alpha2")
 #: the keys each section accepts; ``[sources]`` names its sources freely
 SECTION_KEYS = {"phase": PHASE_KEYS, "grid": ("L", "T_end", "n_x", "n_t", "n_modes"),
-                "final_datum": ("amplitude", "modes"), "margins": ("delta",),
+                "final_datum": ("coefficients",), "margins": ("delta",),
                 "regularization": ("eps",), "output": ("dir",)}
 #: why a section refuses the keys that older scenario files carried
 RETIRED_NOTES = {"phase": " (continuity fixes the intercepts gamma1 and gamma2)",
+                 "final_datum": " (the datum is its cosine coefficients c_0, c_1, ...: "
+                                "amplitude a on modes k is a at each index k)",
                  "margins": " (the verdict tolerances are fixed in verifier and the "
                             "rate tolerance in counterexample)"}
-
-
-@dataclass(frozen=True)
-class FinalDatum:
-    amplitude: float
-    modes: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.modes or any(k < 1 for k in self.modes):
-            raise ConfigurationError("final datum needs at least one positive mode index")
-        if not math.isfinite(self.amplitude):
-            raise ConfigurationError("[final_datum] amplitude must be finite")
-
-    def series(self, L: float) -> CosineSeries:
-        coeffs = [0.0] * (max(self.modes) + 1)
-        for k in self.modes:
-            coeffs[k] += self.amplitude
-        return CosineSeries(L, coeffs)
 
 
 @dataclass(frozen=True)
@@ -66,7 +53,7 @@ class ScenarioConfig:
 
     phase: PhaseParams
     grid: Grid
-    final_datum: FinalDatum
+    final_datum: tuple[float, ...]
     sources: tuple[tuple[float, ...], ...]
     eps_list: tuple[float, ...]
     delta: float = DELTA
@@ -76,11 +63,12 @@ class ScenarioConfig:
         """Refuse a scenario before any command writes a file for it."""
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ConfigurationError("margin delta must be finite and positive")
+        _check_floats(self.final_datum, "[final_datum] coefficients")
         for i, src in enumerate(self.sources):
-            _check_source(f"source {i}", src)
-        if not self.eps_list or not all(math.isfinite(eps) and eps > 0 for eps in self.eps_list):
-            raise ConfigurationError("[regularization] eps needs one or more finite, "
-                                     f"positive values, not {list(self.eps_list)}")
+            _check_floats(src, f"[sources] source {i} coefficients")
+        if not all(eps > 0 for eps in _check_floats(self.eps_list, "[regularization] eps")):
+            raise ConfigurationError("[regularization] eps values must be positive, "
+                                     f"not {list(self.eps_list)}")
         if len(set(self.eps_tags())) < len(self.eps_list):
             raise ConfigurationError("[regularization] eps values that agree to 6 digits "
                                      "would share files")
@@ -90,7 +78,7 @@ class ScenarioConfig:
         return [f"eps{eps:g}".replace(".", "p") for eps in self.eps_list]
 
     def final_series(self) -> CosineSeries:
-        return self.final_datum.series(self.grid.L)
+        return CosineSeries(self.grid.L, self.final_datum)
 
     def source_series(self) -> list[CosineSeries]:
         return [CosineSeries(self.grid.L, list(c)) for c in self.sources]
@@ -107,7 +95,7 @@ class ScenarioConfig:
         return cls(
             phase=phase,
             grid=Grid(L=math.pi, T_end=1.0, n_x=128, n_t=256, n_modes=32),
-            final_datum=FinalDatum(0.1, (1,)),
+            final_datum=(0.0, 0.1),
             sources=((s,), (s, 0.3 * s), (s, 0.0, 0.3 * s)),
             eps_list=(0.1, 0.01, 0.001),
         )
@@ -141,12 +129,11 @@ class ScenarioConfig:
             grid = Grid(L=float(gsec["L"]), T_end=float(gsec["T_end"]),
                         n_x=int(gsec["n_x"]), n_t=int(gsec["n_t"]),
                         n_modes=int(gsec["n_modes"]))
-            fsec = parser["final_datum"]
-            datum = FinalDatum(float(fsec["amplitude"]),
-                               tuple(int(v) for v in _split(fsec["modes"])))
-            sources = tuple(_check_source(key, tuple(float(v) for v in _split(raw)))
+            datum = parse_floats(parser["final_datum"]["coefficients"],
+                                 "[final_datum] coefficients")
+            sources = tuple(parse_floats(raw, f"[sources] {key}")
                             for key, raw in parser["sources"].items())
-            eps_list = tuple(float(v) for v in _split(parser["regularization"]["eps"]))
+            eps_list = parse_floats(parser["regularization"]["eps"], "[regularization] eps")
             delta = parser.getfloat("margins", "delta", fallback=DELTA)
             out = Path(parser.get("output", "dir", fallback="out"))
         except (KeyError, ValueError, configparser.Error) as exc:
@@ -162,13 +149,11 @@ class ScenarioConfig:
                           "T_end": format(self.grid.T_end, ".17g"),
                           "n_x": str(self.grid.n_x), "n_t": str(self.grid.n_t),
                           "n_modes": str(self.grid.n_modes)}
-        parser["final_datum"] = {"amplitude": format(self.final_datum.amplitude, ".17g"),
-                                 "modes": ", ".join(map(str, self.final_datum.modes))}
-        parser["sources"] = {f"f{i + 1}": ", ".join(format(v, ".17g") for v in src)
+        parser["final_datum"] = {"coefficients": _format_floats(self.final_datum)}
+        parser["sources"] = {f"f{i + 1}": _format_floats(src)
                              for i, src in enumerate(self.sources)}
         parser["margins"] = {"delta": format(self.delta, ".17g")}
-        parser["regularization"] = {"eps": ", ".join(format(e, ".17g")
-                                                     for e in self.eps_list)}
+        parser["regularization"] = {"eps": _format_floats(self.eps_list)}
         parser["output"] = {"dir": str(self.output_dir)}
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -176,15 +161,25 @@ class ScenarioConfig:
             parser.write(fh)
 
 
-def _check_source(name: str, coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    """``coeffs`` when all are finite, else a refusal that names the source: its key
-    in a scenario file, its index (from 0, as construction names it) in a scenario
-    built in code."""
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ConfigurationError(f"[sources] {name} coefficients must be finite, "
-                                 f"not {list(coeffs)}")
-    return coeffs
+def parse_floats(raw: str, name: str) -> tuple[float, ...]:
+    """The comma list ``raw`` as floats, refused under ``name`` (``[sources] f1``,
+    ``--a``) unless every piece is a number, at least one is given and all are finite."""
+    try:
+        values = tuple(float(piece) for piece in raw.split(",") if piece.strip())
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} must be a comma list of numbers, not {raw!r}") from exc
+    return _check_floats(values, name)
 
 
-def _split(raw: str) -> list[str]:
-    return [piece.strip() for piece in raw.split(",") if piece.strip()]
+def _check_floats(values: tuple[float, ...], name: str) -> tuple[float, ...]:
+    """``values`` when it holds at least one value and all are finite, else a
+    refusal that names it ``name``."""
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ConfigurationError(f"{name} must hold one or more finite values, "
+                                 f"not {list(values)}")
+    return values
+
+
+def _format_floats(values: tuple[float, ...]) -> str:
+    """The comma list that ``parse_floats`` reads back as ``values``, bit for bit."""
+    return ", ".join(format(v, ".17g") for v in values)

@@ -11,8 +11,9 @@ import pytest
 
 import fbplab
 from fbplab.cli import main
-from fbplab.config import SECTION_KEYS, FinalDatum, ScenarioConfig
+from fbplab.config import SECTION_KEYS, ScenarioConfig
 from fbplab.errors import ConfigurationError
+from fbplab.phase_model import PhaseParams
 from fbplab.spectral import Grid
 
 
@@ -72,7 +73,9 @@ class TestScenarioConfig:
         # keys an older to_file wrote: the refusal says why they are gone
         pytest.param("phase", "gamma1", "2", "continuity", id="phase-gamma1-2"),
         pytest.param("phase", "gamma2", "-2", "continuity", id="phase-gamma2--2"),
-        pytest.param("margins", "tol", "1e-08", "rate tolerance", id="margins-tol-1e-08")])
+        pytest.param("margins", "tol", "1e-08", "rate tolerance", id="margins-tol-1e-08"),
+        pytest.param("final_datum", "amplitude", "0.1", "cosine coefficients",
+                     id="final_datum-amplitude-0.1")])
     def test_unknown_key_refused(self, small_config, capsys, section, key, value, why):
         # a misspelt key would otherwise be ignored and a different scenario run
         cfg, path = small_config
@@ -142,8 +145,8 @@ class TestScenarioConfig:
         pytest.param("regularization", "eps", "0.1, inf", id="eps-inf"),
         pytest.param("regularization", "eps", "0.1, -1", id="eps-negative"),
         pytest.param("sources", "f1", "1, nan", id="source-nan"),
-        pytest.param("final_datum", "amplitude", "nan", id="amplitude-nan"),
-        pytest.param("final_datum", "amplitude", "inf", id="amplitude-inf")])
+        pytest.param("final_datum", "coefficients", "0, nan", id="coefficients-nan"),
+        pytest.param("final_datum", "coefficients", "inf, 0.1", id="coefficients-inf")])
     def test_bad_value_refused_before_any_file(self, tmp_path, capsys, section, key, raw):
         # every value is checked when the scenario is read, before either command
         # writes a file; a NaN eps would otherwise reach the solver's eigh
@@ -192,15 +195,33 @@ class TestScenarioConfig:
         assert len(err.splitlines()) == 1, err
         assert not any(out.iterdir())
 
-    def test_final_datum_series(self):
-        datum = FinalDatum(0.1, (1, 3))
-        coeffs = datum.series(np.pi).coeffs
-        assert coeffs[1] == coeffs[3] == 0.1
-        assert coeffs[0] == coeffs[2] == 0.0
-        with pytest.raises(ConfigurationError):
-            FinalDatum(0.1, ())
-        with pytest.raises(ConfigurationError, match=r"\[final_datum\] amplitude"):
-            FinalDatum(float("nan"), (1,))
+    @pytest.mark.parametrize("command", [
+        "counterexample",
+        pytest.param("regularize", marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 19: the viscous-entropy row is not invariant under the u-shift; "
+            "at eps 0.1 it reads -1.046e-05 shifted, 0 unshifted (64x128x16)")))])
+    def test_u_shift_keeps_verdicts_and_horizons(self, tmp_path, command):
+        # u -> u + 1 with b and c shifted by 1 maps each triple to one with the
+        # same v, lambda and horizons; the shifted datum 1 + 0.1 cos x, whose mean
+        # is not 0, is written and read back as its coefficients 1, 0.1
+        p = PhaseParams.default()
+        shifted = PhaseParams(b=p.b + 1, c=p.c + 1, A=p.A, B=p.B,
+                              alpha1=p.alpha1, alpha2=p.alpha2)
+        grid = Grid(L=np.pi, T_end=1.0, n_x=64, n_t=128, n_modes=16)
+        runs = {}
+        for name, phase, datum in (("reference", p, (0.0, 0.1)),
+                                   ("shifted", shifted, (1.0, 0.1))):
+            cfg = dataclasses.replace(ScenarioConfig.default(), phase=phase, grid=grid,
+                                      final_datum=datum, output_dir=tmp_path / name)
+            path = tmp_path / f"{name}.ini"
+            cfg.to_file(path)
+            assert ScenarioConfig.from_file(path).final_datum == datum
+            code = main([command, "--config", str(path)])
+            summary = next((tmp_path / name).glob("*summary.txt")).read_text()
+            runs[name] = code, [line for line in summary.splitlines()
+                                if "certified horizon" in line]
+        assert runs["reference"][0] == 0
+        assert runs["shifted"] == runs["reference"]
 
 
 class TestCounterexampleCommand:
@@ -404,6 +425,16 @@ class TestInverseCommand:
     def test_unequal_lengths_exit_2(self, tmp_path):
         assert main(["inverse", "--a", "0,1", "--b", "1",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("option", ["--T=nan", "--T=inf", "--T=0", "--T=-1",
+                                        "--a=nan,0.1", "--a=", "--a=0.1,x"])
+    def test_bad_value_refused_before_any_file(self, tmp_path, capsys, option):
+        # the last --a wins; a --T of inf would otherwise reach the solver's
+        # overflow guard and exit 3
+        assert main(["inverse", "--a", "0,0.1", "--b", "1,0.1", "--T", "1", option,
+                     "--out", str(tmp_path)]) == 2
+        assert option.split("=")[0] in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_leading_minus_needs_equals_form(self, tmp_path):
         # argparse reads "-0.1,0.2" after a space as an option
